@@ -4,15 +4,12 @@ Benchmarks, micro to macro:
 
 ``pmem_ops``
     Persistence-domain operation throughput (mixed-size store/flush/
-    fence mix, no observers): the vectorized core and the scalar
-    reference against a frozen *legacy-behavior* domain that still
-    constructs a TraceEvent per op and scans the full line map per
-    fence.  This is the hot-path number: every execution in a campaign
-    is made of these operations.
+    fence mix, no observers).  Every execution in a campaign is made of
+    these operations.
 
 ``ranges``
-    ``inconsistent_ranges`` throughput: vectorized (numpy flatnonzero)
-    and chunked-slice scalar against the byte-at-a-time reference.
+    ``inconsistent_ranges`` throughput: the chunked-slice comparison
+    against the byte-at-a-time reference.
 
 ``executor``
     Whole-execution throughput (execs/s): parse + open + run + close on
@@ -47,9 +44,7 @@ import statistics
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.execcore import HAVE_NUMPY, active_core
-from repro.pmem.persistence import (CACHE_LINE, LineState, PersistenceDomain,
-                                    TraceEvent, TraceEventKind)
+from repro.pmem.persistence import PersistenceDomain
 
 #: Benchmark registry: name -> callable(quick) -> {metric: value}.
 BENCHMARKS: Dict[str, Callable[[bool], Dict[str, float]]] = {}
@@ -66,54 +61,8 @@ def _bench(name: str):
     return register
 
 
-# ----------------------------------------------------------------------
-# A frozen copy of the pre-optimization domain behavior, kept as the
-# measurement baseline: TraceEvent per op even with no observers, line
-# iteration through a generator, and a full line-map scan per fence.
-# ----------------------------------------------------------------------
-class _LegacyDomain(PersistenceDomain):
-
-    def emit(self, kind, addr=0, size=0, site=""):
-        event = TraceEvent(kind=kind, addr=addr, size=size, seq=self._seq,
-                           site=site)
-        self._seq += 1
-        for observer in self._observers:
-            observer(event)
-        return event
-
-    def store(self, addr, data, site=""):
-        self._check_range(addr, len(data))
-        self._volatile[addr:addr + len(data)] = data
-        for line in self._lines_of(addr, len(data)):
-            self._lines[line] = LineState.DIRTY
-        self._store_count += 1
-        self.emit(TraceEventKind.STORE, addr, len(data), site)
-
-    def flush(self, addr, size, site=""):
-        self._check_range(addr, size)
-        redundant = True
-        for line in self._lines_of(addr, size):
-            if self._lines.get(line, LineState.CLEAN) is LineState.DIRTY:
-                self._lines[line] = LineState.FLUSHED
-                redundant = False
-        self.emit(TraceEventKind.FLUSH, addr, size, site)
-        if redundant:
-            self.emit(TraceEventKind.FLUSH_REDUNDANT, addr, size, site)
-
-    def drain(self, site: Optional[str] = None) -> None:
-        for line, state in list(self._lines.items()):
-            if state is LineState.FLUSHED:
-                start = line * CACHE_LINE
-                end = min(start + CACHE_LINE, self.size)
-                self._media[start:end] = self._volatile[start:end]
-                del self._lines[line]
-        self._fence_count += 1
-        self.emit(TraceEventKind.FENCE, 0, 0, site or "")
-
-
 #: Mixed store sizes, 32 B to 4 KiB (one line to 64+ lines): campaign
-#: workloads persist both field-sized and object-sized ranges, and the
-#: multi-line stores are where bulk line-state transitions pay off.
+#: workloads persist both field-sized and object-sized ranges.
 _WORKOUT_SIZES = (32, 256, 1024, 4096)
 
 
@@ -134,39 +83,13 @@ def _domain_workout(domain: PersistenceDomain, ops: int) -> int:
     return performed
 
 
-def _vector_domain(size: int):
-    from repro.pmem.vector import VectorPersistenceDomain
-
-    return VectorPersistenceDomain(size)
-
-
 @_bench("pmem_ops")
 def _bench_pmem_ops(quick: bool) -> Dict[str, float]:
     ops = 2_000 if quick else 20_000
     size = 256 * 1024
     t0 = time.perf_counter()
     performed = _domain_workout(PersistenceDomain(size), ops)
-    scalar_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _domain_workout(_LegacyDomain(size), ops)
-    legacy_s = time.perf_counter() - t0
-    vector_s = None
-    if HAVE_NUMPY:
-        t0 = time.perf_counter()
-        _domain_workout(_vector_domain(size), ops)
-        vector_s = time.perf_counter() - t0
-    current_s = vector_s if (vector_s is not None
-                             and active_core() == "vector") else scalar_s
-    metrics = {
-        "ops_per_s": performed / current_s,
-        "scalar_ops_per_s": performed / scalar_s,
-        "legacy_ops_per_s": performed / legacy_s,
-        "speedup": legacy_s / current_s,
-    }
-    if vector_s is not None:
-        metrics["vector_ops_per_s"] = performed / vector_s
-        metrics["vector_vs_scalar"] = scalar_s / vector_s
-    return metrics
+    return {"ops_per_s": performed / (time.perf_counter() - t0)}
 
 
 @_bench("ranges")
@@ -187,23 +110,11 @@ def _bench_ranges(quick: bool) -> Dict[str, float]:
         naive = domain._inconsistent_ranges_naive()
     naive_s = time.perf_counter() - t0
     assert chunked == naive
-    metrics = {
+    return {
         "calls_per_s": calls / current_s,
         "naive_calls_per_s": calls / naive_s,
         "speedup": naive_s / current_s,
     }
-    if HAVE_NUMPY:
-        vdomain = _vector_domain(size)
-        for addr in range(0, size, size // 4):
-            vdomain.store(addr, b"\xFF" * 48)
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            vectored = vdomain.inconsistent_ranges()
-        vector_s = time.perf_counter() - t0
-        assert vectored == chunked
-        metrics["vector_calls_per_s"] = calls / vector_s
-        metrics["vector_vs_scalar"] = current_s / vector_s
-    return metrics
 
 
 def _make_executor():
@@ -420,41 +331,18 @@ def _bench_campaign(quick: bool) -> Dict[str, float]:
 
     budget = 1.0 if quick else 4.0
 
-    def one(core: str, run_budget: Optional[float] = None):
-        t0 = time.perf_counter()
-        stats = run_campaign("btree", "pmfuzz", run_budget or budget,
-                             exec_core=core)
-        return stats, time.perf_counter() - t0
-
-    # Pin the engine to the suite's active core: the engine resolves
-    # exec_core=None to the *default* core, which would silently undo a
-    # ``--exec-core scalar`` suite run.
-    current = active_core()
     # The process's first campaign pays one-time costs (page cache,
-    # allocator arenas) that would be charged to whichever core runs
-    # first; a short throwaway run absorbs them.
-    one(current, run_budget=0.25)
-    stats, wall = one(current)
-    metrics = {
+    # allocator arenas); a short throwaway run absorbs them.
+    run_campaign("btree", "pmfuzz", 0.25)
+    t0 = time.perf_counter()
+    stats = run_campaign("btree", "pmfuzz", budget)
+    wall = time.perf_counter() - t0
+    return {
         "wall_s": wall,
         "execs": float(stats.executions),
         "execs_per_s": stats.executions / wall,
         "crash_images": float(stats.crash_images_generated),
     }
-    if HAVE_NUMPY:
-        # Run the other core back-to-back so each sample carries a
-        # host-independent scalar-vs-vector campaign ratio: absolute
-        # execs/s swing with machine load, the in-sample ratio does not.
-        other = "scalar" if current == "vector" else "vector"
-        o_stats, o_wall = one(other)
-        rates = {current: stats.executions / wall,
-                 other: o_stats.executions / o_wall}
-        metrics["scalar_execs_per_s"] = rates["scalar"]
-        metrics["vector_execs_per_s"] = rates["vector"]
-        metrics["vector_vs_scalar"] = rates["vector"] / rates["scalar"]
-        from repro.execcore import set_core
-        set_core(current)
-    return metrics
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +400,6 @@ def baseline_deltas(metrics: Dict[str, float],
 def run_suite(names: Optional[List[str]] = None, quick: bool = False,
               repeats: Optional[int] = None, out_dir: str = ".",
               baseline_dir: Optional[str] = "benchmarks/baseline",
-              exec_core: Optional[str] = None,
               cov_backend: Optional[str] = None,
               print_fn: Callable[[str], None] = print) -> List[dict]:
     """Run the suite, write ``BENCH_<name>.json`` files, print a table.
@@ -523,14 +410,12 @@ def run_suite(names: Optional[List[str]] = None, quick: bool = False,
     document embeds its ``baseline_delta`` (computed against the
     baseline as it was *before* this run wrote anything, so regenerating
     the baseline in place still records the old-vs-new delta) and the
-    execution core it ran on.
+    coverage backend it ran under.
     """
     import platform
 
-    from repro.execcore import set_core
     from repro.instrument.covcore import set_backend
 
-    core = set_core(exec_core)
     backend = set_backend(cov_backend)
     selected = names or list(BENCHMARKS)
     unknown = [n for n in selected if n not in BENCHMARKS]
@@ -544,7 +429,6 @@ def run_suite(names: Optional[List[str]] = None, quick: bool = False,
         # Load the baseline before writing: out_dir may BE baseline_dir.
         baseline = load_baseline(baseline_dir, name) if baseline_dir else None
         doc = run_benchmark(name, quick=quick, repeats=repeats)
-        doc["exec_core"] = core
         doc["cov_backend"] = backend
         doc["python"] = platform.python_version()
         doc["baseline_delta"] = baseline_deltas(doc["metrics"], baseline)
@@ -554,7 +438,7 @@ def run_suite(names: Optional[List[str]] = None, quick: bool = False,
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print_fn(f"{name}  ({doc['repeats']} repeats, median, "
-                 f"{core} core)")
+                 f"{backend} coverage)")
         for key, value in doc["metrics"].items():
             line = f"  {key:24s} {_fmt(value):>14s}"
             delta = doc["baseline_delta"].get(key)

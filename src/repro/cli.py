@@ -94,12 +94,10 @@ def _isolation_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
-def _execcore_kwargs(args: argparse.Namespace) -> dict:
-    """Execution-core engine kwargs (empty at the defaults, so checkpoint
+def _transport_kwargs(args: argparse.Namespace) -> dict:
+    """Fork-transport engine kwargs (empty at the defaults, so checkpoint
     metadata stays identical to pre-flag campaigns)."""
     kwargs: dict = {}
-    if getattr(args, "exec_core", None):
-        kwargs["exec_core"] = args.exec_core
     batch = getattr(args, "batch_execs", None)
     if batch is not None:
         if batch < 1:
@@ -243,7 +241,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         fault_plan=args.fault_plan,
         engine_kwargs={**_isolation_kwargs(args), **_observe_kwargs(args),
                        **_crashgen_kwargs(args), **_corpusdb_kwargs(args),
-                       **_execcore_kwargs(args), **_fastpath_kwargs(args)},
+                       **_transport_kwargs(args), **_fastpath_kwargs(args)},
         kill_plan=_parse_kill_plan(args.fleet_kill),
     )
     print(f"configuration     : {stats.config_name}")
@@ -285,23 +283,31 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return _cmd_fleet(args)
     # Solo campaign: first SIGINT/SIGTERM stops cleanly (final
     # checkpoint + summary with stop_reason=signal), the second
-    # hard-exits.
+    # hard-exits.  The handlers are removed once the campaign returns,
+    # so an embedding process (and anything it forks later) does not
+    # keep routing its signals to a finished engine.
     from repro.orchestrate.signals import install_graceful_stop
-    hook = lambda engine: install_graceful_stop(engine)  # noqa: E731
-    if args.resume:
-        stats = run_campaign(args.workload, args.config, args.budget,
-                             resume_from=args.resume, engine_hook=hook)
-    else:
-        stats = run_campaign(args.workload, args.config, args.budget,
-                             seed=args.seed, fault_plan=args.fault_plan,
-                             engine_hook=hook,
-                             **_checkpoint_kwargs(args, args.config),
-                             **_isolation_kwargs(args),
-                             **_observe_kwargs(args),
-                             **_crashgen_kwargs(args),
-                             **_corpusdb_kwargs(args),
-                             **_execcore_kwargs(args),
-                             **_fastpath_kwargs(args))
+    stops = []
+    hook = lambda engine: stops.append(  # noqa: E731
+        install_graceful_stop(engine))
+    try:
+        if args.resume:
+            stats = run_campaign(args.workload, args.config, args.budget,
+                                 resume_from=args.resume, engine_hook=hook)
+        else:
+            stats = run_campaign(args.workload, args.config, args.budget,
+                                 seed=args.seed, fault_plan=args.fault_plan,
+                                 engine_hook=hook,
+                                 **_checkpoint_kwargs(args, args.config),
+                                 **_isolation_kwargs(args),
+                                 **_observe_kwargs(args),
+                                 **_crashgen_kwargs(args),
+                                 **_corpusdb_kwargs(args),
+                                 **_transport_kwargs(args),
+                                 **_fastpath_kwargs(args))
+    finally:
+        for stop in stops:
+            stop.uninstall()
     if stats.isolation_fallback:
         print(f"warning: fork isolation unavailable "
               f"({stats.isolation_fallback}); ran in-process",
@@ -508,7 +514,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_suite(names=args.only or None, quick=args.quick,
                   repeats=args.repeats, out_dir=args.out_dir,
                   baseline_dir=args.baseline_dir or None,
-                  exec_core=args.exec_core,
                   cov_backend=getattr(args, "cov_backend", None))
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
@@ -619,13 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "wall-clock watchdog and RSS ceiling "
                            "(degrades to 'none' where fork is "
                            "unavailable)")
-    fuzz.add_argument("--exec-core", choices=["scalar", "vector"],
-                      default=None,
-                      help="execution core: 'vector' uses the batched "
-                           "numpy persistence-domain/coverage kernels, "
-                           "'scalar' the pure-python reference (default: "
-                           "vector when numpy is available; both produce "
-                           "identical campaigns)")
     fuzz.add_argument("--cov-backend", choices=["settrace", "monitoring"],
                       default=None,
                       help="branch-coverage backend: 'monitoring' uses "
@@ -823,10 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out-dir", default=".", metavar="DIR",
                        help="where BENCH_<name>.json files are written "
                             "(default: current directory)")
-    bench.add_argument("--exec-core", choices=["scalar", "vector"],
-                       default=None,
-                       help="execution core the campaign benchmarks run "
-                            "on (default: vector when numpy is available)")
     bench.add_argument("--cov-backend", choices=["settrace", "monitoring"],
                        default=None,
                        help="coverage backend the benchmarks run under "

@@ -1,105 +1,11 @@
-"""Execution-core selection: scalar reference vs vectorized hot paths.
+"""Execution-core name, kept only for the benchmark's host fingerprint.
 
-PR 9 rewrites the three throughput-critical state machines — the
-persistence domain's line-state transitions, the Algorithm-1 PM counter
-map, and the global coverage algebra — on bytearray/numpy bulk
-operations.  The scalar implementations are retained verbatim as the
-reference semantics; this module is the single switch that decides which
-family every construction site uses.
-
-The contract (enforced by ``tests/test_exec_core_grid.py`` and the
-hypothesis properties in ``tests/test_properties.py``) is *bit-identical
-behavior*: byte-identical crash images, ``comparable()``-identical
-campaign stats, and identical per-operation results across both cores in
-every configuration.  The vectorized core is therefore free to be the
-default wherever numpy is importable; hosts without numpy degrade to the
-scalar core automatically (graceful degradation, never a hard failure).
-
-Selection is process-global on purpose: a campaign's executions fork
-into worker subprocesses that inherit the already-constructed engine, so
-a per-object flag would have to be threaded through every construction
-site in ``pmdk``, ``instrument`` and ``fuzz``.  The engine sets the
-global once from its ``exec_core`` kwarg before any domain or map is
-built, and records the resolved value in its campaign metadata so
-checkpoints resume under the same core.
+The campaign runs one execution core.  ``perfbench/pmbench/report.py``
+still records ``active_core()`` in every result's fingerprint, so the
+name stays until the benchmark stops reading it.
 """
-
-from __future__ import annotations
-
-from typing import Optional
-
-from repro.errors import FuzzerError
-
-try:  # numpy is optional: the scalar core needs nothing beyond stdlib.
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on numpy-less hosts
-    HAVE_NUMPY = False
-
-#: Core names accepted by ``--exec-core`` / :func:`set_core`.
-EXEC_CORES = ("scalar", "vector")
-
-#: The default core: vectorized wherever numpy exists, else scalar.
-DEFAULT_CORE = "vector" if HAVE_NUMPY else "scalar"
-
-_active = DEFAULT_CORE
-
-
-def resolve(name: Optional[str] = None) -> str:
-    """Validate ``name`` and resolve None/"" to the platform default.
-
-    Asking for ``vector`` on a host without numpy is a configuration
-    error (the caller asked for something the host cannot honor), unlike
-    the silent default degradation when no core is named.
-    """
-    if name in (None, ""):
-        return DEFAULT_CORE
-    if name not in EXEC_CORES:
-        raise FuzzerError(f"unknown exec core {name!r}; "
-                          f"known: {', '.join(EXEC_CORES)}")
-    if name == "vector" and not HAVE_NUMPY:
-        raise FuzzerError("exec core 'vector' requires numpy, "
-                          "which is not importable on this host")
-    return name
-
-
-def set_core(name: Optional[str] = None) -> str:
-    """Select the process-global core; returns the resolved name."""
-    global _active
-    _active = resolve(name)
-    return _active
 
 
 def active_core() -> str:
-    """The core every factory below currently builds."""
-    return _active
-
-
-# ----------------------------------------------------------------------
-# Construction factories (the only seams the rest of the code uses)
-# ----------------------------------------------------------------------
-def make_domain(size: int, initial: Optional[bytes] = None):
-    """Build a persistence domain under the active core."""
-    if _active == "vector":
-        from repro.pmem.vector import VectorPersistenceDomain
-        return VectorPersistenceDomain(size, initial)
-    from repro.pmem.persistence import PersistenceDomain
-    return PersistenceDomain(size, initial)
-
-
-def make_counter_map():
-    """Build an Algorithm-1 PM counter map under the active core."""
-    if _active == "vector":
-        from repro.instrument.counter_map import VectorPMCounterMap
-        return VectorPMCounterMap()
-    from repro.instrument.counter_map import PMCounterMap
-    return PMCounterMap()
-
-
-def make_global_coverage():
-    """Build a global (virgin-map) coverage tracker under the active core."""
-    if _active == "vector":
-        from repro.fuzz.coverage import VectorGlobalCoverage
-        return VectorGlobalCoverage()
-    from repro.fuzz.coverage import GlobalCoverage
-    return GlobalCoverage()
+    """The execution core every campaign runs on."""
+    return "scalar"

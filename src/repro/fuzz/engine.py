@@ -28,9 +28,8 @@ from repro.core.dedup import ImageStore
 from repro.core.storage import TestCaseStorage
 from repro.core.testcase import TestCaseTree
 from repro.errors import FuzzerError, HarnessFaultError, StorageFaultError
-from repro.execcore import make_global_coverage, set_core
 from repro.instrument.covcore import set_backend as set_cov_backend
-from repro.fuzz.coverage import MAP_SIZE
+from repro.fuzz.coverage import MAP_SIZE, GlobalCoverage
 from repro.fuzz.executor import CostModel, ExecResult, Executor
 from repro.fuzz.mutators import MutationEngine
 from repro.fuzz.queue import FuzzQueue, QueueEntry
@@ -76,7 +75,6 @@ class FuzzEngine:
         checkpoint_path: Optional[str] = None,
         isolation: str = "none",
         isolation_workers: int = 1,
-        exec_core: Optional[str] = None,
         batch_execs: int = 8,
         transport: str = "auto",
         exec_wall_timeout: float = 10.0,
@@ -93,18 +91,10 @@ class FuzzEngine:
         cov_backend: Optional[str] = None,
         warm_open: bool = True,
     ) -> None:
-        #: Execution core ("scalar" or "vector"): selects the
-        #: persistence-domain / counter-map / coverage implementations
-        #: process-wide.  Both cores are observationally identical (the
-        #: scalar×vector equivalence grid is the contract); the choice
-        #: is recorded here — never in the stats — so comparable() stays
-        #: equal across cores.  Set before anything that builds a
-        #: counter map or coverage object.
-        self.exec_core = set_core(exec_core)
-        #: Coverage backend ("settrace" or "monitoring"): same contract
-        #: as the exec core — both produce identical edge maps (the
-        #: fast-path grid is the proof), so the choice is campaign
-        #: metadata, never part of comparable().
+        #: Coverage backend ("settrace" or "monitoring"): selected
+        #: process-wide before the executor is built.  Both produce
+        #: identical edge maps (the fast-path grid is the proof), so the
+        #: choice is campaign metadata, never part of comparable().
         self.cov_backend = set_cov_backend(cov_backend)
         self.workload_factory = workload_factory
         self.config = config
@@ -122,8 +112,8 @@ class FuzzEngine:
                                  warm_open=warm_open)
         self.mutator = MutationEngine(self.rng)
         self.queue = FuzzQueue()
-        self.branch_cov = make_global_coverage()
-        self.pm_cov = make_global_coverage()  # measured in every config
+        self.branch_cov = GlobalCoverage()
+        self.pm_cov = GlobalCoverage()  # measured in every config
         self.storage = TestCaseStorage(ImageStore(compress=config.sys_opt,
                                                   env_faults=env_faults))
         self.stats = FuzzStats(config_name=config.name)

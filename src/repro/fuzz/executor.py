@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidImageError, ReproError
-from repro.execcore import make_counter_map
 from repro.fuzz.warmcache import WarmContext, WarmOpenCache
 from repro.instrument.context import ExecutionContext, push_context
+from repro.instrument.counter_map import PMCounterMap
 from repro.instrument.covcore import make_branch_coverage
 from repro.pmem.image import PMImage
 from repro.workloads.base import Command, RunOutcome, RunResult, Workload
@@ -127,7 +127,7 @@ class Executor:
         # Pooled per-exec state: the 64 KiB PM counter map and the
         # volatile command processor are allocated once and reset in
         # place per execution instead of rebuilt on the hot path.
-        self._counter_map = make_counter_map()
+        self._counter_map = PMCounterMap()
         self._volatile_proc = VolatileCommandProcessor()
         #: Content-addressed post-open prefix cache (None = disabled).
         #: Under fork isolation each worker inherits its own copy, so

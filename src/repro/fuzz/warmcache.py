@@ -51,6 +51,7 @@ from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.pmem.image import PMImage
+from repro.pmem.persistence import PersistenceDomain
 
 
 class WarmEntry:
@@ -213,10 +214,9 @@ class WarmContext:
         return self._restore(entry)
 
     def _restore(self, entry: WarmEntry):
-        from repro.execcore import make_domain
         from repro.pmdk.pool import PmemObjPool
 
-        domain = make_domain(len(entry.media), entry.media)
+        domain = PersistenceDomain(len(entry.media), entry.media)
         domain.warm_restore(entry.pending, entry.seq, entry.fence_count,
                             entry.store_count)
         # The pool image's payload is only written at close(); an empty

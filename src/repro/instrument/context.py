@@ -18,7 +18,7 @@ import contextlib
 import sys
 from typing import Iterator, List, Optional
 
-from repro.execcore import make_counter_map
+from repro.instrument.counter_map import PMCounterMap
 from repro.instrument.pmops import GLOBAL_REGISTRY, PMOpRegistry
 from repro.pmem.persistence import TraceEvent
 
@@ -45,7 +45,7 @@ class ExecutionContext:
         # allocated once, reset in place per exec); standalone contexts
         # build their own.
         self.counter_map = counter_map if counter_map is not None \
-            else make_counter_map()
+            else PMCounterMap()
         self.trace: List[TraceEvent] = []
         self.injector = injector
         self.collect_trace = collect_trace

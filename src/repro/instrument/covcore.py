@@ -1,8 +1,7 @@
 """Coverage-backend selection: ``settrace`` reference vs ``sys.monitoring``.
 
 The per-exec fast path splits branch coverage into two interchangeable
-backends behind the same selection-seam pattern :mod:`repro.execcore`
-established for the persistence domain and counter maps:
+backends behind one selection seam:
 
 * ``settrace`` — the original :class:`~repro.instrument.branchcov.
   BranchCoverage` recorder, retained as the reference semantics.  Works
@@ -22,12 +21,12 @@ default wherever the interpreter provides ``sys.monitoring``; older
 interpreters degrade to ``settrace`` automatically (graceful
 degradation, never a hard failure).
 
-Selection is process-global for the same reason exec-core selection is:
-executions fork into worker subprocesses that inherit the constructed
-executor, so the engine sets the global once from its ``cov_backend``
-kwarg before the executor is built, and records the resolved value in
-its campaign metadata.  The backend is engine configuration, never a
-stats field: ``comparable()`` output is identical across backends.
+Selection is process-global because executions fork into worker
+subprocesses that inherit the constructed executor, so the engine sets
+the global once from its ``cov_backend`` kwarg before the executor is
+built, and records the resolved value in its campaign metadata.  The
+backend is engine configuration, never a stats field: ``comparable()``
+output is identical across backends.
 """
 
 from __future__ import annotations

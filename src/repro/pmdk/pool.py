@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Optional, Type
 
 from repro.errors import InvalidImageError, SegmentationFault
-from repro.execcore import make_domain
 from repro.instrument.context import current_context, pm_call_site
 from repro.pmem.image import PMImage
 from repro.pmem.persistence import PersistenceDomain, TraceEventKind
@@ -79,7 +78,7 @@ class PmemObjPool:
     def create(cls, layout: str, size: int = DEFAULT_POOL_SIZE) -> "PmemObjPool":
         """``pmemobj_create``: build a fresh pool on an empty image."""
         image = PMImage.create(layout, size)
-        domain = make_domain(size, bytes(image.payload))
+        domain = PersistenceDomain(size, bytes(image.payload))
         pool = cls(image, domain)
         site = "pool:create"
         domain.store(
@@ -114,7 +113,8 @@ class PmemObjPool:
         """
         image.validate(expected_layout=layout)
         working = image.copy()
-        domain = make_domain(len(working.payload), bytes(working.payload))
+        domain = PersistenceDomain(len(working.payload),
+                                   bytes(working.payload))
         magic = int.from_bytes(domain.load(_META_MAGIC_OFF, 8), "little")
         if magic != _POOL_MAGIC:
             raise InvalidImageError(

@@ -320,6 +320,11 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
         raise CheckpointError(
             f"checkpoint {path!r} carries no campaign metadata; it was "
             "taken from a hand-built engine and cannot self-resume")
+    engine_kwargs = dict(meta["engine_kwargs"])
+    # Checkpoints from before the single execution core may name the
+    # core they ran on; every core produced byte-identical campaigns, so
+    # the key is dropped and the campaign resumes exactly.
+    engine_kwargs.pop("exec_core", None)
     engine = build_engine(
         meta["workload"],
         config_by_name(meta["config"]),
@@ -327,7 +332,7 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
         seed_inputs=[bytes(s) for s in meta["seed_inputs"]],
         injector=injector,
         fault_plan=meta["fault_plan"],
-        **meta["engine_kwargs"],
+        **engine_kwargs,
     )
     restore_state(engine, payload["state"])
     return engine

@@ -385,6 +385,14 @@ class ServeDaemon:
         os.makedirs(self.paths.campaign_dir(record.cid), exist_ok=True)
         sys.stdout.flush()
         sys.stderr.flush()
+        # The child inherits this process's Python signal handlers (the
+        # daemon's own drain handler, or whatever an embedding process
+        # installed).  A drain SIGTERM that reached one of those before
+        # the runner installs its own would be swallowed and the runner
+        # would fuzz on to the end of its budget, so SIGTERM stays
+        # blocked across the fork; the runner unblocks it once its
+        # handler is in place, and an early SIGTERM is delivered there.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
         pid = os.fork()
         if pid == 0:
             # Child: become the runner; never return into the daemon's
@@ -397,6 +405,7 @@ class ServeDaemon:
                                      checkpoint_every=self.checkpoint_every)
             finally:
                 os._exit(status)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         record.pid = pid
         record.spawned_at = time.monotonic()
         record.term_sent_at = 0.0

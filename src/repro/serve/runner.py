@@ -114,6 +114,9 @@ def _runner_main(request: dict, cid: str, root: str,
             holder["engine"].request_stop()
 
     previous = signal.signal(signal.SIGTERM, on_sigterm)
+    # The daemon forks runners with SIGTERM blocked (see
+    # ServeDaemon._spawn); one that arrived since is delivered now.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     engine = _build_engine(request, cid, paths)
     holder["engine"] = engine
     if holder["requested"]:

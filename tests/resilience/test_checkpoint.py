@@ -171,6 +171,24 @@ class TestResumeDeterminism:
         straight = run_campaign("hashmap_tx", "pmfuzz", 0.9, seed=21)
         assert longer == straight
 
+    def test_resume_ignores_retired_exec_core_kwarg(self, tmp_path):
+        """Checkpoints taken with the retired ``--exec-core`` flag carry
+        the core name in their engine kwargs; they resume exactly as if
+        it were absent."""
+        path = str(tmp_path / "plain.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.5, seed=21,
+                     checkpoint_every=0.1, checkpoint_path=path)
+        payload = read_checkpoint(path)
+        assert "exec_core" not in payload["meta"]["engine_kwargs"]
+        payload["meta"]["engine_kwargs"]["exec_core"] = "vector"
+        legacy = str(tmp_path / "legacy.ckpt")
+        write_checkpoint(legacy, payload)
+
+        plain = run_campaign("hashmap_tx", "pmfuzz", 0.9, resume_from=path)
+        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.9,
+                               resume_from=legacy)
+        assert resumed.comparable() == plain.comparable()
+
     def test_resume_rebuilds_pmfuzz_engine_class(self, tmp_path):
         from repro.core.pmfuzz import PMFuzzEngine
         path = str(tmp_path / "cls.ckpt")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 import pytest
@@ -60,6 +61,43 @@ def test_wedge_escalates_sigterm_to_sigkill_then_recovers(daemon_thread):
                           "wedged.once")
     assert os.path.exists(marker)
     assert handle.daemon.paths.load_stats(record.cid) is not None
+
+
+def test_early_drain_signal_parks_the_runner(daemon_thread, monkeypatch,
+                                            tmp_path):
+    """A SIGTERM that reaches a runner before it installs its own
+    handler still parks the campaign.
+
+    The forking process here has a Python SIGTERM handler that swallows
+    the signal, as one left behind by an earlier in-process campaign
+    would.  Had the child run that inherited handler, the signal would
+    be lost and the runner would fuzz to the end of its budget, which
+    is what made a drain hang."""
+    from repro.serve import daemon as daemon_module
+
+    runner_main = daemon_module.runner_main
+    once = str(tmp_path / "signalled.once")
+
+    def signalled_early(*args, **kwargs):
+        # In the forked child, before runner_main installs its handler.
+        if not os.path.exists(once):
+            open(once, "w").close()
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(0.2)
+        return runner_main(*args, **kwargs)
+
+    monkeypatch.setattr(daemon_module, "runner_main", signalled_early)
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        handle = daemon_thread()
+        handle.start()
+        record = handle.daemon.submit({**VALID, "budget": 5.0})
+        wait_until(lambda: record.drained or record.terminal
+                   or record.deaths, what=f"{record.cid} to leave RUNNING")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert record.drained
+    assert record.deaths == []
 
 
 def test_spawn_faults_back_off_then_retire(daemon_thread):

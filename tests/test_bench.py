@@ -8,16 +8,13 @@ import pytest
 
 from repro.bench import BENCHMARKS, load_baseline, run_benchmark, run_suite
 from repro.cli import main
-from repro.execcore import set_core
 from repro.instrument.covcore import set_backend
 
 
 @pytest.fixture(autouse=True)
-def restore_core():
-    """run_suite(exec_core=..., cov_backend=...) flips process-global
-    state; restore it."""
+def restore_backend():
+    """run_suite(cov_backend=...) flips process-global state; restore it."""
     yield
-    set_core(None)
     set_backend(None)
 
 
@@ -34,12 +31,9 @@ class TestRunner:
             samples = sorted(s[key] for s in doc["samples"])
             assert value == samples[1]  # the median of 3
 
-    def test_pmem_ops_reports_speedup_vs_legacy(self):
+    def test_pmem_ops_reports_throughput(self):
         doc = run_benchmark("pmem_ops", quick=True, repeats=1)
-        metrics = doc["metrics"]
-        assert metrics["ops_per_s"] > 0
-        assert metrics["legacy_ops_per_s"] > 0
-        assert metrics["speedup"] > 0
+        assert doc["metrics"]["ops_per_s"] > 0
 
     def test_suite_writes_json_and_prints_deltas(self, tmp_path):
         out = tmp_path / "out"
@@ -70,7 +64,6 @@ class TestRunner:
         for name in BENCHMARKS:
             doc = json.loads((out / f"BENCH_{name}.json").read_text())
             assert doc["name"] == name
-            assert doc["exec_core"] in ("scalar", "vector")
             assert doc["cov_backend"] in ("settrace", "monitoring")
             assert doc["python"].count(".") == 2
             # Delta schema is identical with and without a baseline:
@@ -89,16 +82,6 @@ class TestRunner:
         assert set(doc["baseline_delta"]) == set(doc["metrics"])
         assert all(isinstance(delta, float)
                    for delta in doc["baseline_delta"].values())
-
-    def test_exec_core_selects_the_measured_core(self, tmp_path):
-        out = tmp_path / "scalar"
-        run_suite(names=["pmem_ops"], quick=True, repeats=1,
-                  out_dir=str(out), baseline_dir=None,
-                  exec_core="scalar", print_fn=lambda line: None)
-        doc = json.loads((out / "BENCH_pmem_ops.json").read_text())
-        assert doc["exec_core"] == "scalar"
-        assert doc["metrics"]["ops_per_s"] == \
-            doc["metrics"]["scalar_ops_per_s"]
 
     def test_unknown_benchmark_rejected(self, tmp_path):
         try:
@@ -120,15 +103,6 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "BENCH_ranges.json").exists()
         assert "ranges" in capsys.readouterr().out
-
-    def test_bench_exec_core_flag(self, tmp_path, capsys):
-        code = main(["bench", "--only", "ranges", "--quick",
-                     "--repeats", "1", "--out-dir", str(tmp_path),
-                     "--baseline-dir", "", "--exec-core", "scalar"])
-        assert code == 0
-        doc = json.loads((tmp_path / "BENCH_ranges.json").read_text())
-        assert doc["exec_core"] == "scalar"
-        assert "scalar core" in capsys.readouterr().out
 
     def test_bench_cov_backend_flag(self, tmp_path, capsys):
         code = main(["bench", "--only", "ranges", "--quick",

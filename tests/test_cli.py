@@ -36,6 +36,18 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "PM paths covered" in out
 
+    def test_fuzz_restores_signal_handlers(self, capsys):
+        """The two-stage stop handlers live only as long as the
+        campaign: a forked child of the calling process must not
+        inherit handlers that target a finished engine."""
+        import signal
+
+        before = [signal.getsignal(s)
+                  for s in (signal.SIGINT, signal.SIGTERM)]
+        assert main(["fuzz", "--workload", "btree", "--budget", "0.2"]) == 0
+        assert [signal.getsignal(s)
+                for s in (signal.SIGINT, signal.SIGTERM)] == before
+
     def test_unknown_config_fails_fast(self, capsys):
         assert main(["fuzz", "--workload", "btree", "--config",
                      "bogus", "--budget", "0.1"]) == 2

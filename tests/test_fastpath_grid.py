@@ -177,7 +177,7 @@ from repro.instrument.covcore import active_backend
 
 engine = build_engine("hashmap_tx", PMFUZZ,
                       rng=DeterministicRandom(7).fork("hashmap_tx/grid"),
-                      exec_core="scalar", cov_backend=sys.argv[1])
+                      cov_backend=sys.argv[1])
 stats = engine.run(0.4)
 queue = sorted((e.data.hex(), e.image_id) for e in engine.queue.entries)
 print(json.dumps({"backend": active_backend(),
@@ -200,12 +200,7 @@ def _other_python():
 
 
 class TestCrossInterpreter:
-    """settrace (here) vs monitoring (subprocess on py3.12+).
-
-    The subprocess runs the scalar core on both sides: the second
-    interpreter may not have numpy, and the cores are already proven
-    equivalent by the PR-9 grid.
-    """
+    """settrace (here) vs monitoring (subprocess on py3.12+)."""
 
     @pytest.mark.skipif(_other_python() is None and not HAVE_MONITORING,
                         reason="no PEP-669 interpreter available")

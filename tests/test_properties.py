@@ -4,8 +4,7 @@ The properties here are the ones the whole evaluation leans on:
 
 * persistence-domain semantics (persisted ⊆ written; strict snapshots
   never invent data),
-* the vectorized exec core agrees with the scalar reference on
-  arbitrary operation sequences (domain, counter map, coverage),
+* the counter bucketing lookup table agrees with the threshold scan,
 * range-tree correctness against a set-of-bytes model,
 * image serialization is a lossless bijection on valid images,
 * workloads are dictionary-equivalent under arbitrary command sequences,
@@ -15,13 +14,10 @@ The properties here are the ones the whole evaluation leans on:
 
 import zlib
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.execcore import HAVE_NUMPY
-from repro.fuzz.coverage import GlobalCoverage
-from repro.instrument.counter_map import PMCounterMap, bucket_of
+from repro.instrument.counter_map import bucket_of
 from repro.pmem.image import PMImage
 from repro.pmem.persistence import CACHE_LINE, PersistenceDomain
 from repro.pmdk.rangetree import RangeTree
@@ -86,110 +82,14 @@ def test_flush_drain_everything_syncs_views(op_list):
 
 
 # ----------------------------------------------------------------------
-# Vector exec core vs the scalar oracle
+# Counter bucketing
 # ----------------------------------------------------------------------
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="vector core needs numpy")
-
-domain_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("store"), st.integers(0, 1900),
-                  st.binary(min_size=0, max_size=140)),
-        st.tuples(st.just("flush"), st.integers(0, 1900),
-                  st.integers(0, 140)),
-        st.tuples(st.just("drain"), st.just(0), st.just(0)),
-    ),
-    max_size=50,
-)
-
-
-def _apply(domain, op_list):
-    events = []
-    domain.add_observer(events.append)
-    for op, a, b in op_list:
-        if op == "store":
-            domain.store(a, b, site=f"s{a}")
-        elif op == "flush":
-            domain.flush(a, b)
-        else:
-            domain.drain("fence-site")
-    return events
-
-
-@needs_numpy
-@given(domain_ops)
-@settings(max_examples=60, deadline=None)
-def test_vector_domain_matches_scalar_oracle(op_list):
-    """Every observable of the vector domain equals the scalar one."""
-    from repro.pmem.vector import VectorPersistenceDomain
-
-    scalar, vector = PersistenceDomain(2048), VectorPersistenceDomain(2048)
-    s_events = _apply(scalar, op_list)
-    v_events = _apply(vector, op_list)
-    assert [(e.kind, e.addr, e.size, e.seq, e.site) for e in v_events] == \
-        [(e.kind, e.addr, e.size, e.seq, e.site) for e in s_events]
-    assert vector.volatile_view() == scalar.volatile_view()
-    assert vector.persisted_view() == scalar.persisted_view()
-    assert vector.pending_lines() == scalar.pending_lines()
-    assert vector.inconsistent_ranges() == scalar.inconsistent_ranges()
-    assert vector.inconsistent_ranges() == \
-        scalar._inconsistent_ranges_naive()
-    assert (vector.store_count, vector.fence_count, vector.seq) == \
-        (scalar.store_count, scalar.fence_count, scalar.seq)
-
-
-op_id_lists = st.lists(st.integers(0, (1 << 16) - 1),
-                       min_size=0, max_size=400)
-
-
-@needs_numpy
-@given(op_id_lists)
-@settings(max_examples=60, deadline=None)
-def test_vector_counter_map_matches_scalar(op_ids):
-    """Algorithm 1 on the deferred-accumulation map = the scalar map."""
-    from repro.instrument.counter_map import VectorPMCounterMap
-
-    scalar, vector = PMCounterMap(), VectorPMCounterMap()
-    for op_id in op_ids:
-        assert vector.update(op_id) == scalar.update(op_id)
-    assert sorted(vector.sparse()) == sorted(scalar.sparse())
-    assert vector.touched == scalar.touched
-    assert vector.nonzero_slots() == scalar.nonzero_slots()
-    assert vector.path_count() == scalar.path_count()
-    assert dict(vector.items()) == dict(scalar.items())
-
-
-# Sparse maps are unique-slotted by construction (they come from the
-# counter map's touched-slot set), so the strategy mirrors that contract.
-sparse_maps = st.lists(
-    st.tuples(st.integers(0, (1 << 16) - 1), st.integers(0, 255)),
-    max_size=60, unique_by=lambda pair: pair[0])
-
-
-@needs_numpy
-@given(st.lists(sparse_maps, max_size=8))
-@settings(max_examples=60, deadline=None)
-def test_vector_coverage_matches_scalar(executions):
-    """classify/update on the array-backed virgin map = the dict one."""
-    from repro.fuzz.coverage import VectorGlobalCoverage
-
-    scalar, vector = GlobalCoverage(), VectorGlobalCoverage()
-    for sparse in executions:
-        assert vector.classify(sparse) == scalar.classify(sparse)
-        assert vector.update(sparse) == scalar.update(sparse)
-        assert vector.virgin == scalar.virgin
-        assert vector.slots_covered == scalar.slots_covered
-    assert sorted(vector.covered_slots()) == sorted(scalar.covered_slots())
-
-
-@needs_numpy
 @given(st.integers(0, 255))
 @settings(max_examples=60, deadline=None)
 def test_bucket_lut_matches_threshold_scan(count):
-    from repro.instrument.counter_map import BUCKET_LUT_NP, _bucket_of_scan
+    from repro.instrument.counter_map import _bucket_of_scan
 
     assert bucket_of(count) == _bucket_of_scan(count)
-    assert int(BUCKET_LUT_NP[count]) == _bucket_of_scan(count)
 
 
 # ----------------------------------------------------------------------
