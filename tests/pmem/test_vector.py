@@ -1,36 +1,92 @@
-"""Vector persistence domain: equivalence against the scalar reference.
+"""Persistence domain against a plain reference model of the cache-line rules.
 
-The ``vector`` exec core reimplements the persistence-domain state
-machine on numpy/bytearray bulk operations.  Its correctness contract
-is *bit-for-bit equivalence* with :class:`PersistenceDomain` — same
-views, same trace events, same crash images, same snapshots.  These
-tests drive both implementations through mirrored operation sequences
-and compare every observable.
+The module keeps its name from the retired numpy ("vector") domain it
+used to compare with :class:`PersistenceDomain`.  The same operation
+sequences now run on the domain and on :class:`RefModel` — a
+deliberately naive restatement of the rules (a store dirties every line
+it spans, a flush moves dirty lines to flushed, a fence copies flushed
+lines to the media) — and every observable must agree: views, pending
+lines, inconsistent ranges, counters and trace events.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.errors import PMemError, SimulatedCrash
+from repro.pmdk.pool import PmemObjPool
 from repro.pmem.persistence import (
     CACHE_LINE,
     LineState,
     PersistenceDomain,
     TraceEventKind,
 )
-from repro.pmem.vector import VectorPersistenceDomain
 
 SIZE = 4096
 
 
-def pair(size=SIZE, initial=None):
-    return PersistenceDomain(size, initial), VectorPersistenceDomain(
-        size, initial)
+class RefModel:
+    """Byte-at-a-time model of the volatile cache in front of the media."""
+
+    def __init__(self, size=SIZE, initial=None):
+        self.media = bytearray(initial) if initial is not None else bytearray(size)
+        self.volatile = bytearray(self.media)
+        self.lines = {}
+        self.stores = 0
+        self.fences = 0
+        self.events = []
+
+    def _span(self, addr, size):
+        return range(addr // CACHE_LINE, (addr + size - 1) // CACHE_LINE + 1) \
+            if size else range(0)
+
+    def store(self, addr, data, site=""):
+        self.volatile[addr:addr + len(data)] = data
+        for line in self._span(addr, len(data)):
+            self.lines[line] = LineState.DIRTY
+        self.stores += 1
+        self.events.append((TraceEventKind.STORE, addr, len(data), site))
+
+    def flush(self, addr, size, site=""):
+        redundant = True
+        for line in self._span(addr, size):
+            if self.lines.get(line) is LineState.DIRTY:
+                self.lines[line] = LineState.FLUSHED
+                redundant = False
+        self.events.append((TraceEventKind.FLUSH, addr, size, site))
+        if redundant:
+            self.events.append(
+                (TraceEventKind.FLUSH_REDUNDANT, addr, size, site))
+
+    def drain(self, site=None):
+        for line, state in list(self.lines.items()):
+            if state is LineState.FLUSHED:
+                start = line * CACHE_LINE
+                self.media[start:start + CACHE_LINE] = \
+                    self.volatile[start:start + CACHE_LINE]
+                del self.lines[line]
+        self.fences += 1
+        self.events.append((TraceEventKind.FENCE, 0, 0, site or ""))
+
+    def persist(self, addr, size, site=""):
+        self.flush(addr, size, site)
+        self.drain(site)
+
+    def inconsistent_ranges(self):
+        ranges, start = [], None
+        for i, (v, m) in enumerate(zip(self.volatile, self.media)):
+            if v != m:
+                if start is None:
+                    start = i
+            elif start is not None:
+                ranges.append((start, i - start))
+                start = None
+        if start is not None:
+            ranges.append((start, len(self.media) - start))
+        return ranges
 
 
 def observed(domain):
@@ -40,85 +96,89 @@ def observed(domain):
 
 
 def event_tuples(events):
-    return [(e.kind, e.addr, e.size, e.seq, e.site) for e in events]
+    return [(e.kind, e.addr, e.size, e.site) for e in events]
 
 
-def assert_same_state(scalar, vector):
-    assert vector.volatile_view() == scalar.volatile_view()
-    assert vector.persisted_view() == scalar.persisted_view()
-    assert vector.pending_lines() == scalar.pending_lines()
-    assert vector.inconsistent_ranges() == scalar.inconsistent_ranges()
-    assert vector.store_count == scalar.store_count
-    assert vector.fence_count == scalar.fence_count
-    assert vector.seq == scalar.seq
+def assert_same_state(domain, model, events):
+    assert domain.volatile_view() == bytes(model.volatile)
+    assert domain.persisted_view() == bytes(model.media)
+    assert domain.pending_lines() == model.lines
+    assert domain.inconsistent_ranges() == model.inconsistent_ranges()
+    assert domain.store_count == model.stores
+    assert domain.fence_count == model.fences
+    assert event_tuples(events) == model.events
+    assert [e.seq for e in events] == list(range(len(events)))
+    assert domain.seq == len(events)
 
 
 def mirror(op_list, size=SIZE):
-    """Run one op sequence on both cores; return the synced pair."""
-    scalar, vector = pair(size)
-    sev, vev = observed(scalar), observed(vector)
+    """Run one op sequence on the domain and the model; return both."""
+    domain, model = PersistenceDomain(size), RefModel(size)
+    events = observed(domain)
     for op in op_list:
         kind = op[0]
-        if kind == "store":
-            scalar.store(op[1], op[2], site=op[3] if len(op) > 3 else "")
-            vector.store(op[1], op[2], site=op[3] if len(op) > 3 else "")
-        elif kind == "flush":
-            scalar.flush(op[1], op[2])
-            vector.flush(op[1], op[2])
-        elif kind == "drain":
-            scalar.drain(op[1] if len(op) > 1 else None)
-            vector.drain(op[1] if len(op) > 1 else None)
-        elif kind == "persist":
-            scalar.persist(op[1], op[2])
-            vector.persist(op[1], op[2])
-    assert event_tuples(vev) == event_tuples(sev)
-    assert_same_state(scalar, vector)
-    return scalar, vector
+        for target in (domain, model):
+            if kind == "store":
+                target.store(op[1], op[2], site=op[3] if len(op) > 3 else "")
+            elif kind == "flush":
+                target.flush(op[1], op[2])
+            elif kind == "drain":
+                target.drain(op[1] if len(op) > 1 else None)
+            elif kind == "persist":
+                target.persist(op[1], op[2])
+    assert_same_state(domain, model, events)
+    return domain, model
 
 
 class TestMirroredSequences:
     def test_store_flush_drain_basic(self):
-        mirror([("store", 0, b"hello"), ("flush", 0, 5), ("drain",)])
+        domain, _ = mirror([("store", 0, b"hello"), ("flush", 0, 5),
+                            ("drain",)])
+        assert domain.persisted_view()[:5] == b"hello"
 
     def test_multi_line_store_spans_lines(self):
         payload = bytes(range(200))
+        domain, _ = mirror([("store", CACHE_LINE - 7, payload)])
+        assert sorted(domain.pending_lines()) == [0, 1, 2, 3, 4]
         mirror([("store", CACHE_LINE - 7, payload),
                 ("flush", CACHE_LINE - 7, len(payload)), ("drain",)])
 
     def test_partial_flush_leaves_dirty_lines(self):
-        mirror([("store", 0, b"a" * (CACHE_LINE * 3)),
-                ("flush", 0, 1), ("drain",)])
+        domain, _ = mirror([("store", 0, b"a" * (CACHE_LINE * 3)),
+                            ("flush", 0, 1), ("drain",)])
+        assert domain.persisted_view()[:CACHE_LINE] == b"a" * CACHE_LINE
+        assert domain.pending_lines() == {1: LineState.DIRTY,
+                                          2: LineState.DIRTY}
 
     def test_store_after_flush_redirties(self):
-        mirror([("store", 0, b"x"), ("flush", 0, 1),
-                ("store", 0, b"y"), ("drain",)])
+        domain, _ = mirror([("store", 0, b"x"), ("flush", 0, 1),
+                            ("store", 0, b"y"), ("drain",)])
+        assert domain.line_state(0) is LineState.DIRTY
+        assert domain.persisted_view()[0] == 0
 
     def test_size_zero_store_counts_but_marks_nothing(self):
-        scalar, vector = mirror([("store", 10, b""), ("drain",)])
-        assert scalar.store_count == 1
-        assert vector.store_count == 1
-        assert vector.pending_lines() == {}
+        domain, _ = mirror([("store", 10, b""), ("drain",)])
+        assert domain.store_count == 1
+        assert domain.pending_lines() == {}
 
     def test_size_zero_flush_is_redundant(self):
-        scalar, vector = pair()
-        sev, vev = observed(scalar), observed(vector)
-        scalar.flush(0, 0)
-        vector.flush(0, 0)
-        assert event_tuples(vev) == event_tuples(sev)
-        assert any(e.kind is TraceEventKind.FLUSH_REDUNDANT for e in vev)
+        for ops in ([("flush", 0, 0)], [("store", 0, b"x"), ("flush", 0, 0)]):
+            domain, model = mirror(ops)
+            assert model.events[-1][0] is TraceEventKind.FLUSH_REDUNDANT
+            assert domain.pending_lines() == model.lines
 
     def test_drain_site_defaults_to_empty(self):
-        scalar, vector = pair()
-        sev, vev = observed(scalar), observed(vector)
-        scalar.drain()
-        vector.drain()
-        scalar.drain("call:site")
-        vector.drain("call:site")
-        assert event_tuples(vev) == event_tuples(sev)
-        assert [e.site for e in vev] == ["", "call:site"]
+        domain = PersistenceDomain(SIZE)
+        events = observed(domain)
+        domain.drain()
+        domain.drain("call:site")
+        assert [e.kind for e in events] == [TraceEventKind.FENCE] * 2
+        assert [e.site for e in events] == ["", "call:site"]
 
     def test_persist_helper_matches(self):
-        mirror([("store", 100, b"q" * 300), ("persist", 100, 300)])
+        domain, _ = mirror([("store", 100, b"q" * 300),
+                            ("persist", 100, 300)])
+        assert domain.inconsistent_ranges() == []
 
     def test_random_sequences_agree(self):
         rng = random.Random(0xC0FFEE)
@@ -142,145 +202,142 @@ class TestMirroredSequences:
 
 class TestLineStates:
     def test_line_state_enum_identity(self):
-        _, vector = pair()
-        assert vector.line_state(0) is LineState.CLEAN
-        vector.store(0, b"x")
-        assert vector.line_state(0) is LineState.DIRTY
-        vector.flush(0, 1)
-        assert vector.line_state(0) is LineState.FLUSHED
-        vector.drain()
-        assert vector.line_state(0) is LineState.CLEAN
+        domain = PersistenceDomain(SIZE)
+        assert domain.line_state(0) is LineState.CLEAN
+        domain.store(0, b"x")
+        assert domain.line_state(0) is LineState.DIRTY
+        domain.flush(0, 1)
+        assert domain.line_state(0) is LineState.FLUSHED
+        domain.drain()
+        assert domain.line_state(0) is LineState.CLEAN
 
     def test_pending_lines_keys_are_python_ints(self):
-        _, vector = pair()
-        vector.store(CACHE_LINE * 5, b"x")
-        pending = vector.pending_lines()
+        domain = PersistenceDomain(SIZE)
+        domain.store(CACHE_LINE * 5, b"x")
+        pending = domain.pending_lines()
         assert list(pending) == [5]
         assert all(type(k) is int for k in pending)
 
     def test_inconsistent_ranges_values_are_python_ints(self):
-        _, vector = pair()
-        vector.store(10, b"abc")
-        ranges = vector.inconsistent_ranges()
+        domain = PersistenceDomain(SIZE)
+        domain.store(10, b"abc")
+        ranges = domain.inconsistent_ranges()
         assert ranges == [(10, 3)]
         assert all(type(v) is int for pair_ in ranges for v in pair_)
 
     def test_inconsistent_ranges_merge_adjacent_diffs(self):
-        scalar, vector = mirror([
-            ("store", 0, b"ab"), ("store", 3, b"cd"),
+        # Adjacent differing bytes merge into one range; an unchanged
+        # byte between them splits it.
+        domain, model = mirror([
+            ("store", 0, b"ab"), ("store", 2, b"cd"), ("store", 5, b"ef"),
             ("store", 300, b"zz")])
-        assert vector.inconsistent_ranges() == scalar.inconsistent_ranges()
+        assert domain.inconsistent_ranges() == [(0, 4), (5, 2), (300, 2)]
+        assert domain.inconsistent_ranges() == \
+            domain._inconsistent_ranges_naive()
 
 
 class TestBoundsChecking:
     def test_out_of_bounds_store_rejected(self):
-        _, vector = pair(size=64)
+        domain = PersistenceDomain(64)
         with pytest.raises(PMemError):
-            vector.store(60, b"too long")
+            domain.store(60, b"too long")
 
     def test_negative_address_rejected(self):
-        _, vector = pair()
+        domain = PersistenceDomain(SIZE)
         with pytest.raises(PMemError):
-            vector.load(-1, 1)
+            domain.load(-1, 1)
 
     def test_zero_size_domain_rejected(self):
         with pytest.raises(PMemError):
-            VectorPersistenceDomain(0)
+            PersistenceDomain(0)
 
     def test_initial_contents_visible_and_persistent(self):
         init = bytes(range(64)) * 4
-        scalar, vector = pair(size=256, initial=init)
-        assert vector.load(0, 256) == init
-        assert vector.persisted_view() == scalar.persisted_view() == init
+        domain, model = PersistenceDomain(256, init), RefModel(256, init)
+        assert domain.load(0, 256) == init
+        assert domain.persisted_view() == bytes(model.media) == init
+        assert domain.inconsistent_ranges() == []
 
 
 class TestCrashPlacement:
     def test_crash_at_fence_matches_scalar(self):
-        scalar, vector = pair()
-        for d in (scalar, vector):
-            d.crash_at_fence = 1
-            d.store(0, b"x")
-            d.flush(0, 1)
-            d.drain()  # fence 0
-            d.store(CACHE_LINE, b"y")
-            d.flush(CACHE_LINE, 1)
-            with pytest.raises(SimulatedCrash) as exc_info:
-                d.drain()  # fence 1
-            assert exc_info.value.fence_index == 1
+        domain, model = PersistenceDomain(SIZE), RefModel()
+        domain.crash_at_fence = 1
+        for target in (domain, model):
+            target.store(0, b"x")
+            target.flush(0, 1)
+            target.drain()  # fence 0
+            target.store(CACHE_LINE, b"y")
+            target.flush(CACHE_LINE, 1)
+        model.drain()
+        with pytest.raises(SimulatedCrash) as exc_info:
+            domain.drain()  # fence 1
+        assert exc_info.value.fence_index == 1
         # The fence persisted its flushed lines *before* the crash.
-        assert vector.persisted_view() == scalar.persisted_view()
-        assert vector.persisted_view()[CACHE_LINE] == ord("y")
+        assert domain.persisted_view() == bytes(model.media)
+        assert domain.persisted_view()[CACHE_LINE] == ord("y")
 
     def test_crash_at_store_matches_scalar(self):
-        scalar, vector = pair()
-        for d in (scalar, vector):
-            d.crash_at_store = 2
-            d.store(0, b"a")
-            d.store(1, b"b")
-            with pytest.raises(SimulatedCrash) as exc_info:
-                d.store(2, b"c")
-            assert exc_info.value.kind == "store"
-            assert d.store_count == 3  # the crashing store still counts
-        assert vector.volatile_view() == scalar.volatile_view()
+        domain, model = PersistenceDomain(SIZE), RefModel()
+        domain.crash_at_store = 2
+        for target in (domain, model):
+            target.store(0, b"a")
+            target.store(1, b"b")
+        model.store(2, b"c")
+        with pytest.raises(SimulatedCrash) as exc_info:
+            domain.store(2, b"c")
+        assert exc_info.value.kind == "store"
+        assert domain.store_count == 3  # the crashing store still counts
+        assert domain.volatile_view() == bytes(model.volatile)
 
 
 class TestSnapshots:
     def test_fence_snapshots_capture_cow_media(self):
-        scalar, vector = pair()
-        for d in (scalar, vector):
-            d.plan_snapshots(fences=[0, 1])
-            d.store(0, b"first")
-            d.flush(0, 5)
-            d.drain()
-            d.store(0, b"second")
-            d.flush(0, 6)
-            d.drain()
-        s_snaps = scalar.take_snapshots()
-        v_snaps = vector.take_snapshots()
-        assert [(s.kind, s.index, s.fences_done) for s in s_snaps] == \
-            [(s.kind, s.index, s.fences_done) for s in v_snaps]
-        for s_snap, v_snap in zip(s_snaps, v_snaps):
-            assert v_snap.materialize() == s_snap.materialize()
+        domain = PersistenceDomain(SIZE)
+        domain.plan_snapshots(fences=[0, 1])
+        domain.store(0, b"first")
+        domain.flush(0, 5)
+        domain.drain()
+        domain.store(0, b"second")
+        domain.flush(0, 6)
+        domain.drain()
+        snaps = domain.take_snapshots()
+        assert [(s.kind, s.index, s.fences_done) for s in snaps] == \
+            [("fence", 0, 1), ("fence", 1, 2)]
         # The fence-0 snapshot must show "first", not "second": the
         # copy-on-write must have saved pre-overwrite media bytes.
-        assert bytes(v_snaps[0].materialize()[:5]) == b"first"
+        assert bytes(snaps[0].materialize()[:5]) == b"first"
+        assert snaps[1].materialize() == domain.persisted_view()
 
     def test_store_snapshots_match(self):
-        scalar, vector = pair()
-        for d in (scalar, vector):
-            d.plan_snapshots(stores=[1])
-            d.store(0, b"x")
-            d.persist(0, 1)
-            d.store(1, b"y")  # snapshot armed here
-        s_snaps = scalar.take_snapshots()
-        v_snaps = vector.take_snapshots()
-        assert len(v_snaps) == len(s_snaps) == 1
-        assert v_snaps[0].materialize() == s_snaps[0].materialize()
+        domain, model = PersistenceDomain(SIZE), RefModel()
+        domain.plan_snapshots(stores=[1])
+        for target in (domain, model):
+            target.store(0, b"x")
+            target.persist(0, 1)
+        media_at_store_1 = bytes(model.media)
+        domain.store(1, b"y")  # snapshot armed here
+        domain.persist(1, 1)
+        snaps = domain.take_snapshots()
+        assert len(snaps) == 1
+        assert snaps[0].materialize() == media_at_store_1
 
     def test_snapshot_taken_before_crash_raise(self):
-        scalar, vector = pair()
-        for d in (scalar, vector):
-            d.plan_snapshots(fences=[0])
-            d.crash_at_fence = 0
-            d.store(0, b"z")
-            d.flush(0, 1)
-            with pytest.raises(SimulatedCrash):
-                d.drain()
-        s_snaps = scalar.take_snapshots()
-        v_snaps = vector.take_snapshots()
-        assert len(v_snaps) == len(s_snaps) == 1
-        assert v_snaps[0].materialize() == s_snaps[0].materialize()
-        assert v_snaps[0].materialize()[0] == ord("z")
+        domain = PersistenceDomain(SIZE)
+        domain.plan_snapshots(fences=[0])
+        domain.crash_at_fence = 0
+        domain.store(0, b"z")
+        domain.flush(0, 1)
+        with pytest.raises(SimulatedCrash):
+            domain.drain()
+        snaps = domain.take_snapshots()
+        assert len(snaps) == 1
+        assert snaps[0].materialize() == domain.persisted_view()
+        assert snaps[0].materialize()[0] == ord("z")
 
 
 class TestDrainSignatureParity:
     def test_drain_signatures_agree_across_cores(self):
         """Every drain in the tree accepts the same optional site."""
-        import inspect
-
-        from repro.bench import _LegacyDomain
-        from repro.pmdk.pool import PmemObjPool
-
         reference = inspect.signature(PersistenceDomain.drain)
-        for impl in (VectorPersistenceDomain, _LegacyDomain, PmemObjPool):
-            assert inspect.signature(impl.drain) == reference, impl
+        assert inspect.signature(PmemObjPool.drain) == reference
