@@ -185,11 +185,35 @@ class SyntheticDetection:
     confirmed: bool
 
 
+def _confirm_commands(witness_data: bytes) -> list:
+    """The witness commands plus read-back probes: persistent-value
+    corruption surfaces as wrong scan/count output even when no
+    structural invariant breaks."""
+    from repro.workloads.base import Command
+
+    return parse_commands(witness_data) + [
+        Command("q"), Command("n"), Command("m"),
+    ]
+
+
+def clean_witness_report(workload_name: str, witness_image,
+                         witness_data: bytes) -> BugReport:
+    """The battery's report on a witness replayed with no bug injected.
+
+    It depends only on the workload, the witness image and its commands,
+    so :func:`evaluate_synthetic_bugs` computes it once per distinct
+    witness and shares it across every bug that witness is replayed for.
+    """
+    clean_tool = TestingTool(lambda: get_workload(workload_name))
+    return clean_tool.test(witness_image, _confirm_commands(witness_data))
+
+
 def confirm_synthetic_bug(
     workload_name: str,
     bug: SyntheticBug,
     witness_image,
     witness_data: bytes,
+    clean_report: Optional[BugReport] = None,
 ) -> bool:
     """Replay a witness test case with the injection active.
 
@@ -197,21 +221,18 @@ def confirm_synthetic_bug(
     findings strictly exceed the clean run's (the back-end tool reports
     something new), or when the injection visibly changes the program's
     output — corrupted values surface as wrong query results, the
-    differential signal a test harness observes.
+    differential signal a test harness observes.  ``clean_report`` is the
+    witness's :func:`clean_witness_report` when the caller already has
+    it; otherwise it is computed here.
     """
-    from repro.workloads.base import Command
-
-    clean_tool = TestingTool(lambda: get_workload(workload_name))
+    clean = clean_report
+    if clean is None:
+        clean = clean_witness_report(workload_name, witness_image,
+                                     witness_data)
     injector = BugInjector([bug])
     buggy_tool = TestingTool(lambda: get_workload(workload_name),
                              injector=injector)
-    # Append read-back probes: persistent-value corruption surfaces as
-    # wrong scan/count output even when no structural invariant breaks.
-    commands = parse_commands(witness_data) + [
-        Command("q"), Command("n"), Command("m"),
-    ]
-    clean = clean_tool.test(witness_image, commands)
-    buggy = buggy_tool.test(witness_image, commands)
+    buggy = buggy_tool.test(witness_image, _confirm_commands(witness_data))
     if bug.bug_id not in injector.triggered:
         return False
     clean_cc = set(clean.crash_consistency_findings)
@@ -229,18 +250,27 @@ def evaluate_synthetic_bugs(
 
     A bug is *covered* when some generated test case reached its site;
     when ``confirm`` is set, each covered bug is additionally replayed
-    (via the site's witness test case) with the injection active.
+    (via the site's witness test case) with the injection active.  The
+    clean replay of each distinct witness runs once and is shared by
+    every bug confirmed against it.
     """
     workload = get_workload(workload_name)
     detections: List[SyntheticDetection] = []
+    clean_reports: Dict[tuple, BugReport] = {}
     for bug in workload.synthetic_bugs():
         covered = bug.site in stats.sites_hit
         confirmed = False
         if covered and confirm:
             for image_id, data, _ in stats.site_witness[bug.site]:
                 witness_image = storage.load(image_id)
+                clean = clean_reports.get((image_id, data))
+                if clean is None:
+                    clean = clean_witness_report(workload_name,
+                                                 witness_image, data)
+                    clean_reports[(image_id, data)] = clean
                 if confirm_synthetic_bug(workload_name, bug,
-                                         witness_image, data):
+                                         witness_image, data,
+                                         clean_report=clean):
                     confirmed = True
                     break
         detections.append(SyntheticDetection(

@@ -6,8 +6,18 @@ case (input commands + PM image) to the back-end testing tools.  The
 
 * execute the test case with tracing, feed the trace to Pmemcheck;
 * check the resulting normal image against the workload's oracle;
-* generate the test case's crash images (one per ordering point) and
-  feed each to the XFDetector-style cross-failure check.
+* generate the test case's crash images at a sample of its ordering
+  points and feed each to the XFDetector-style cross-failure check.
+
+Crash images are harvested in one pass, the way the fuzz side's
+single-pass crash generation does it (:mod:`repro.core.crashgen`): a
+second execution of the test case runs under a
+:class:`~repro.pmem.crash.SnapshotPlan` that captures the media at every
+sampled fence, so the test case executes twice in total, however many
+fences are sampled.  With ``weak_states`` the same pass also records the
+lines still pending at each sampled fence, and the eviction states come
+from :func:`repro.pmem.crash.eviction_states` — the images a crashing
+re-execution per fence would have produced, in the same order.
 
 The report separates crash-consistency findings from performance
 findings, matching the paper's bug taxonomy.
@@ -16,10 +26,13 @@ findings, matching the paper's bug taxonomy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import List, Sequence
 
 from repro.errors import CORRUPTION_ERRORS, ReproError
 from repro.instrument.context import ExecutionContext, push_context
+from repro.pmdk.tx import TransactionLog
+from repro.pmem.crash import MAX_WEAK_STATES, SnapshotPlan, eviction_states
 from repro.pmem.image import PMImage
 from repro.detect.pmemcheck import Pmemcheck, Violation
 from repro.detect.xfdetector import CrashFinding, XFDetector
@@ -61,9 +74,33 @@ class BugReport:
                     self.performance_findings)
 
 
-class TestingTool:
-    """Runs the Pmemcheck + XFDetector battery on one test case."""
+def sample_fences(fence_count: int, max_crash_images: int) -> List[int]:
+    """The ordering points a test case with ``fence_count`` fences crashes at.
 
+    Every ``fence_count // max_crash_images``-th fence (at least every
+    fence), starting at fence 0.  ``max_crash_images`` sets the stride,
+    not a hard cap: the sample has at most ``2 * max_crash_images - 1``
+    fences, reached at ``fence_count == 2 * max_crash_images - 1``.
+    """
+    if fence_count <= 0:
+        return []
+    stride = max(1, fence_count // max_crash_images)
+    return list(range(0, fence_count, stride))
+
+
+class TestingTool:
+    """Runs the Pmemcheck + XFDetector battery on one test case.
+
+    Args:
+        workload_factory: zero-argument callable returning a fresh
+            workload instance.
+        max_crash_images: target number of sampled ordering points per
+            test case; the real bound is ``2 * max_crash_images - 1``
+            (see :func:`sample_fences`).
+        injector: optional synthetic-bug injector, active in every
+            execution of the battery (post-failure runs included).
+        weak_states: also judge eviction states at each sampled fence.
+    """
 
     __test__ = False  # not a pytest test class despite the name
 
@@ -85,8 +122,6 @@ class TestingTool:
         ctx = ExecutionContext(injector=self.injector)
         with push_context(ctx):
             result = workload.run(image, commands)
-        from repro.pmdk.pool import PmemObjPool  # for heap geometry only
-
         heap_base = self._heap_base(image)
         pmemcheck = Pmemcheck(heap_base)
         report = BugReport(outcome=result.outcome,
@@ -106,9 +141,6 @@ class TestingTool:
 
     # ------------------------------------------------------------------
     def _heap_base(self, image: PMImage) -> int:
-        from repro.pmdk.pool import PmemObjPool
-        from repro.pmdk.tx import TransactionLog
-
         # Pool geometry is static: metadata block + log region.
         return 64 + TransactionLog.region_size()
 
@@ -125,27 +157,46 @@ class TestingTool:
 
     def _cross_failure(self, image: PMImage, commands: Sequence[Command],
                        fence_count: int) -> List[CrashFinding]:
-        """Crash at a sample of ordering points; cross-check each image."""
-        if fence_count <= 0:
+        """Crash at a sample of ordering points; cross-check each image.
+
+        One execution under a snapshot plan yields the strict crash image
+        (and, with ``weak_states``, the pending lines) at every sampled
+        fence; findings come out in fence order, each fence's strict
+        finding before its eviction-state findings.
+        """
+        fences = sample_fences(fence_count, self.max_crash_images)
+        if not fences:
             return []
-        stride = max(1, fence_count // self.max_crash_images)
-        fences = list(range(0, fence_count, stride))
+        plan = SnapshotPlan(fences=tuple(fences),
+                            weak_states=self.weak_states)
+        workload = self.workload_factory()
+        ctx = ExecutionContext(injector=self.injector, collect_trace=False)
+        with push_context(ctx):
+            result = workload.run(image, commands, snapshot_plan=plan)
+        by_fence = {s.index: s for s in result.snapshots if s.kind == "fence"}
         xfd = XFDetector(self.workload_factory, injector=self.injector)
         findings: List[CrashFinding] = []
         for fence in fences:
-            workload = self.workload_factory()
-            ctx = ExecutionContext(injector=self.injector, collect_trace=False)
-            with push_context(ctx):
-                result = workload.run(image, commands, crash_at_fence=fence,
-                                      weak_states=self.weak_states)
-            if result.crash_image is None:
-                continue
-            finding = xfd.check_image(result.crash_image, fence_index=fence)
+            snap = by_fence.get(fence)
+            if snap is None:
+                continue  # the execution ended before this ordering point
+            finding = xfd.check_image(self._crash_image(image, snap.image),
+                                      fence_index=fence)
             if finding.is_bug:
                 findings.append(finding)
-            for weak in result.weak_crash_images:
-                weak_finding = xfd.check_image(weak, fence_index=fence)
+            if not self.weak_states:
+                continue
+            weak_states = islice(eviction_states(snap.image, snap.pending),
+                                 MAX_WEAK_STATES)
+            for payload in weak_states:
+                weak_finding = xfd.check_image(
+                    self._crash_image(image, payload), fence_index=fence)
                 if weak_finding.is_bug:
                     weak_finding.error = "(eviction state) " + weak_finding.error
                     findings.append(weak_finding)
         return findings
+
+    @staticmethod
+    def _crash_image(image: PMImage, payload: bytes) -> PMImage:
+        return PMImage(layout=image.layout, payload=bytearray(payload),
+                       uuid=image.uuid)

@@ -5,8 +5,11 @@ failure": it takes the persistent state a failure left behind, re-runs
 the program (recovery included), and checks that the post-failure
 execution behaves correctly.
 
-The reproduction does the same with the simulated stack.  For each crash
-image of a test case it:
+The reproduction does the same with the simulated stack.  The crash
+images of a test case come from one snapshot-planned replay of it
+(:class:`~repro.detect.report.TestingTool` harvests them at the sampled
+ordering points, plus their eviction states on request); the detector
+never re-executes the test case itself.  For each crash image it:
 
 1. reopens the image the way the workload's driver does — which runs
    PMDK transaction recovery plus the workload's own recovery procedure

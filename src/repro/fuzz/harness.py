@@ -95,7 +95,8 @@ def run_workload(
                 pool.domain.crash_at_store = crash_at_store
             if snapshot_plan is not None and snapshot_plan:
                 pool.domain.plan_snapshots(fences=snapshot_plan.fences,
-                                           stores=snapshot_plan.stores)
+                                           stores=snapshot_plan.stores,
+                                           pending=snapshot_plan.weak_states)
             workload.run_prefix(pool)
             if warm is not None:
                 warm.store(pool)
@@ -127,7 +128,8 @@ def run_workload(
                 result.snapshots = [
                     CrashSnapshot(kind=s.kind, index=s.index,
                                   fences_done=s.fences_done,
-                                  image=s.materialize())
+                                  image=s.materialize(),
+                                  pending=s.pending)
                     for s in pool.domain.take_snapshots()
                 ]
     return result

@@ -6,11 +6,12 @@ A pool wraps one PM image with:
 * the embedded undo log (:class:`~repro.pmdk.tx.TransactionLog`),
 * the persistent heap (:class:`~repro.pmdk.heap.PersistentHeap`).
 
-``PmemObjPool.open`` validates the image header — a randomly mutated
-image fails here, reproducing Figure 5a — and then runs transaction
-recovery, reproducing the automatic recovery path that the paper's
-real-world Bug 6 shows is *not* sufficient for programs built on
-low-level primitives.
+A randomly mutated image file fails the checksum of
+:meth:`~repro.pmem.image.PMImage.from_bytes` where its bytes enter,
+reproducing Figure 5a.  ``PmemObjPool.open`` checks the layout and the
+pool magic and then runs transaction recovery, reproducing the automatic
+recovery path that the paper's real-world Bug 6 shows is *not*
+sufficient for programs built on low-level primitives.
 """
 
 from __future__ import annotations
@@ -108,8 +109,11 @@ class PmemObjPool:
                 exists for tests that need to inspect pre-recovery state).
 
         Raises:
-            InvalidImageError: bad magic/checksum/layout — the program
-                aborts before doing anything useful.
+            InvalidImageError: layout mismatch, bad image header fields
+                or no pool magic in the payload — the program aborts
+                before doing anything useful.  (Serialized images have
+                their magic and checksum checked earlier, by
+                :meth:`PMImage.from_bytes`.)
         """
         image.validate(expected_layout=layout)
         working = image.copy()

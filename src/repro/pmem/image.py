@@ -8,9 +8,14 @@ UUID, payload checksum policy) followed by the raw payload bytes that the
 Two paper requirements shape this module:
 
 * **Validity checking** — ``pmemobj_open`` on a corrupt file aborts
-  immediately.  :meth:`PMImage.validate` reproduces that: a randomly
-  mutated image (AFL++ w/ ImgFuzz) almost always fails the magic or
-  checksum test and the execution explores no useful path (Figure 5a).
+  immediately.  The check happens where bytes enter:
+  :meth:`PMImage.from_bytes` verifies magic, size and checksum, so a
+  randomly mutated image (AFL++ w/ ImgFuzz) almost always fails there
+  and the execution explores no useful path (Figure 5a).  Every
+  in-memory image was built from checked bytes or by the pool itself;
+  at open time :meth:`PMImage.validate` checks only what can still be
+  wrong with it — the layout name and the header fields a caller may
+  have reassigned.
 * **Derandomized UUIDs** — PMDK assigns each pool a random UUID, which
   PMFuzz overrides with a constant so identical inputs produce identical
   images (Section 4.4).  Here the UUID is derived deterministically from
@@ -67,6 +72,9 @@ class PMImage:
     def __post_init__(self) -> None:
         if not self.uuid:
             self.uuid = derive_uuid(self.layout)
+        self._check_fields()
+
+    def _check_fields(self) -> None:
         if len(self.uuid) != 16:
             raise InvalidImageError(f"uuid must be 16 bytes, got {len(self.uuid)}")
         if len(self.layout.encode("utf-8")) > _LAYOUT_BYTES:
@@ -143,8 +151,23 @@ class PMImage:
         return image
 
     def validate(self, expected_layout: Optional[str] = None) -> None:
-        """Round-trip validation used by the pool-open path."""
-        PMImage.from_bytes(self.to_bytes(), expected_layout=expected_layout)
+        """Validity check used by the pool-open path.
+
+        Magic, size and checksum describe serialized bytes, and
+        :meth:`from_bytes` checks them where bytes enter; for an
+        in-memory image they cannot fail.  What can fail is checked
+        here, with the messages :meth:`from_bytes` and construction use:
+        a uuid or layout reassigned to an invalid value, and (when
+        ``expected_layout`` is given) a layout mismatch.
+
+        Raises:
+            InvalidImageError: on any of those.
+        """
+        self._check_fields()
+        if expected_layout is not None and self.layout != expected_layout:
+            raise InvalidImageError(
+                f"layout mismatch: image is {self.layout!r}, expected {expected_layout!r}"
+            )
 
     # ------------------------------------------------------------------
     # Identity

@@ -37,7 +37,12 @@ array plus a dict of lines overwritten *since* the capture point
 (maintained copy-on-write by :meth:`drain`), and materializes the full
 byte image lazily.  This is what lets the crash-image generator harvest
 every strict crash image from one instrumented execution instead of one
-re-execution per failure point (see :mod:`repro.core.crashgen`).
+re-execution per failure point (see :mod:`repro.core.crashgen`).  When
+the plan asks for pending lines, each fence capture also copies the
+volatile bytes of every line still pending at that instant
+(:meth:`pending_overlays`), enough to rebuild its eviction states; the
+detection battery (:mod:`repro.detect.report`) harvests its crash images
+this way.
 """
 
 from __future__ import annotations
@@ -127,13 +132,20 @@ class MediaSnapshot:
             legacy re-execution crashing at this point would report.
     """
 
-    __slots__ = ("kind", "index", "fences_done", "_media_ref", "_saved")
+    __slots__ = ("kind", "index", "fences_done", "pending", "_media_ref",
+                 "_saved")
 
     def __init__(self, kind: str, index: int, fences_done: int,
-                 media_ref: bytearray) -> None:
+                 media_ref: bytearray,
+                 pending: Tuple[Tuple[int, bytes], ...] = ()) -> None:
         self.kind = kind
         self.index = index
         self.fences_done = fences_done
+        #: ``(line, volatile bytes)`` of every line still pending at the
+        #: capture instant — recorded only at fence captures, when the
+        #: plan asks for weak states (see
+        #: :meth:`PersistenceDomain.pending_overlays`).
+        self.pending = pending
         self._media_ref = media_ref
         #: line index -> the line's media bytes at capture time, recorded
         #: only when a later fence overwrites the line (copy-on-write).
@@ -192,6 +204,7 @@ class PersistenceDomain:
         #: Snapshot plan for single-pass crash harvesting (empty = off).
         self._snap_fences: FrozenSet[int] = frozenset()
         self._snap_stores: FrozenSet[int] = frozenset()
+        self._snap_pending = False
         self._snapshots: List[MediaSnapshot] = []
 
     # ------------------------------------------------------------------
@@ -232,14 +245,20 @@ class PersistenceDomain:
     # Snapshot planning (single-pass crash harvesting)
     # ------------------------------------------------------------------
     def plan_snapshots(self, fences: Iterable[int] = (),
-                       stores: Iterable[int] = ()) -> None:
+                       stores: Iterable[int] = (),
+                       pending: bool = False) -> None:
         """Arm media captures at the given fence / store indices.
 
         Must be called before execution reaches the first planned index;
-        indices never reached simply produce no snapshot.
+        indices never reached simply produce no snapshot.  With
+        ``pending`` every fence capture also records the volatile bytes
+        of the lines still pending at that instant, from which the
+        eviction states of :func:`repro.pmem.crash.eviction_states` are
+        built.
         """
         self._snap_fences = frozenset(fences)
         self._snap_stores = frozenset(stores)
+        self._snap_pending = pending
 
     def take_snapshots(self) -> List[MediaSnapshot]:
         """Return the snapshots captured so far, in execution order.
@@ -403,7 +422,8 @@ class PersistenceDomain:
         self.emit(TraceEventKind.FENCE, 0, 0, site or "")
         if fence_index in self._snap_fences:
             self._snapshots.append(MediaSnapshot(
-                "fence", fence_index, fence_index + 1, self._media))
+                "fence", fence_index, fence_index + 1, self._media,
+                self.pending_overlays() if self._snap_pending else ()))
         if self.crash_at_fence is not None and fence_index == self.crash_at_fence:
             from repro.errors import SimulatedCrash
 
@@ -440,6 +460,19 @@ class PersistenceDomain:
     def pending_lines(self) -> Dict[int, LineState]:
         """Return a copy of all not-yet-persisted line states."""
         return dict(self._lines)
+
+    def pending_overlays(self) -> Tuple[Tuple[int, bytes], ...]:
+        """Return ``(line, volatile bytes)`` for every pending line, in
+        line order: what each line would write to the media if the
+        cache evicted it now."""
+        volatile = self._volatile
+        size = self.size
+        overlays = []
+        for line in sorted(self._lines):
+            start = line * CACHE_LINE
+            overlays.append((line, bytes(volatile[start:min(start + CACHE_LINE,
+                                                            size)])))
+        return tuple(overlays)
 
     def volatile_view(self) -> bytes:
         """Return the program-visible contents (what loads observe)."""

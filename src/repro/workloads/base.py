@@ -277,15 +277,13 @@ class Workload(abc.ABC):
     @staticmethod
     def _weak_images(pool: PmemObjPool, limit: int) -> List[PMImage]:
         """Crash states under eviction semantics (see repro.pmem.crash)."""
-        from repro.pmem.crash import CrashPolicy, crash_states
+        from itertools import islice
 
-        images: List[PMImage] = []
-        states = crash_states(pool.domain, CrashPolicy.ALL_PENDING)
-        next(states, None)  # the strict state is already crash_image
-        for payload in states:
-            if len(images) >= limit:
-                break
-            images.append(PMImage(layout=pool.image.layout,
-                                  payload=bytearray(payload),
-                                  uuid=pool.image.uuid))
-        return images
+        from repro.pmem.crash import eviction_states
+
+        domain = pool.domain
+        states = eviction_states(domain.persisted_view(),
+                                 domain.pending_overlays())
+        return [PMImage(layout=pool.image.layout, payload=bytearray(payload),
+                        uuid=pool.image.uuid)
+                for payload in islice(states, limit)]

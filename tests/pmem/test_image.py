@@ -105,6 +105,38 @@ class TestSerialization:
         assert invalid >= 45  # almost all random mutations abort
 
 
+class TestValidate:
+    """``validate`` checks what can be wrong with an in-memory image."""
+
+    def test_valid_image_passes(self):
+        PMImage.create("btree", 64).validate(expected_layout="btree")
+        PMImage.create("btree", 64).validate()
+
+    def test_layout_mismatch_message_matches_from_bytes(self):
+        img = PMImage.create("btree", 64)
+        with pytest.raises(InvalidImageError) as from_bytes:
+            PMImage.from_bytes(img.to_bytes(), expected_layout="rbtree")
+        with pytest.raises(InvalidImageError) as validate:
+            img.validate(expected_layout="rbtree")
+        assert str(validate.value) == str(from_bytes.value)
+        assert str(validate.value) == (
+            "layout mismatch: image is 'btree', expected 'rbtree'")
+
+    @pytest.mark.parametrize("uuid", [b"short", b"x" * 17])
+    def test_mutated_uuid_rejected(self, uuid):
+        img = PMImage.create("btree", 64)
+        img.uuid = uuid
+        with pytest.raises(InvalidImageError,
+                           match=f"uuid must be 16 bytes, got {len(uuid)}"):
+            img.validate(expected_layout="btree")
+
+    def test_mutated_overlong_layout_rejected(self):
+        img = PMImage.create("btree", 64)
+        img.layout = "x" * 40
+        with pytest.raises(InvalidImageError, match="layout name too long"):
+            img.validate()
+
+
 class TestIdentity:
     def test_content_hash_stable(self):
         a = PMImage.create("layout", 64)
