@@ -50,6 +50,7 @@ import hashlib
 from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.instrument.branchcov import untraced
 from repro.pmem.image import PMImage
 from repro.pmem.persistence import PersistenceDomain
 
@@ -189,6 +190,9 @@ class WarmContext:
         self._key = None
 
     # ------------------------------------------------------------------
+    # Both are called by the harness while the recorder runs; neither
+    # calls back into workload code.
+    @untraced
     def lookup(self, layout: str):
         """Return a restored post-prefix pool, or None to open cold."""
         self._key = WarmOpenCache.key_for(self.image, self.image_key)
@@ -231,6 +235,7 @@ class WarmContext:
         return pool
 
     # ------------------------------------------------------------------
+    @untraced
     def store(self, pool) -> None:
         """Capture the just-completed prefix state of ``pool``."""
         snapshot, pending, seq, fence_count, store_count = \

@@ -19,18 +19,76 @@ Two recorders implement the same map (see
 * :class:`MonitoringBranchCoverage` — PEP 669 ``sys.monitoring`` LINE
   events (py3.12+), which lets non-instrumented code answer ``DISABLE``
   once per location instead of paying a callback per line forever.
+
+Under ``settrace`` a non-instrumented frame costs no line events (its
+call event answers ``None``), but it still costs that call event, and
+while any hook is installed CPython < 3.12 runs *every* frame on its
+slow tracing dispatch.  The PM library is the bulk of that code, so its
+public entry points are wrapped in :func:`untraced`: the recorder's hook
+is lifted for the duration of the library call and reinstalled when
+control returns to the workload.  That is AFL++'s split — only the
+target is instrumented; the libraries linked into it run at native
+speed — and it leaves the workload's line events, and therefore the
+map, unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._util import stable_hash16
 from repro.errors import FuzzerError
+from repro.instrument.covcore import HAVE_MONITORING
 
 #: Coverage map size (matches AFL's 64 KiB).
 COV_MAP_SIZE = 1 << 16
+
+#: The hook the running :class:`BranchCoverage` installed (None when no
+#: settrace recorder is running).  :func:`untraced` suspends only this
+#: hook, and only when it is the calling thread's current one: a
+#: debugger's or coverage.py's passes through untouched, and a stale
+#: value (another thread's recorder) costs the speed-up, not the map.
+_recorder_hook: Optional[Callable] = None
+
+
+def _untraced_wrapper(fn: Callable) -> Callable:
+    @functools.wraps(fn)
+    def untraced_call(*args, **kwargs):
+        hook = _recorder_hook
+        if hook is None or sys.gettrace() is not hook:
+            # Not recording, already suspended (a nested entry point),
+            # or someone else's tracer: run as is.
+            return fn(*args, **kwargs)
+        sys.settrace(None)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            # SimulatedCrash, SegmentationFault and TransactionAborted
+            # all cross the library boundary.
+            sys.settrace(hook)
+    return untraced_call
+
+
+#: Code object shared by every :func:`untraced` wrapper frame;
+#: :func:`repro.instrument.context.pm_call_site` skips these frames.
+UNTRACED_CODE = _untraced_wrapper(lambda: None).__code__
+
+
+def untraced(fn: Callable) -> Callable:
+    """Run ``fn`` with the settrace recorder suspended.
+
+    For PM-library entry points that workload code calls and that never
+    call back into workload code.  The workload frame keeps its local
+    trace function, so its next line event fires exactly as before.
+    Where ``sys.monitoring`` exists this is the identity: PEP 669
+    ``DISABLE`` already keeps the library off the callback path there,
+    and toggling ``sys.settrace`` would only re-instrument code.
+    """
+    if HAVE_MONITORING:
+        return fn
+    return _untraced_wrapper(fn)
 
 
 class BranchCoverage:
@@ -63,6 +121,10 @@ class BranchCoverage:
         #: reissued while the entry is cached.
         self._loc_cache: Dict[Tuple[int, int], Tuple[int, object]] = {}
         self._active = False
+        #: Hooks in place before :meth:`start`, restored by :meth:`stop`:
+        #: the thread's trace function and the recorder hook global.
+        self._saved_hooks: Tuple[Optional[Callable], Optional[Callable]] = \
+            (None, None)
 
     # ------------------------------------------------------------------
     def _instrumented(self, filename: str) -> bool:
@@ -112,16 +174,23 @@ class BranchCoverage:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin recording (installs the trace hook)."""
+        global _recorder_hook
         if self._active:
             return
         self._active = True
-        sys.settrace(self._global_trace)
+        hook = self._global_trace
+        self._saved_hooks = (sys.gettrace(), _recorder_hook)
+        _recorder_hook = hook
+        sys.settrace(hook)
 
     def stop(self) -> None:
-        """Stop recording (removes the trace hook)."""
+        """Stop recording (reinstalls the hook :meth:`start` replaced)."""
+        global _recorder_hook
         if not self._active:
             return
-        sys.settrace(None)
+        previous, _recorder_hook = self._saved_hooks
+        sys.settrace(previous)
+        self._saved_hooks = (None, None)
         self._active = False
 
     def __enter__(self) -> "BranchCoverage":

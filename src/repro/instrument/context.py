@@ -7,7 +7,7 @@ module-level context stack.  The pmdk functions call
 (plain library use outside the fuzzer), tracking is a no-op, which is the
 analogue of running an uninstrumented binary.
 
-The context also carries the :class:`~repro.workloads.synthetic.BugInjector`
+The context also carries the :class:`~repro.pmdk.inject.BugInjector`
 (if any) so the library can consult active synthetic bugs, mirroring how
 the paper injects bugs into PMDK itself.
 """
@@ -18,6 +18,7 @@ import contextlib
 import sys
 from typing import Iterator, List, Optional
 
+from repro.instrument.branchcov import UNTRACED_CODE
 from repro.instrument.counter_map import PMCounterMap
 from repro.instrument.pmops import GLOBAL_REGISTRY, PMOpRegistry
 from repro.pmem.persistence import TraceEvent
@@ -95,8 +96,14 @@ def pm_call_site(depth: int = 2) -> str:
     This reproduces the compiler pass inserting a tracking call *at the
     call site* of each PM library function (Section 4.2).  Labels are
     cached per (code object, line), since call sites are static.
+
+    Frames of :func:`~repro.instrument.branchcov.untraced` wrappers are
+    skipped, so a decorated entry point labels the same caller an
+    undecorated one would, not the wrapper's own ``file:line``.
     """
     frame = sys._getframe(depth)
+    while frame.f_code is UNTRACED_CODE:
+        frame = frame.f_back
     key = (id(frame.f_code), frame.f_lineno)
     label = _SITE_CACHE.get(key)
     if label is None:

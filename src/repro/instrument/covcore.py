@@ -5,8 +5,12 @@ backends behind one selection seam:
 
 * ``settrace`` — the original :class:`~repro.instrument.branchcov.
   BranchCoverage` recorder, retained as the reference semantics.  Works
-  on every supported interpreter but pays a Python callback per executed
-  line in *every* frame entered while tracing is active.
+  on every supported interpreter.  Line callbacks fire only in
+  instrumented frames, but every other frame entered while the hook is
+  installed still costs a ``call`` callback, and on CPython < 3.12 all
+  bytecode runs on the slow tracing dispatch.  The PM library therefore
+  runs with the hook lifted (:func:`~repro.instrument.branchcov.
+  untraced`), leaving only the workload frames traced.
 * ``monitoring`` — PEP 669 ``sys.monitoring`` LINE events (py3.12+).
   Lines in non-instrumented files answer ``DISABLE`` once and are never
   reported again, so the steady-state per-event cost collapses to the

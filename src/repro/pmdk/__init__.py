@@ -16,10 +16,20 @@ use:
   ``TX_ADD``, ``TX_ALLOC``/``TX_ZNEW``, commit, abort and recovery.
 * :mod:`repro.pmdk.pool` — ``pmemobj_create``/``pmemobj_open``, header
   validation, the root object, and crash recovery at open.
+* :mod:`repro.pmdk.inject` — the synthetic bugs planted in the library
+  (skipped flushes, fences and TX_ADDs, corrupted stores).
 
 Every function that performs a PM operation records a PM-operation
 call-site ID with the active instrumentation context, which is how the
 PMFuzz counter-map (Algorithm 1) observes the execution.
+
+Like the libraries linked into an AFL++ target, this package is not
+branch-instrumented.  The entry points that workload code calls are
+wrapped in :func:`~repro.instrument.branchcov.untraced`, so under the
+``settrace`` recorder they run with the hook lifted; none of them calls
+back into workload code.  Calls inside the library go to the undecorated
+implementations where they are hot (the struct views use
+``PmemObjPool._read``/``_write``).
 """
 
 from repro.pmdk.heap import ALLOC_HEADER_SIZE

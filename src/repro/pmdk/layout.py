@@ -27,6 +27,7 @@ import struct as _struct
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import PMemError
+from repro.instrument.branchcov import untraced
 from repro.instrument.context import pm_call_site
 
 
@@ -104,16 +105,18 @@ class _BoundArray:
     def __len__(self) -> int:
         return self._spec.count
 
+    @untraced
     def __getitem__(self, index: int) -> Any:
         off = self._offset_of(index)
         site = self._site or pm_call_site(depth=2)
-        raw = self._pool.read(off, self._spec.element.size, site=site)
+        raw = self._pool._read(off, self._spec.element.size, site=site)
         return self._spec.element.unpack(raw)
 
+    @untraced
     def __setitem__(self, index: int, value: Any) -> None:
         off = self._offset_of(index)
         site = self._site or pm_call_site(depth=2)
-        self._pool.write(off, self._spec.element.pack(value), site=site)
+        self._pool._write(off, self._spec.element.pack(value), site=site)
 
     def __iter__(self):
         for i in range(self._spec.count):
@@ -178,10 +181,12 @@ class PStruct(metaclass=PStructMeta):
         """Size in bytes of field ``name``."""
         return cls._offsets_[name][1].size
 
+    @untraced
     def field_addr(self, name: str) -> int:
         """Absolute pool offset of field ``name`` in this instance."""
         return self._offset + self.field_offset(name)
 
+    @untraced
     def __getattr__(self, name: str) -> Any:
         try:
             off, ftype = type(self)._offsets_[name]
@@ -191,9 +196,10 @@ class PStruct(metaclass=PStructMeta):
         if isinstance(ftype, Array):
             return _BoundArray(self._pool, addr, ftype, self._site)
         site = self._site or pm_call_site(depth=2)
-        raw = self._pool.read(addr, ftype.size, site=site)
+        raw = self._pool._read(addr, ftype.size, site=site)
         return ftype.unpack(raw)
 
+    @untraced
     def __setattr__(self, name: str, value: Any) -> None:
         try:
             off, ftype = type(self)._offsets_[name]
@@ -202,12 +208,13 @@ class PStruct(metaclass=PStructMeta):
         if isinstance(ftype, Array):
             raise PMemError(f"cannot assign whole array field {name!r}; index it")
         site = self._site or pm_call_site(depth=2)
-        self._pool.write(self._offset + off, ftype.pack(value), site=site)
+        self._pool._write(self._offset + off, ftype.pack(value), site=site)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} @0x{self._offset:x}>"
 
 
+@untraced
 def store_field(view: PStruct, field: str, value: Any, site: str) -> None:
     """Store a struct field under an explicit site label.
 
@@ -217,10 +224,12 @@ def store_field(view: PStruct, field: str, value: Any, site: str) -> None:
     source-line drift.
     """
     off, ftype = type(view)._offsets_[field]
-    view._pool.write(view._offset + off, ftype.pack(value), site=site)
+    view._pool._write(view._offset + off, ftype.pack(value), site=site)
 
 
+@untraced
 def load_field(view: PStruct, field: str, site: str) -> Any:
     """Load a struct field under an explicit site label."""
     off, ftype = type(view)._offsets_[field]
-    return ftype.unpack(view._pool.read(view._offset + off, ftype.size, site=site))
+    return ftype.unpack(view._pool._read(view._offset + off, ftype.size,
+                                         site=site))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.instrument.branchcov import untraced
 from repro.instrument.context import current_context, pm_call_site
 from repro.pmem.persistence import PersistenceDomain
 
@@ -36,6 +37,7 @@ def _injector():
     return getattr(ctx, "injector", None) if ctx is not None else None
 
 
+@untraced
 def pmem_read(domain: PersistenceDomain, addr: int, size: int,
               site: Optional[str] = None) -> bytes:
     """Traced PM load."""
@@ -43,6 +45,7 @@ def pmem_read(domain: PersistenceDomain, addr: int, size: int,
     return domain.load(addr, size, site=label)
 
 
+@untraced
 def pmem_write(domain: PersistenceDomain, addr: int, data: bytes,
                site: Optional[str] = None) -> None:
     """Traced PM store (volatile until flushed + fenced)."""
@@ -53,6 +56,7 @@ def pmem_write(domain: PersistenceDomain, addr: int, data: bytes,
     domain.store(addr, data, site=label)
 
 
+@untraced
 def pmem_flush(domain: PersistenceDomain, addr: int, size: int,
                site: Optional[str] = None) -> None:
     """CLWB analogue: queue cache lines for persistence."""
@@ -63,6 +67,7 @@ def pmem_flush(domain: PersistenceDomain, addr: int, size: int,
     domain.flush(addr, size, site=label)
 
 
+@untraced
 def pmem_drain(domain: PersistenceDomain, site: Optional[str] = None) -> None:
     """SFENCE analogue: order all flushed lines into the media."""
     label = _track(site)
@@ -72,6 +77,7 @@ def pmem_drain(domain: PersistenceDomain, site: Optional[str] = None) -> None:
     domain.drain(site=label)
 
 
+@untraced
 def pmem_persist(domain: PersistenceDomain, addr: int, size: int,
                  site: Optional[str] = None) -> None:
     """``pmem_persist``: flush + drain (a full persist barrier).
@@ -89,6 +95,7 @@ def pmem_persist(domain: PersistenceDomain, addr: int, size: int,
     domain.drain(site=label)
 
 
+@untraced
 def pmem_memcpy_persist(domain: PersistenceDomain, addr: int, data: bytes,
                         site: Optional[str] = None) -> None:
     """``pmem_memcpy_persist``: store + flush + drain."""
@@ -105,6 +112,7 @@ def pmem_memcpy_persist(domain: PersistenceDomain, addr: int, data: bytes,
     domain.drain(site=label)
 
 
+@untraced
 def pmem_memcpy_nodrain(domain: PersistenceDomain, addr: int, data: bytes,
                         site: Optional[str] = None) -> None:
     """``pmem_memcpy_nodrain``: store + flush, no fence."""
@@ -116,6 +124,7 @@ def pmem_memcpy_nodrain(domain: PersistenceDomain, addr: int, data: bytes,
     domain.flush(addr, len(data), site=label)
 
 
+@untraced
 def pmem_memset_nodrain(domain: PersistenceDomain, addr: int, value: int,
                         size: int, site: Optional[str] = None) -> None:
     """``pmem_memset_nodrain``: memset + flush, no fence (paper Bug 7)."""
@@ -127,6 +136,7 @@ def pmem_memset_nodrain(domain: PersistenceDomain, addr: int, value: int,
     domain.flush(addr, size, site=label)
 
 
+@untraced
 def pmem_memset_persist(domain: PersistenceDomain, addr: int, value: int,
                         size: int, site: Optional[str] = None) -> None:
     """``pmem_memset_persist``: memset + flush + drain."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Optional, Type
 
 from repro.errors import InvalidImageError, SegmentationFault
+from repro.instrument.branchcov import untraced
 from repro.instrument.context import current_context, pm_call_site
 from repro.pmem.image import PMImage
 from repro.pmem.persistence import PersistenceDomain, TraceEventKind
@@ -93,6 +94,7 @@ class PmemObjPool:
         return pool
 
     @classmethod
+    @untraced
     def open(
         cls,
         image: PMImage,
@@ -130,6 +132,7 @@ class PmemObjPool:
             recover_pool(pool)
         return pool
 
+    @untraced
     def close(self) -> PMImage:
         """``pmemobj_close``: persist everything and return the image.
 
@@ -143,6 +146,7 @@ class PmemObjPool:
         self.closed = True
         return self.image
 
+    @untraced
     def crash_image(self) -> PMImage:
         """Return the strict crash snapshot as an image (media view only)."""
         img = PMImage(layout=self.image.layout,
@@ -153,7 +157,7 @@ class PmemObjPool:
     # ------------------------------------------------------------------
     # Raw traced access (used by the typed-struct layer)
     # ------------------------------------------------------------------
-    def read(self, offset: int, size: int, site: str = "") -> bytes:
+    def _read(self, offset: int, size: int, site: str = "") -> bytes:
         """Traced PM load with NULL/bounds checking.
 
         Struct-view reads route through here; the call site (the workload
@@ -167,7 +171,7 @@ class PmemObjPool:
             ctx.record_pm_op(site)
         return self.domain.load(offset, size, site=site)
 
-    def write(self, offset: int, data: bytes, site: str = "") -> None:
+    def _write(self, offset: int, data: bytes, site: str = "") -> None:
         """Traced PM store with NULL/bounds checking (a PM node, see read)."""
         self._check(offset, len(data))
         ctx = current_context()
@@ -178,6 +182,11 @@ class PmemObjPool:
             if inj is not None:
                 data = inj.corrupt_store(site, offset, data)
         self.domain.store(offset, data, site=site)
+
+    # The struct layer calls the undecorated ``_read``/``_write``; these
+    # are the entry points for workload code.
+    read = untraced(_read)
+    write = untraced(_write)
 
     def _check(self, offset: int, size: int) -> None:
         if offset == OID_NULL:
@@ -191,6 +200,7 @@ class PmemObjPool:
     # ------------------------------------------------------------------
     # Object access (D_RO / D_RW analogues)
     # ------------------------------------------------------------------
+    @untraced
     def typed(self, oid: int, struct_type: Type, site: Optional[str] = None) -> Any:
         """Return a typed struct view at ``oid`` (the D_RW analogue).
 
@@ -210,10 +220,12 @@ class PmemObjPool:
         return struct_type(self, oid, site=label)
 
     @property
+    @untraced
     def root_oid(self) -> int:
         """Current root object OID (0 when unset)."""
         return int.from_bytes(self.domain.load(_META_ROOT_OFF, 8), "little")
 
+    @untraced
     def set_root(self, oid: int, site: Optional[str] = None) -> None:
         """Atomically publish the root OID (persisted immediately).
 
@@ -228,6 +240,7 @@ class PmemObjPool:
         self.domain.store(_META_ROOT_OFF, oid.to_bytes(8, "little"), site=label)
         self.domain.persist(_META_ROOT_OFF, 8, site=label)
 
+    @untraced
     def root(self, struct_type: Type, site: Optional[str] = None) -> Any:
         """``pmemobj_root``: get-or-create the root object, typed.
 
@@ -245,10 +258,12 @@ class PmemObjPool:
     # ------------------------------------------------------------------
     # Transactions & atomic allocation
     # ------------------------------------------------------------------
+    @untraced
     def transaction(self) -> Transaction:
         """Return the active transaction (nested TX_BEGIN) or a new one."""
         return self.active_tx if self.active_tx is not None else Transaction(self)
 
+    @untraced
     def alloc(self, size: int, site: Optional[str] = None) -> int:
         """Atomic (non-transactional) allocation, ``POBJ_ALLOC`` style."""
         label = site if site is not None else pm_call_site(depth=2)
@@ -259,6 +274,7 @@ class PmemObjPool:
         self.domain.emit(TraceEventKind.ALLOC, oid, size, label)
         return oid
 
+    @untraced
     def zalloc(self, size: int, site: Optional[str] = None) -> int:
         """Atomic zeroed allocation, ``POBJ_ZALLOC`` style."""
         label = site if site is not None else pm_call_site(depth=2)
@@ -269,6 +285,7 @@ class PmemObjPool:
         self.domain.emit(TraceEventKind.ALLOC, oid, size, label)
         return oid
 
+    @untraced
     def free(self, oid: int, site: Optional[str] = None) -> None:
         """Atomic free, ``POBJ_FREE`` style."""
         label = site if site is not None else pm_call_site(depth=2)
@@ -281,16 +298,19 @@ class PmemObjPool:
     # ------------------------------------------------------------------
     # Low-level persistence (libpmem pass-throughs)
     # ------------------------------------------------------------------
+    @untraced
     def persist(self, offset: int, size: int, site: Optional[str] = None) -> None:
         """``pmem_persist`` on a pool range."""
         libpmem.pmem_persist(self.domain, offset, size,
                              site=site if site is not None else pm_call_site(depth=2))
 
+    @untraced
     def flush(self, offset: int, size: int, site: Optional[str] = None) -> None:
         """``pmem_flush`` on a pool range."""
         libpmem.pmem_flush(self.domain, offset, size,
                            site=site if site is not None else pm_call_site(depth=2))
 
+    @untraced
     def drain(self, site: Optional[str] = None) -> None:
         """``pmem_drain`` (fence)."""
         libpmem.pmem_drain(self.domain,

@@ -28,6 +28,7 @@ import enum
 from typing import Any, List, Optional, Tuple, Type
 
 from repro.errors import TransactionAborted, TransactionError
+from repro.instrument.branchcov import untraced
 from repro.instrument.context import current_context, pm_call_site
 from repro.pmem.persistence import TraceEventKind
 from repro.pmdk.heap import PersistentHeap
@@ -188,6 +189,7 @@ class Transaction:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @untraced
     def begin(self, site: Optional[str] = None) -> None:
         """TX_BEGIN: enter (or nest into) the transaction."""
         label = site if site is not None else pm_call_site(depth=2)
@@ -202,6 +204,7 @@ class Transaction:
             self.pool.active_tx = self
         self._depth += 1
 
+    @untraced
     def commit(self, site: Optional[str] = None) -> None:
         """TX_END on the success path."""
         label = site if site is not None else pm_call_site(depth=2)
@@ -223,6 +226,7 @@ class Transaction:
         self.pool.domain.emit(TraceEventKind.TX_COMMIT, 0, 0, label)
         self._finish()
 
+    @untraced
     def abort(self, site: Optional[str] = None) -> None:
         """Explicit TX_ABORT: roll back and reset."""
         label = site if site is not None else pm_call_site(depth=2)
@@ -239,10 +243,12 @@ class Transaction:
         self._deferred_free.clear()
         self.pool.active_tx = None
 
+    @untraced
     def __enter__(self) -> "Transaction":
         self.begin(site=pm_call_site(depth=2))
         return self
 
+    @untraced
     def __exit__(self, exc_type, exc, tb) -> bool:
         from repro.errors import SegmentationFault, SimulatedCrash
 
@@ -266,6 +272,7 @@ class Transaction:
     # ------------------------------------------------------------------
     # Logging / allocation primitives
     # ------------------------------------------------------------------
+    @untraced
     def add(self, offset: int, size: int, site: Optional[str] = None) -> None:
         """TX_ADD: snapshot ``[offset, offset+size)`` unless already covered.
 
@@ -287,16 +294,19 @@ class Transaction:
         self.ranges.add(offset, size)
         self.pool.domain.emit(TraceEventKind.TX_ADD, offset, size, label)
 
+    @untraced
     def add_struct(self, view: Any, site: Optional[str] = None) -> None:
         """TX_ADD of a whole typed struct view."""
         self.add(view.offset, type(view)._size_,
                  site=site if site is not None else pm_call_site(depth=2))
 
+    @untraced
     def add_field(self, view: Any, field: str, site: Optional[str] = None) -> None:
         """TX_ADD_FIELD: snapshot a single struct field."""
         self.add(view.field_addr(field), type(view).field_size(field),
                  site=site if site is not None else pm_call_site(depth=2))
 
+    @untraced
     def set_field(self, view: Any, field: str, value: Any,
                   site: Optional[str] = None) -> None:
         """TX_SET: TX_ADD_FIELD followed by the store."""
@@ -304,6 +314,7 @@ class Transaction:
         self.add(view.field_addr(field), type(view).field_size(field), site=label)
         setattr(view, field, value)
 
+    @untraced
     def alloc(self, size: int, site: Optional[str] = None) -> int:
         """TX_ALLOC: allocate; rolled back (freed) on abort."""
         label = site if site is not None else pm_call_site(depth=2)
@@ -316,6 +327,7 @@ class Transaction:
         self.pool.domain.emit(TraceEventKind.ALLOC, oid, size, label)
         return oid
 
+    @untraced
     def zalloc(self, size: int, site: Optional[str] = None) -> int:
         """TX_ZALLOC: allocate zeroed memory."""
         label = site if site is not None else pm_call_site(depth=2)
@@ -323,18 +335,21 @@ class Transaction:
         self.pool.domain.store(oid, b"\0" * size, site=label)
         return oid
 
+    @untraced
     def new(self, struct_type: Type, site: Optional[str] = None) -> Any:
         """TX_NEW: allocate a struct-sized block, return the typed view."""
         label = site if site is not None else pm_call_site(depth=2)
         oid = self.alloc(struct_type._size_, site=label)
         return self.pool.typed(oid, struct_type, site=label)
 
+    @untraced
     def znew(self, struct_type: Type, site: Optional[str] = None) -> Any:
         """TX_ZNEW: allocate a zeroed struct, return the typed view."""
         label = site if site is not None else pm_call_site(depth=2)
         oid = self.zalloc(struct_type._size_, site=label)
         return self.pool.typed(oid, struct_type, site=label)
 
+    @untraced
     def free(self, oid: int, site: Optional[str] = None) -> None:
         """TX_FREE: deferred until commit (undone simply by aborting)."""
         label = site if site is not None else pm_call_site(depth=2)

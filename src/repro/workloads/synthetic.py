@@ -11,10 +11,13 @@ workloads and the PMDK library, of four kinds:
 
 Each :class:`SyntheticBug` names the *site* (the explicit site label the
 workload passes to the PM library call) and the injection kind.  The
-:class:`BugInjector` is carried on the execution context; the pmdk layer
-consults it at every flush/fence/TX_ADD/store, so an active bug changes
-the library's behaviour exactly at its site — the software analogue of
-editing the source and recompiling.
+:class:`~repro.pmdk.inject.BugInjector` is carried on the execution
+context; the pmdk layer consults it at every flush/fence/TX_ADD/store,
+so an active bug changes the library's behaviour exactly at its site —
+the software analogue of editing the source and recompiling.  The
+injector and :class:`~repro.pmdk.inject.BugKind` live in the library
+package (re-exported here): the injected code is part of PMDK, not of
+the instrumented target program.
 
 Detection accounting: a bug can be detected only if some generated test
 case *triggers* its site; the injector records triggered bug IDs so the
@@ -24,25 +27,12 @@ then confirms the resulting trace violation).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from typing import Iterable, Set
 
+from repro.pmdk.inject import BugInjector, BugKind
 
-class BugKind(enum.Enum):
-    """The synthetic bug classes of Section 5.1.
-
-    ``WRONG_VALUE`` inverts the stored bytes (a garbage write);
-    ``WRONG_COMMIT`` zeroes them — the paper's "setting a wrong value to
-    the commit variables": a commit flag that should open a recovery
-    window is written as *not set*, so the window silently never opens.
-    """
-
-    MISSING_FLUSH = "missing_flush"
-    MISSING_FENCE = "missing_fence"
-    MISSING_TXADD = "missing_txadd"
-    WRONG_VALUE = "wrong_value"
-    WRONG_COMMIT = "wrong_commit"
+__all__ = ["BugInjector", "BugKind", "SiteCoverage", "SyntheticBug"]
 
 
 @dataclass(frozen=True)
@@ -63,71 +53,6 @@ class SyntheticBug:
     kind: BugKind
     depth: int = 1
     description: str = ""
-
-
-class BugInjector:
-    """Applies a set of active synthetic bugs during execution.
-
-    The pmdk layer calls :meth:`skip_flush` / :meth:`skip_fence` /
-    :meth:`skip_tx_add` / :meth:`corrupt_store` on every corresponding
-    operation; when the site matches an active bug the effect is applied
-    and the bug is recorded as *triggered*.
-    """
-
-    def __init__(self, bugs: Iterable[SyntheticBug] = ()) -> None:
-        self._by_site: Dict[str, SyntheticBug] = {}
-        for bug in bugs:
-            self.activate(bug)
-        self.triggered: Set[str] = set()
-
-    def activate(self, bug: SyntheticBug) -> None:
-        """Make ``bug`` active (one bug per site)."""
-        self._by_site[bug.site] = bug
-
-    def deactivate(self, bug_id: str) -> None:
-        """Remove an active bug by ID."""
-        self._by_site = {
-            s: b for s, b in self._by_site.items() if b.bug_id != bug_id
-        }
-
-    def active_bugs(self) -> FrozenSet[str]:
-        """IDs of all active bugs."""
-        return frozenset(b.bug_id for b in self._by_site.values())
-
-    # ------------------------------------------------------------------
-    # Hooks called from the pmdk layer
-    # ------------------------------------------------------------------
-    def _match(self, site: str, kind: BugKind) -> Optional[SyntheticBug]:
-        bug = self._by_site.get(site)
-        if bug is not None and bug.kind is kind:
-            self.triggered.add(bug.bug_id)
-            return bug
-        return None
-
-    def skip_flush(self, site: str) -> bool:
-        """True if an active MISSING_FLUSH bug removes this writeback."""
-        return self._match(site, BugKind.MISSING_FLUSH) is not None
-
-    def skip_fence(self, site: str) -> bool:
-        """True if an active MISSING_FENCE bug removes this ordering point.
-
-        Removing the fence between two ordered writes is also how the
-        paper's "reorder PM writes" bugs are realized: without the fence
-        the second write may persist first.
-        """
-        return self._match(site, BugKind.MISSING_FENCE) is not None
-
-    def skip_tx_add(self, site: str) -> bool:
-        """True if an active MISSING_TXADD bug removes this backup."""
-        return self._match(site, BugKind.MISSING_TXADD) is not None
-
-    def corrupt_store(self, site: str, addr: int, data: bytes) -> bytes:
-        """Apply a WRONG_VALUE (invert) or WRONG_COMMIT (zero) bug."""
-        if self._match(site, BugKind.WRONG_VALUE) is not None:
-            return bytes(b ^ 0xFF for b in data)
-        if self._match(site, BugKind.WRONG_COMMIT) is not None:
-            return b"\0" * len(data)
-        return data
 
 
 @dataclass
