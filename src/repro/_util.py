@@ -29,7 +29,7 @@ def stable_hash16(text: str) -> int:
 
 
 def sha256_hex(data: bytes) -> str:
-    """Return the SHA-256 hex digest of ``data`` (PM-image dedup key)."""
+    """Return the SHA-256 hex digest of ``data``."""
     return hashlib.sha256(data).hexdigest()
 
 

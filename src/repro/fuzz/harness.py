@@ -109,10 +109,12 @@ def run_workload(
                 pool, max_weak_states)
     except CORRUPTION_ERRORS as exc:
         # Wild reads/writes from corrupted persistent data: the process
-        # would die with SIGSEGV.
+        # would die with SIGSEGV.  Recovery inside the open can fault
+        # before any pool exists; that death leaves no crash image.
         result.outcome = RunOutcome.SEGFAULT
         result.error = f"{type(exc).__name__}: {exc}"
-        result.crash_image = pool.crash_image()
+        if pool is not None:
+            result.crash_image = pool.crash_image()
     except (PMemError, OutOfPMemError, TransactionAborted) as exc:
         result.outcome = RunOutcome.ERROR
         result.error = str(exc)

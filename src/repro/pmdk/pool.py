@@ -25,7 +25,7 @@ from repro.pmem.image import PMImage
 from repro.pmem.persistence import PersistenceDomain, TraceEventKind
 from repro.pmdk import libpmem
 from repro.pmdk.heap import ALLOC_HEADER_SIZE, PersistentHeap
-from repro.pmdk.tx import Transaction, TransactionLog, recover_pool
+from repro.pmdk.tx import Transaction, TransactionLog, TxStage, recover_pool
 
 #: NULL persistent pointer.
 OID_NULL = 0
@@ -40,6 +40,9 @@ _META_SIZE = 64
 _LOG_OFF = _META_SIZE
 
 _POOL_MAGIC = 0x504D4F424A5F5631  # "PMOBJ_V1"
+
+#: Undo-log stage bytes an openable pool may carry.
+_TX_STAGES = frozenset(int(stage) for stage in TxStage)
 
 #: Default pool payload size — small enough for fast fuzzing iterations,
 #: large enough for hundreds of workload objects.
@@ -104,29 +107,35 @@ class PmemObjPool:
         """``pmemobj_open``: validate the image, mount it, run recovery.
 
         Args:
-            image: the PM image to mount (it is copied; the caller's image
-                is not mutated by execution).
+            image: the PM image to mount.  The persistence domain copies
+                its payload, so execution never mutates the caller's
+                image.
             layout: expected layout name.
             recover: run undo-log recovery (PMDK always does; the flag
                 exists for tests that need to inspect pre-recovery state).
 
         Raises:
-            InvalidImageError: layout mismatch, bad image header fields
-                or no pool magic in the payload — the program aborts
-                before doing anything useful.  (Serialized images have
-                their magic and checksum checked earlier, by
+            InvalidImageError: layout mismatch, bad image header fields,
+                no pool magic in the payload or an undo-log stage byte
+                that names no stage — the program aborts before doing
+                anything useful.  (Serialized images have their magic and
+                checksum checked earlier, by
                 :meth:`PMImage.from_bytes`.)
         """
         image.validate(expected_layout=layout)
-        working = image.copy()
-        domain = PersistenceDomain(len(working.payload),
-                                   bytes(working.payload))
+        domain = PersistenceDomain(len(image.payload), image.payload)
         magic = int.from_bytes(domain.load(_META_MAGIC_OFF, 8), "little")
         if magic != _POOL_MAGIC:
             raise InvalidImageError(
                 f"pool magic mismatch: 0x{magic:x} != 0x{_POOL_MAGIC:x}"
             )
-        pool = cls(working, domain)
+        stage = domain.load(_LOG_OFF, 1)[0]
+        if stage not in _TX_STAGES:
+            raise InvalidImageError(f"undo log stage {stage} is not a stage")
+        # The pool image's payload is only written at close(); an empty
+        # placeholder avoids copying a payload that nothing reads.
+        pool = cls(PMImage(layout=image.layout, payload=bytearray(),
+                           uuid=image.uuid), domain)
         domain.emit(TraceEventKind.POOL_OPEN, 0, 0, "pool:open")
         if recover:
             recover_pool(pool)
@@ -142,17 +151,16 @@ class PmemObjPool:
         at the failure point.)
         """
         self.domain.emit(TraceEventKind.POOL_CLOSE, 0, 0, "pool:close")
-        self.image.payload = bytearray(self.domain.volatile_view())
+        self.image.payload = self.domain.volatile_copy()
         self.closed = True
         return self.image
 
     @untraced
     def crash_image(self) -> PMImage:
         """Return the strict crash snapshot as an image (media view only)."""
-        img = PMImage(layout=self.image.layout,
-                      payload=bytearray(self.domain.persisted_view()),
-                      uuid=self.image.uuid)
-        return img
+        return PMImage(layout=self.image.layout,
+                       payload=self.domain.persisted_copy(),
+                       uuid=self.image.uuid)
 
     # ------------------------------------------------------------------
     # Raw traced access (used by the typed-struct layer)

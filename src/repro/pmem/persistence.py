@@ -482,6 +482,14 @@ class PersistenceDomain:
         """Return the strict crash snapshot: only fenced data."""
         return bytes(self._media)
 
+    def volatile_copy(self) -> bytearray:
+        """:meth:`volatile_view` as a new, caller-owned ``bytearray``."""
+        return bytearray(self._volatile)
+
+    def persisted_copy(self) -> bytearray:
+        """:meth:`persisted_view` as a new, caller-owned ``bytearray``."""
+        return bytearray(self._media)
+
     def inconsistent_ranges(self) -> List[Tuple[int, int]]:
         """Return ``(addr, size)`` ranges where volatile and media differ.
 

@@ -162,7 +162,6 @@ def capture_state(engine) -> dict:
         "tree_nodes": engine.tree._nodes if engine.tree else None,
         "store": {
             "by_hash": store._by_hash,
-            "layouts": store._layouts,
             "raw_bytes": store.raw_bytes,
             "stored_bytes": store.stored_bytes,
             "duplicates_rejected": store.duplicates_rejected,
@@ -244,7 +243,8 @@ def restore_state(engine, state: dict) -> None:
         engine.tree = None
     store = engine.storage.store
     store._by_hash = dict(state["store"]["by_hash"])
-    store._layouts = dict(state["store"]["layouts"])
+    # Checkpoints written before the store dropped its never-read
+    # layout index also carry a "layouts" key; it is ignored.
     store.raw_bytes = state["store"]["raw_bytes"]
     store.stored_bytes = state["store"]["stored_bytes"]
     store.duplicates_rejected = state["store"]["duplicates_rejected"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ExecTimeoutError, HarnessFaultError
 from repro.fuzz.executor import CostModel, Executor
+from repro.pmdk.tx import MAX_LOG_ENTRIES, EntryKind, TransactionLog, TxStage
 from repro.resilience.faults import EnvFaultInjector, FaultPlan
 from repro.workloads import get_workload
 from repro.workloads.base import RunOutcome
@@ -114,6 +115,48 @@ class TestRawImageContainment:
         # can die before ever looking at its input.
         with pytest.raises(ExecTimeoutError):
             ex.run_raw_image(b"", b"")
+
+
+def _corrupt_undo_log(stage, n_entries, alloc_target=None):
+    """A hashmap_tx seed image whose undo-log header is overwritten."""
+    from repro.pmdk.pool import _LOG_OFF
+
+    image = get_workload("hashmap_tx").create_image()
+    payload = image.payload
+    payload[_LOG_OFF] = stage
+    payload[_LOG_OFF + 8:_LOG_OFF + 16] = n_entries.to_bytes(8, "little")
+    if alloc_target is not None:
+        entry = _LOG_OFF + TransactionLog.HEADER_SIZE
+        payload[entry] = int(EntryKind.ALLOC)
+        payload[entry + 1] = 1  # valid
+        payload[entry + 8:entry + 16] = alloc_target.to_bytes(8, "little")
+        payload[entry + 16:entry + 24] = (64).to_bytes(8, "little")
+    return image
+
+
+class TestCorruptUndoLogContainment:
+    """A corrupt undo log is a program outcome, never a harness fault."""
+
+    def test_wild_alloc_entry_in_recovery_segfaults(self):
+        # Recovery faults inside PmemObjPool.open, before any pool
+        # exists to take a crash image from.
+        image = _corrupt_undo_log(TxStage.WORK, 1, alloc_target=10 ** 12)
+        result = make_executor().run(image, b"i 5 1\n")
+        assert result.outcome is RunOutcome.SEGFAULT
+        assert result.crash_image is None
+        assert "SegmentationFault" in result.error
+
+    def test_out_of_range_stage_byte_is_an_invalid_image(self):
+        image = _corrupt_undo_log(7, 0)
+        result = make_executor().run(image, b"i 5 1\n")
+        assert result.outcome is RunOutcome.INVALID_IMAGE
+        assert "stage 7" in result.error
+
+    def test_huge_entry_count_stays_an_error(self):
+        image = _corrupt_undo_log(TxStage.WORK, MAX_LOG_ENTRIES << 40)
+        result = make_executor().run(image, b"i 5 1\n")
+        assert result.outcome is RunOutcome.ERROR
+        assert "outside domain" in result.error
 
 
 class TestCostModel:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import InvalidImageError, SegmentationFault
+from repro.errors import InvalidImageError, SegmentationFault, SimulatedCrash
 from repro.pmem.image import PMImage
 from repro.pmdk.pool import OID_NULL, PmemObjPool
 
@@ -86,3 +86,75 @@ class TestAccessChecks:
         pool.write(oid, b"data", site="t")
         pool.free(oid)
         assert pool.alloc(128) == oid
+
+
+class TestNoAliasing:
+    """The pool never shares a buffer with the caller's image or with an
+    image it has returned: the persistence domain copies the payload in
+    at open, and ``close``/``crash_image`` copy it out."""
+
+    @pytest.fixture
+    def image(self, pool, node_type):
+        root = pool.root(node_type)
+        root.n = 3
+        pool.persist(root.offset, 4, site="t")
+        return pool.close()
+
+    def _mutate(self, pool, node_type):
+        root = pool.typed(pool.root_oid, node_type)
+        root.n = 77
+        pool.persist(root.offset, node_type._size_, site="t")
+        oid = pool.zalloc(64)
+        pool.write(oid, b"x" * 64, site="t")
+        return oid
+
+    def test_close_leaves_caller_payload_intact(self, image, node_type):
+        before = bytes(image.payload)
+        pool = PmemObjPool.open(image, "test")
+        self._mutate(pool, node_type)
+        closed = pool.close()
+        assert bytes(image.payload) == before
+        assert closed is not image and closed.payload is not image.payload
+        assert bytes(closed.payload) != before
+
+    def test_simulated_crash_leaves_caller_payload_intact(self, image,
+                                                          node_type):
+        before = bytes(image.payload)
+        pool = PmemObjPool.open(image, "test")
+        pool.domain.crash_at_fence = pool.domain.fence_count + 1
+        with pytest.raises(SimulatedCrash):
+            self._mutate(pool, node_type)
+        crashed = pool.crash_image()
+        assert bytes(image.payload) == before
+        assert bytes(crashed.payload) != before
+
+    def test_segfault_leaves_caller_payload_intact(self, image, node_type):
+        before = bytes(image.payload)
+        pool = PmemObjPool.open(image, "test")
+        self._mutate(pool, node_type)
+        with pytest.raises(SegmentationFault):
+            pool.read(pool.domain.size - 4, 8)
+        pool.crash_image()
+        assert bytes(image.payload) == before
+
+    def test_domain_writes_after_close_do_not_reach_the_image(self, image,
+                                                              node_type):
+        pool = PmemObjPool.open(image, "test")
+        oid = self._mutate(pool, node_type)
+        closed = pool.close()
+        snapshot = bytes(closed.payload)
+        pool.domain.store(oid, b"y" * 64)
+        pool.domain.persist(oid, 64)
+        assert bytes(closed.payload) == snapshot
+
+    def test_domain_writes_after_crash_image_do_not_reach_it(self, image,
+                                                             node_type):
+        pool = PmemObjPool.open(image, "test")
+        oid = self._mutate(pool, node_type)
+        pool.persist(oid, 64, site="t")
+        crashed = pool.crash_image()
+        snapshot = bytes(crashed.payload)
+        pool.domain.store(oid, b"y" * 64)
+        pool.domain.persist(oid, 64)
+        assert bytes(crashed.payload) == snapshot
+        assert bytes(pool.crash_image().payload) != snapshot

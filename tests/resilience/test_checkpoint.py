@@ -189,6 +189,31 @@ class TestResumeDeterminism:
                                resume_from=legacy)
         assert resumed.comparable() == plain.comparable()
 
+    def test_resume_reads_old_image_store_state(self, tmp_path):
+        """Older checkpoints carry the store's retired ``layouts`` index
+        and level-6 ``zlib.compress`` blobs; they resume exactly like a
+        current one."""
+        import zlib
+
+        path = str(tmp_path / "plain.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.5, seed=21,
+                     checkpoint_every=0.1, checkpoint_path=path)
+        payload = read_checkpoint(path)
+        store = payload["state"]["store"]
+        assert "layouts" not in store
+        store["layouts"] = {image_id: "hashmap_tx"
+                            for image_id in store["by_hash"]}
+        store["by_hash"] = {
+            image_id: zlib.compress(zlib.decompress(blob), 6)
+            for image_id, blob in store["by_hash"].items()}
+        legacy = str(tmp_path / "legacy.ckpt")
+        write_checkpoint(legacy, payload)
+
+        plain = run_campaign("hashmap_tx", "pmfuzz", 0.9, resume_from=path)
+        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.9,
+                               resume_from=legacy)
+        assert resumed.comparable() == plain.comparable()
+
     def test_resume_rebuilds_pmfuzz_engine_class(self, tmp_path):
         from repro.core.pmfuzz import PMFuzzEngine
         path = str(tmp_path / "cls.ckpt")
