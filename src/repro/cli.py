@@ -23,10 +23,6 @@ The reproduction's equivalent of the artifact's driver scripts
     replay one (``--replay <bundle-dir>``) to reproduce the execution
     that killed or hung a worker.
 
-``bench``
-    Run the deterministic perf benchmark suite and write
-    ``BENCH_<name>.json`` result files (see :mod:`repro.bench`).
-
 ``corpusdb``
     Inspect (``info``), heal (``scrub [--verify]``), or compact a
     durable cross-campaign corpus database (see :mod:`repro.corpusdb`).
@@ -80,34 +76,41 @@ def _checkpoint_kwargs(args: argparse.Namespace, config_name: str) -> dict:
             "checkpoint_path": path}
 
 
+def _check_wall_timeout(seconds: float) -> float:
+    """Reject a wall timeout at which the watchdog would kill every
+    execution (zero or negative) or could not be armed (inf, nan)."""
+    if not 0 < seconds < float("inf"):
+        raise FuzzerError(
+            f"--exec-wall-timeout must be a positive number of seconds, "
+            f"got {seconds}")
+    return seconds
+
+
 def _isolation_kwargs(args: argparse.Namespace) -> dict:
     """Execution-backend engine kwargs from the CLI flags."""
     if getattr(args, "isolation", "none") == "none":
         return {}
+    if args.workers < 1:
+        raise FuzzerError(f"--workers must be >= 1, got {args.workers}")
     rss = getattr(args, "worker_rss_limit", None)
     return {
         "isolation": args.isolation,
         "isolation_workers": args.workers,
-        "exec_wall_timeout": args.exec_wall_timeout,
+        "exec_wall_timeout": _check_wall_timeout(args.exec_wall_timeout),
         "worker_rss_limit": rss * 1024 * 1024 if rss else None,
         "triage_dir": args.triage_dir,
     }
 
 
-def _transport_kwargs(args: argparse.Namespace) -> dict:
-    """Fork-transport engine kwargs (empty at the defaults, so checkpoint
-    metadata stays identical to pre-flag campaigns)."""
-    kwargs: dict = {}
+def _batch_kwargs(args: argparse.Namespace) -> dict:
+    """Fork-dispatch batching engine kwargs (empty at the default, so
+    checkpoint metadata stays identical to pre-flag campaigns)."""
     batch = getattr(args, "batch_execs", None)
-    if batch is not None:
-        if batch < 1:
-            raise FuzzerError(f"--batch-execs must be >= 1, got {batch}")
-        if batch != 8:
-            kwargs["batch_execs"] = batch
-    transport = getattr(args, "transport", None)
-    if transport not in (None, "auto"):
-        kwargs["transport"] = transport
-    return kwargs
+    if batch is None:
+        return {}
+    if batch < 1:
+        raise FuzzerError(f"--batch-execs must be >= 1, got {batch}")
+    return {"batch_execs": batch} if batch != 8 else {}
 
 
 def _fastpath_kwargs(args: argparse.Namespace) -> dict:
@@ -241,7 +244,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         fault_plan=args.fault_plan,
         engine_kwargs={**_isolation_kwargs(args), **_observe_kwargs(args),
                        **_crashgen_kwargs(args), **_corpusdb_kwargs(args),
-                       **_transport_kwargs(args), **_fastpath_kwargs(args)},
+                       **_batch_kwargs(args), **_fastpath_kwargs(args)},
         kill_plan=_parse_kill_plan(args.fleet_kill),
     )
     print(f"configuration     : {stats.config_name}")
@@ -303,7 +306,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                                  **_observe_kwargs(args),
                                  **_crashgen_kwargs(args),
                                  **_corpusdb_kwargs(args),
-                                 **_transport_kwargs(args),
+                                 **_batch_kwargs(args),
                                  **_fastpath_kwargs(args))
     finally:
         for stop in stops:
@@ -403,6 +406,7 @@ def _cmd_triage(args: argparse.Namespace) -> int:
     from repro.isolation.backend import create_backend
     from repro.workloads.registry import get_workload
 
+    wall_timeout = _check_wall_timeout(args.exec_wall_timeout)
     try:
         bundle = TriageStore.load_bundle(args.replay)
     except (OSError, ValueError) as exc:
@@ -417,7 +421,7 @@ def _cmd_triage(args: argparse.Namespace) -> int:
     bugs = frozenset(bundle.meta.get("bugs") or ())
     executor = Executor(lambda: get_workload(workload, bugs=bugs))
     backend, fallback = create_backend(
-        args.isolation, executor, wall_timeout=args.exec_wall_timeout)
+        args.isolation, executor, wall_timeout=wall_timeout)
     if fallback:
         print(f"warning: replaying in-process ({fallback}); a true hang "
               "will wedge this command", file=sys.stderr)
@@ -505,20 +509,6 @@ def _cmd_corpusdb(args: argparse.Namespace) -> int:
     except CorpusDBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_suite
-
-    try:
-        run_suite(names=args.only or None, quick=args.quick,
-                  repeats=args.repeats, out_dir=args.out_dir,
-                  baseline_dir=args.baseline_dir or None,
-                  cov_backend=getattr(args, "cov_backend", None))
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -640,11 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--batch-execs", type=int, default=8, metavar="N",
                       help="executions shipped per fork-worker dispatch "
                            "(fork only; 1 disables batching)")
-    fuzz.add_argument("--transport", choices=["auto", "ring", "pipe"],
-                      default="auto",
-                      help="fork-worker frame transport: shared-memory "
-                           "ring or classic pickled pipe (default: ring "
-                           "where shared mmap is available)")
     fuzz.add_argument("--workers", type=int, default=1,
                       help="fork-server worker pool size")
     fuzz.add_argument("--exec-wall-timeout", type=float, default=10.0,
@@ -807,29 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     cdb.add_argument("--max-moves", type=int, default=None, metavar="N",
                      help="bound on moves per compact invocation")
     cdb.set_defaults(func=_cmd_corpusdb)
-
-    bench = sub.add_parser(
-        "bench", help="run the deterministic perf benchmark suite")
-    bench.add_argument("--only", action="append", default=None,
-                       metavar="NAME",
-                       help="run a single benchmark (repeatable); "
-                            "default: all")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller iteration counts for CI smoke runs")
-    bench.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="repeats per benchmark (median reported)")
-    bench.add_argument("--out-dir", default=".", metavar="DIR",
-                       help="where BENCH_<name>.json files are written "
-                            "(default: current directory)")
-    bench.add_argument("--cov-backend", choices=["settrace", "monitoring"],
-                       default=None,
-                       help="coverage backend the benchmarks run under "
-                            "(default: monitoring where available)")
-    bench.add_argument("--baseline-dir", default="benchmarks/baseline",
-                       metavar="DIR",
-                       help="committed baseline to print deltas against "
-                            "('' disables; default: benchmarks/baseline)")
-    bench.set_defaults(func=_cmd_bench)
 
     srv = sub.add_parser(
         "serve",

@@ -76,7 +76,6 @@ class FuzzEngine:
         isolation: str = "none",
         isolation_workers: int = 1,
         batch_execs: int = 8,
-        transport: str = "auto",
         exec_wall_timeout: float = 10.0,
         worker_rss_limit: Optional[int] = None,
         worker_max_execs: int = 256,
@@ -174,7 +173,7 @@ class FuzzEngine:
             triage_dir=triage_dir,
             stats=self.stats,
             campaign_info=lambda: self.campaign_meta,
-            batch_execs=batch_execs, transport=transport)
+            batch_execs=batch_execs)
         self.stats.isolation_backend = self.backend.name
         self.stats.isolation_fallback = self._isolation_fallback
         #: Resilience layer: retries transient harness faults, enforces

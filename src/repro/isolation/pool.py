@@ -10,11 +10,10 @@ SIGKILLed and reaped, which is the only mechanism that can stop a
 genuinely runaway target (a true infinite loop, unbounded allocation,
 recursion blowout) that virtual time can never interrupt.
 
-Frames travel over the shared-memory ring transport
-(:mod:`repro.isolation.ring`) wherever anonymous shared mmap exists,
-falling back to the legacy pickled-pipe protocol otherwise (and
-per-frame, for payloads larger than the ring).  :meth:`submit_batch`
-amortizes the dispatch round-trip over N jobs on one worker.
+Each worker is reached through one pair of anonymous pipes carrying
+length-prefixed pickle frames (:mod:`repro.isolation.protocol`): one
+job frame out, one reply frame back.  :meth:`submit_batch` amortizes
+that round-trip over N jobs on one worker.
 
 Workers are recycled after a configurable number of executions (leak
 hygiene, AFL++'s ``AFL_FORKSRV_INIT``-style periodic re-fork) and after
@@ -29,16 +28,11 @@ import os
 import signal
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.isolation.protocol import (FrameDeadline, PipeClosed,
-                                      ProtocolError)
-from repro.isolation.ring import (DEFAULT_RING_BYTES, Channel, ShmRing,
-                                  ring_available)
+                                      ProtocolError, read_frame, write_frame)
 from repro.isolation.worker import worker_main
-
-#: Transport names accepted by ``ForkWorkerPool(transport=...)``.
-TRANSPORTS = ("auto", "ring", "pipe")
 
 
 class WorkerUnavailableError(RuntimeError):
@@ -77,12 +71,20 @@ def describe_wait_status(status: int) -> str:
 
 
 class _Worker:
-    __slots__ = ("pid", "channel", "execs")
+    __slots__ = ("pid", "job_fd", "result_fd", "execs")
 
-    def __init__(self, pid: int, channel: Channel) -> None:
+    def __init__(self, pid: int, job_fd: int, result_fd: int) -> None:
         self.pid = pid
-        self.channel = channel  # parent-side endpoint
+        self.job_fd = job_fd  # parent-side write end of the job pipe
+        self.result_fd = result_fd  # parent-side read end of the replies
         self.execs = 0
+
+    def close_fds(self) -> None:
+        for fd in (self.job_fd, self.result_fd):
+            try:
+                os.close(fd)
+            except OSError:
+                pass
 
 
 class ForkWorkerPool:
@@ -96,11 +98,6 @@ class ForkWorkerPool:
         max_execs_per_worker: recycle a worker after this many jobs.
         shutdown_grace: seconds to wait for a graceful exit before
             escalating to SIGKILL.
-        transport: ``"ring"`` (shared-memory frames), ``"pipe"`` (the
-            legacy pickled-pipe protocol) or ``"auto"`` (ring wherever
-            anonymous shared mmap works — graceful fallback, recorded
-            in :attr:`transport`).
-        ring_bytes: per-direction ring capacity for the ring transport.
     """
 
     def __init__(
@@ -111,28 +108,16 @@ class ForkWorkerPool:
         rss_limit_bytes: Optional[int] = None,
         max_execs_per_worker: int = 256,
         shutdown_grace: float = 2.0,
-        transport: str = "auto",
-        ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
         if not hasattr(os, "fork"):
             raise WorkerUnavailableError("os.fork is unavailable")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}; "
-                             f"known: {', '.join(TRANSPORTS)}")
         self.executor = executor
         self.wall_timeout = wall_timeout
         self.rss_limit_bytes = rss_limit_bytes
         self.max_execs_per_worker = max_execs_per_worker
         self.shutdown_grace = shutdown_grace
-        self.ring_bytes = ring_bytes
-        if transport == "auto":
-            transport = "ring" if ring_available() else "pipe"
-        elif transport == "ring" and not ring_available():  # pragma: no cover
-            transport = "pipe"
-        #: The resolved transport every spawned worker uses.
-        self.transport = transport
         self._workers: List[Optional[_Worker]] = [None] * workers
         self._next = 0
         self.spawned = 0
@@ -144,15 +129,6 @@ class ForkWorkerPool:
     def _spawn(self) -> _Worker:
         job_r, job_w = os.pipe()
         result_r, result_w = os.pipe()
-        job_ring = result_ring = None
-        if self.transport == "ring":
-            try:
-                job_ring = ShmRing(self.ring_bytes)
-                result_ring = ShmRing(self.ring_bytes)
-            except (OSError, ValueError):  # pragma: no cover - no shm
-                if job_ring is not None:
-                    job_ring.close()
-                job_ring = result_ring = None
         sys.stdout.flush()
         sys.stderr.flush()
         pid = os.fork()
@@ -166,24 +142,15 @@ class ForkWorkerPool:
                 os.close(result_r)
                 for sibling in self._workers:
                     if sibling is not None:
-                        for fd in (sibling.channel.recv_fd,
-                                   sibling.channel.send_fd):
-                            try:
-                                os.close(fd)
-                            except OSError:
-                                pass
-                channel = Channel(recv_fd=job_r, send_fd=result_w,
-                                  recv_ring=job_ring, send_ring=result_ring)
-                worker_main(self.executor, channel,
+                        sibling.close_fds()
+                worker_main(self.executor, job_r, result_w,
                             rss_limit_bytes=self.rss_limit_bytes)
             finally:
                 os._exit(1)  # worker_main never returns; belt and braces
         os.close(job_r)
         os.close(result_w)
         self.spawned += 1
-        channel = Channel(recv_fd=result_r, send_fd=job_w,
-                          recv_ring=result_ring, send_ring=job_ring)
-        return _Worker(pid=pid, channel=channel)
+        return _Worker(pid=pid, job_fd=job_w, result_fd=result_r)
 
     def _kill_and_reap(self, slot: int) -> str:
         """SIGKILL the worker in ``slot``, reap it, return exit detail."""
@@ -195,7 +162,7 @@ class ForkWorkerPool:
             os.kill(worker.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-        worker.channel.close()
+        worker.close_fds()
         try:
             _, status = os.waitpid(worker.pid, 0)
         except ChildProcessError:
@@ -208,7 +175,7 @@ class ForkWorkerPool:
         self._workers[slot] = None
         if worker is None:
             return
-        worker.channel.close()  # job-pipe EOF tells the child to exit
+        worker.close_fds()  # job-pipe EOF tells the child to exit
         deadline = time.monotonic() + self.shutdown_grace
         while time.monotonic() < deadline:
             try:
@@ -241,10 +208,34 @@ class ForkWorkerPool:
             worker = self._workers[slot] = self._spawn()
         return slot, worker
 
-    def _account(self, slot: int, worker: _Worker, execs: int) -> None:
+    def _account(self, slot: int, execs: int) -> None:
+        worker = self._workers[slot]
         worker.execs += execs
         if worker.execs >= self.max_execs_per_worker:
             self._retire(slot)
+
+    def _round_trip(self, frame: tuple, budget: float) -> Tuple[int, Any]:
+        """Send ``frame`` to the next worker; its reply within ``budget``.
+
+        Every failure leaves the worker SIGKILLed and reaped: a deadline
+        miss raises :class:`WatchdogExpired`, a broken pipe, EOF or
+        undecodable frame raises :class:`WorkerDeath`.
+        """
+        slot, worker = self._checkout()
+        try:
+            write_frame(worker.job_fd, frame)
+        except OSError:
+            raise WorkerDeath(self._kill_and_reap(slot)) from None
+        try:
+            reply = read_frame(worker.result_fd,
+                               deadline=time.monotonic() + budget)
+        except FrameDeadline:
+            detail = self._kill_and_reap(slot)
+            raise WatchdogExpired(budget, detail) from None
+        except (PipeClosed, ProtocolError) as exc:
+            detail = self._kill_and_reap(slot)
+            raise WorkerDeath(detail or str(exc)) from None
+        return slot, reply
 
     def submit(self, job_kind: str, image_bytes: bytes, data: bytes,
                kwargs: dict) -> tuple:
@@ -255,22 +246,10 @@ class ForkWorkerPool:
                 (the worker has been SIGKILLed and reaped).
             WorkerDeath: the worker died mid-job (already reaped).
         """
-        slot, worker = self._checkout()
-        try:
-            worker.channel.send(("job", job_kind, image_bytes,
-                                 bytes(data), kwargs))
-        except OSError:
-            raise WorkerDeath(self._kill_and_reap(slot)) from None
-        deadline = time.monotonic() + self.wall_timeout
-        try:
-            reply = worker.channel.recv(deadline=deadline)
-        except FrameDeadline:
-            detail = self._kill_and_reap(slot)
-            raise WatchdogExpired(self.wall_timeout, detail) from None
-        except (PipeClosed, ProtocolError) as exc:
-            detail = self._kill_and_reap(slot)
-            raise WorkerDeath(detail or str(exc)) from None
-        self._account(slot, worker, 1)
+        slot, reply = self._round_trip(
+            ("job", job_kind, image_bytes, bytes(data), kwargs),
+            self.wall_timeout)
+        self._account(slot, 1)
         return reply
 
     def submit_batch(self, jobs: Sequence[tuple]) -> List[tuple]:
@@ -290,28 +269,15 @@ class ForkWorkerPool:
         if len(jobs) == 1:
             kind, image_bytes, data, kwargs = jobs[0]
             return [self.submit(kind, image_bytes, data, kwargs)]
-        slot, worker = self._checkout()
-        frame = ("batch", [(kind, image_bytes, bytes(data), kwargs)
-                           for kind, image_bytes, data, kwargs in jobs])
-        try:
-            worker.channel.send(frame)
-        except OSError:
-            raise WorkerDeath(self._kill_and_reap(slot)) from None
-        budget = self.wall_timeout * len(jobs)
-        deadline = time.monotonic() + budget
-        try:
-            reply = worker.channel.recv(deadline=deadline)
-        except FrameDeadline:
-            detail = self._kill_and_reap(slot)
-            raise WatchdogExpired(budget, detail) from None
-        except (PipeClosed, ProtocolError) as exc:
-            detail = self._kill_and_reap(slot)
-            raise WorkerDeath(detail or str(exc)) from None
+        slot, reply = self._round_trip(
+            ("batch", [(kind, image_bytes, bytes(data), kwargs)
+                       for kind, image_bytes, data, kwargs in jobs]),
+            self.wall_timeout * len(jobs))
         if (not isinstance(reply, tuple) or reply[0] != "batch"
                 or len(reply[1]) != len(jobs)):
             detail = self._kill_and_reap(slot)
             raise WorkerDeath(detail or "malformed batch reply")
-        self._account(slot, worker, len(jobs))
+        self._account(slot, len(jobs))
         return list(reply[1])
 
     # ------------------------------------------------------------------

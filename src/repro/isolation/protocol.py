@@ -7,6 +7,12 @@ in the way it never is across a trust boundary: both ends of the pipe
 are the same process image (the worker is forked from the campaign), so
 the bytes on the wire are self-to-self.
 
+These two functions are the whole transport: the pool and each worker
+call them directly on their fd pair.  A frame is only ever delivered
+whole — a writer that dies mid-frame leaves the reader short of the
+announced length, and the EOF that follows raises :class:`PipeClosed`,
+which the pool turns into a typed worker death, never a torn reply.
+
 Reads take an optional absolute deadline (``time.monotonic`` domain);
 this is the mechanism the parent's wall-clock watchdog is built on — a
 worker that stops producing bytes past the deadline raises
@@ -42,16 +48,7 @@ class FrameDeadline(ProtocolError):
 
 def write_frame(fd: int, obj: Any) -> None:
     """Pickle ``obj`` and write it as one length-prefixed frame."""
-    write_frame_bytes(fd, pickle.dumps(obj, protocol=4))
-
-
-def write_frame_bytes(fd: int, blob: bytes) -> None:
-    """Write an already-pickled payload as one length-prefixed frame.
-
-    Split out of :func:`write_frame` so the shared-memory ring transport
-    (:mod:`repro.isolation.ring`) can fall back to the pipe wire format
-    for oversized frames without pickling the object twice.
-    """
+    blob = pickle.dumps(obj, protocol=4)
     if len(blob) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(blob)} bytes exceeds the "
                             f"{MAX_FRAME_BYTES}-byte ceiling")

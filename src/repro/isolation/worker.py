@@ -31,11 +31,10 @@ from __future__ import annotations
 import os
 import sys
 import traceback
-from typing import Optional, Union
+from typing import Optional
 
 from repro.errors import ReproError
-from repro.isolation.protocol import PipeClosed
-from repro.isolation.ring import Channel
+from repro.isolation.protocol import PipeClosed, read_frame, write_frame
 from repro.pmem.image import PMImage
 
 
@@ -87,44 +86,34 @@ def _run_job(executor, job_kind: str, image_bytes: bytes, data: bytes,
         return ("err", exc, _aux(executor))
 
 
-def _as_channel(job: Union[int, Channel],
-                result: Optional[int]) -> Channel:
-    """Accept either a Channel or the legacy (job_fd, result_fd) pair."""
-    if isinstance(job, Channel):
-        return job
-    return Channel(recv_fd=job, send_fd=result)
-
-
-def worker_loop(executor, job: Union[int, Channel],
-                result: Optional[int] = None) -> None:
+def worker_loop(executor, job_fd: int, result_fd: int) -> None:
     """Service jobs until EOF or an explicit shutdown frame."""
     executor.env_faults = None  # the parent draws the fault stream
-    channel = _as_channel(job, result)
     while True:
         try:
-            msg = channel.recv()
+            msg = read_frame(job_fd)
         except PipeClosed:
             return
         tag = msg[0]
         if tag == "shutdown":
             return
         if tag == "batch":
-            channel.send(("batch",
-                          [_run_job(executor, *job_msg)
-                           for job_msg in msg[1]]))
+            write_frame(result_fd, ("batch",
+                                    [_run_job(executor, *job_msg)
+                                     for job_msg in msg[1]]))
             continue
         _, job_kind, image_bytes, data, kwargs = msg
-        channel.send(_run_job(executor, job_kind, image_bytes, data, kwargs))
+        write_frame(result_fd,
+                    _run_job(executor, job_kind, image_bytes, data, kwargs))
 
 
-def worker_main(executor, job: Union[int, Channel],
-                result: Optional[int] = None,
+def worker_main(executor, job_fd: int, result_fd: int,
                 rss_limit_bytes: Optional[int] = None) -> "NoReturn":  # noqa: F821
     """Post-fork entry point; never returns into the parent's code."""
     exit_code = 0
     try:
         apply_rss_limit(rss_limit_bytes)
-        worker_loop(executor, job, result)
+        worker_loop(executor, job_fd, result_fd)
     except BaseException:  # noqa: BLE001 — a dying worker must not re-enter
         exit_code = 1
         try:

@@ -325,6 +325,9 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
     # core they ran on; every core produced byte-identical campaigns, so
     # the key is dropped and the campaign resumes exactly.
     engine_kwargs.pop("exec_core", None)
+    # Likewise for the fork transport: the shared-memory ring and the
+    # pipe carried identical frames, and only the pipe remains.
+    engine_kwargs.pop("transport", None)
     engine = build_engine(
         meta["workload"],
         config_by_name(meta["config"]),

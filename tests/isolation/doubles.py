@@ -11,6 +11,7 @@ them.
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 from repro.errors import FuzzerError
@@ -27,9 +28,10 @@ class ScriptedExecutor:
     """Executor double whose behavior is keyed on the input bytes.
 
     ``b"hang"`` spins forever (watchdog fodder), ``b"die"`` hard-exits
-    the worker process, ``b"boom"`` raises a harness-level error, and
-    ``b"trigger"`` records a synthetic-bug trigger; anything else echoes
-    its arguments back.
+    the worker process, ``b"tear"`` makes the worker SIGKILL itself
+    halfway through writing its reply, ``b"boom"`` raises a
+    harness-level error, and ``b"trigger"`` records a synthetic-bug
+    trigger; anything else echoes its arguments back.
     """
 
     def __init__(self) -> None:
@@ -45,6 +47,15 @@ class ScriptedExecutor:
                 time.sleep(0.05)
         if data == b"die":
             os._exit(3)
+        if data == b"tear":
+            real_write = os.write
+
+            def torn_write(fd, buf):
+                real_write(fd, bytes(buf[:len(buf) // 2]))
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            os.write = torn_write  # only ever inside a forked worker
+            return ("echo", b"\xab" * (1 << 20), bytes(data))
         if data == b"boom":
             raise FuzzerError("scripted harness error")
         if data == b"trigger":

@@ -177,7 +177,6 @@ class TestDescribe:
             desc = backend.describe()
         finally:
             backend.close()
-        assert desc.pop("transport") in ("ring", "pipe")
         assert desc == {
             "backend": "fork",
             "workers": 3,
@@ -191,3 +190,68 @@ class TestDescribe:
     def test_in_process_describe(self):
         assert InProcessBackend(ScriptedExecutor()).describe() == \
             {"backend": "none"}
+
+
+@needs_fork
+class TestBackendBatching:
+    @pytest.fixture
+    def make_backend(self):
+        backends = []
+
+        def _make(**kwargs):
+            kwargs.setdefault("wall_timeout", 5.0)
+            backend = ForkServerBackend(ScriptedExecutor(), **kwargs)
+            backends.append(backend)
+            return backend
+
+        yield _make
+        for backend in backends:
+            backend.close()
+
+    def test_planned_jobs_ship_as_one_dispatch(self, make_backend):
+        backend = make_backend(batch_execs=4)
+        jobs = [("raw", b"", b"job %d" % i, {}) for i in range(4)]
+        backend.plan(jobs)
+        for kind, image, data, kwargs in jobs:
+            result = backend.run_raw_image(image, data)
+            assert result == ("echo", image, data)
+        # One batch dispatch covered all four planned jobs.
+        assert backend.pool._workers[0].execs == 4
+        assert backend.pool.spawned == 1
+
+    def test_unplanned_job_passes_through_keeping_speculation(
+            self, make_backend):
+        backend = make_backend(batch_execs=4)
+        jobs = [("raw", b"", b"child %d" % i, {}) for i in range(3)]
+        backend.plan(jobs)
+        assert backend.run_raw_image(b"", b"child 0")[1] == b""
+        # An interleaved re-execution (not in the plan) must not drop
+        # the parked replies for children 1 and 2.
+        assert backend.run_raw_image(b"", b"reexec")[2] == b"reexec"
+        assert backend.run_raw_image(b"", b"child 1")[2] == b"child 1"
+        assert backend.run_raw_image(b"", b"child 2")[2] == b"child 2"
+
+    def test_discard_plan_drops_speculation(self, make_backend):
+        backend = make_backend(batch_execs=4)
+        backend.plan([("raw", b"", b"a", {}), ("raw", b"", b"b", {})])
+        backend.run_raw_image(b"", b"a")
+        backend.discard_plan()
+        assert not backend._pending and not backend._plan
+
+    def test_worker_death_in_batch_maps_to_worker_crash_error(
+            self, make_backend):
+        backend = make_backend(batch_execs=4)
+        backend.plan([("raw", b"", b"die", {}), ("raw", b"", b"next", {})])
+        with pytest.raises(WorkerCrashError):
+            backend.run_raw_image(b"", b"die")
+        # Taxonomy intact: the next run gets a fresh worker and succeeds.
+        assert backend.run_raw_image(b"", b"next")[2] == b"next"
+
+    def test_batch_execs_one_disables_batching(self, make_backend):
+        backend = make_backend(batch_execs=1)
+        jobs = [("raw", b"", b"j%d" % i, {}) for i in range(3)]
+        backend.plan(jobs)
+        for _, image, data, _ in jobs:
+            backend.run_raw_image(image, data)
+        assert backend.pool._workers[0].execs == 3  # three single dispatches
+        assert not backend._pending

@@ -1,4 +1,5 @@
-"""ForkWorkerPool: dispatch, watchdog kills, death detection, recycling."""
+"""ForkWorkerPool: dispatch, batching, watchdog kills, death detection,
+recycling."""
 
 import os
 import signal
@@ -61,6 +62,67 @@ class TestDispatch:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             ForkWorkerPool(ScriptedExecutor(), workers=0)
+
+
+class TestBatch:
+    def test_batch_replies_in_order(self, make_pool):
+        pool = make_pool()
+        jobs = [("raw", b"", b"job %d" % i, {}) for i in range(5)]
+        replies = pool.submit_batch(jobs)
+        assert [r[0] for r in replies] == ["ok"] * 5
+        assert [r[1][2] for r in replies] == [j[2] for j in jobs]
+
+    def test_batch_of_one_and_zero(self, make_pool):
+        pool = make_pool()
+        assert pool.submit_batch([]) == []
+        replies = pool.submit_batch([("raw", b"", b"solo", {})])
+        assert replies[0][0] == "ok"
+
+    def test_reply_far_larger_than_the_pipe_buffer_is_intact(
+            self, make_pool):
+        """Both frames of a 4 MiB round-trip outgrow the 64 KiB pipe
+        buffer many times over; every byte must come back in place."""
+        pool = make_pool()
+        images = [os.urandom(1 << 20) for _ in range(4)]
+        jobs = [("raw", image, b"big %d" % i, {})
+                for i, image in enumerate(images)]
+        replies = pool.submit_batch(jobs)
+        assert [r[1] for r in replies] == \
+            [("echo", image, b"big %d" % i) for i, image in enumerate(images)]
+        assert pool.submit("raw", b"", b"after", {})[0] == "ok"
+
+    def test_worker_killed_while_writing_a_large_reply(self, make_pool):
+        """A worker SIGKILLed halfway through its reply frame leaves a
+        short frame and then EOF: a typed WorkerDeath, never a torn
+        reply."""
+        pool = make_pool()
+        jobs = [("raw", os.urandom(1 << 20), b"fine", {}),
+                ("raw", b"", b"tear", {})]
+        with pytest.raises(WorkerDeath) as info:
+            pool.submit_batch(jobs)
+        assert "SIGKILL" in info.value.exit_detail
+        assert pool.live_workers == 0
+        assert pool.submit("raw", b"", b"again", {})[0] == "ok"
+
+    def test_worker_death_mid_batch_is_typed_never_partial(self, make_pool):
+        """A worker that dies midway through a batch yields WorkerDeath —
+        not a short or corrupt reply list."""
+        pool = make_pool()
+        jobs = [("raw", b"", b"fine", {}), ("raw", b"", b"die", {}),
+                ("raw", b"", b"never runs", {})]
+        with pytest.raises(WorkerDeath):
+            pool.submit_batch(jobs)
+        assert pool.live_workers == 0
+        # The pool recovers with a fresh worker.
+        assert pool.submit("raw", b"", b"again", {})[0] == "ok"
+
+    def test_externally_killed_worker_mid_batch(self, make_pool):
+        pool = make_pool()
+        pool.submit("raw", b"", b"warm up", {})
+        os.kill(pool._workers[0].pid, signal.SIGKILL)
+        with pytest.raises(WorkerDeath):
+            pool.submit_batch([("raw", b"", b"a", {}),
+                               ("raw", b"", b"b", {})])
 
 
 class TestWatchdog:

@@ -189,6 +189,30 @@ class TestResumeDeterminism:
                                resume_from=legacy)
         assert resumed.comparable() == plain.comparable()
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
+    @pytest.mark.parametrize("transport", ["ring", "pipe"])
+    def test_resume_ignores_retired_transport_kwarg(self, tmp_path,
+                                                    transport):
+        """Fork campaigns checkpointed with an explicit transport (a
+        retired flag) carry it in their engine kwargs; they resume to
+        the uninterrupted campaign."""
+        fork = {"isolation": "fork", "isolation_workers": 1,
+                "triage_dir": str(tmp_path / "triage")}
+        path = str(tmp_path / "fork.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
+                     checkpoint_every=0.1, checkpoint_path=path, **fork)
+        payload = read_checkpoint(path)
+        assert "transport" not in payload["meta"]["engine_kwargs"]
+        payload["meta"]["engine_kwargs"]["transport"] = transport
+        legacy = str(tmp_path / "legacy.ckpt")
+        write_checkpoint(legacy, payload)
+
+        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21,
+                                **fork)
+        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
+                               resume_from=legacy)
+        assert resumed.comparable() == straight.comparable()
+
     def test_resume_reads_old_image_store_state(self, tmp_path):
         """Older checkpoints carry the store's retired ``layouts`` index
         and level-6 ``zlib.compress`` blobs; they resume exactly like a

@@ -153,6 +153,31 @@ class TestIsolationFlags:
         assert "faults=" in out and "timeouts=" in out \
             and "quarantined=" in out
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--workers", "0"], "--workers"),
+        (["--exec-wall-timeout", "0"], "--exec-wall-timeout"),
+        (["--exec-wall-timeout", "-1"], "--exec-wall-timeout"),
+        (["--exec-wall-timeout", "inf"], "--exec-wall-timeout"),
+        (["--exec-wall-timeout", "nan"], "--exec-wall-timeout"),
+        (["--batch-execs", "0"], "--batch-execs"),
+    ])
+    def test_bad_isolation_flag_is_clean_error(self, flags, named, capsys):
+        code = main(["fuzz", "--workload", "btree", "--budget", "0.2",
+                     "--isolation", "fork", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+
+    def test_triage_replay_rejects_non_positive_wall_timeout(
+            self, tmp_path, capsys):
+        from repro.core.storage import TriageStore
+        path = TriageStore(str(tmp_path)).write_bundle(
+            "worker-death", b"g 5\n", b"y", {"workload": "hashmap_tx"})
+        assert main(["triage", "--replay", path,
+                     "--exec-wall-timeout", "0"]) == 2
+        assert "--exec-wall-timeout" in capsys.readouterr().err
+
     def test_fork_campaign_via_cli(self, tmp_path, capsys):
         import os
         if not hasattr(os, "fork"):
