@@ -128,6 +128,14 @@ class TestCaseStorage:
         self._stage(image_id, image)
         return image
 
+    def staged(self, image_id: str) -> Optional[PMImage]:
+        """The staged image for ``image_id``, or None if not staged.
+
+        A pure peek: no fault site, no LRU reordering, no accounting,
+        so callers that only plan ahead leave the tiers untouched.
+        """
+        return self._staging.get(image_id)
+
     def _stage(self, image_id: str, image: PMImage) -> None:
         self._staging[image_id] = image
         self._staged_bytes += len(image)

@@ -41,6 +41,7 @@ from repro.observe.metrics import MetricsRegistry
 from repro.observe.monitor import StatusWriter, status_name
 from repro.observe.profiler import StageProfiler
 from repro.observe.sink import JsonlTraceSink, shard_name
+from repro.pmem.image import PMImage
 from repro.workloads.base import RunOutcome, Workload
 
 #: Basic seed inputs: "a list of basic commands" (Section 5.1).
@@ -106,9 +107,13 @@ class FuzzEngine:
 
         self.cost_model = CostModel(sys_opt=config.sys_opt)
         self.env_faults = env_faults
-        self.executor = Executor(workload_factory, self.cost_model,
-                                 injector=injector, env_faults=env_faults,
-                                 warm_open=warm_open)
+        # Only indirect image fuzzing (PMFuzzEngine's on_new_pm_path /
+        # on_result) reads an execution's final image; every other
+        # configuration leaves it out of the result.
+        self.executor = Executor(
+            workload_factory, self.cost_model, injector=injector,
+            env_faults=env_faults, warm_open=warm_open,
+            keep_final_image=config.img_fuzz is ImgFuzzMode.INDIRECT)
         self.mutator = MutationEngine(self.rng)
         self.queue = FuzzQueue()
         self.branch_cov = GlobalCoverage()
@@ -458,12 +463,16 @@ class FuzzEngine:
         """Announce the round's jobs so a batching backend can pipeline.
 
         The plan mirrors exactly the job tuples :meth:`_run_one` will
-        dispatch, in order; a backend without batching ignores it.  The
-        image bytes are resolved through the fault-free store read
-        (:meth:`~repro.core.dedup.ImageStore.raw_serialized`), never the
-        supervised load — planning must not perturb the deterministic
-        fault stream.  An image that cannot be resolved simply goes
-        unplanned (its execution falls back to a single dispatch).
+        dispatch, in order; a backend without batching ignores it.  A
+        ``run`` job carries the input :class:`~repro.pmem.image.PMImage`
+        itself: the staged image when the PM staging tier holds it
+        (the very object the supervised load will return), else one
+        deserialized from the fault-free store read
+        (:meth:`~repro.core.dedup.ImageStore.raw_serialized`) — never
+        the supervised load, because planning must not perturb the
+        deterministic fault stream.  An image that cannot be resolved
+        simply goes unplanned (its execution falls back to a single
+        dispatch).
         """
         if self.backend.batch_execs <= 1 or not children:
             return
@@ -473,13 +482,13 @@ class FuzzEngine:
                                for data in children])
             return
         image_id = entry.image_id or self._seed_image_id
-        if image_id == self._seed_image_id:
-            image_bytes = self._seed_image_bytes
-        else:
+        image = self.storage.staged(image_id)
+        if image is None:
             image_bytes = self.storage.store.raw_serialized(image_id)
-        if image_bytes is None:
-            return
-        self.backend.plan([("run", image_bytes, bytes(data),
+            if image_bytes is None:
+                return
+            image = PMImage.from_bytes(image_bytes)
+        self.backend.plan([("run", image, bytes(data),
                             {"image_key": image_id})
                            for data in children])
 

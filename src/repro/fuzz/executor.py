@@ -3,7 +3,8 @@
 The executor is the reproduction's fork server + target binary: it takes
 one test case (a PM image + raw command bytes), runs the workload under
 branch coverage, PM-path tracking and trace collection, and returns the
-sparse coverage maps plus the output images.
+sparse coverage maps plus the output images (the clean run's final
+image only when the campaign reads it; see ``keep_final_image``).
 
 Virtual time
 ------------
@@ -111,6 +112,7 @@ class Executor:
         max_commands: int = 6,
         env_faults=None,
         warm_open: bool = True,
+        keep_final_image: bool = True,
     ) -> None:
         # max_commands reproduces the paper's bounded per-test-case
         # execution (the 150 ms limit of Section 4.6): deep persistent
@@ -134,6 +136,11 @@ class Executor:
         #: the cache is naturally per-process.
         self.warm_cache: Optional[WarmOpenCache] = \
             WarmOpenCache() if warm_open else None
+        #: Attach the clean run's output image to ``ExecResult``?  Only
+        #: indirect image fuzzing reads it; a campaign that does not
+        #: turns it off, so a fork-server reply never pickles 256 KiB
+        #: nobody reads.  The pool still closes either way.
+        self.keep_final_image = keep_final_image
 
     # ------------------------------------------------------------------
     def _env_check(self) -> None:
@@ -230,7 +237,8 @@ class Executor:
             branch_sparse=cov.sparse(),
             pm_sparse=ctx.counter_map.sparse(),
             sites_hit=frozenset(ctx.sites_hit),
-            final_image=result.final_image,
+            final_image=(result.final_image if self.keep_final_image
+                         else None),
             crash_image=result.crash_image,
             weak_crash_images=list(result.weak_crash_images),
             fence_count=result.fence_count,

@@ -17,7 +17,11 @@ The campaign loop (engine → supervisor) never calls the raw
   taxonomy (:class:`~repro.errors.ExecTimeoutError`,
   :class:`~repro.errors.WorkerCrashError`) with a crash-triage bundle
   on disk, so the supervisor's retry/quarantine/timeout accounting
-  applies unchanged.
+  applies unchanged.  A ``run`` job ships its input
+  :class:`~repro.pmem.image.PMImage` object (a ``raw`` job its bytes,
+  which are the input under test), and a reply carries the final image
+  only when the campaign reads it; a triage bundle serializes the
+  image when it is written, so its format is the same for both kinds.
 
 :func:`create_backend` is the selection point, with graceful
 degradation: asking for ``fork`` on a platform without ``os.fork``
@@ -30,14 +34,19 @@ from __future__ import annotations
 import os
 import sys
 from collections import deque
-from typing import Callable, Deque, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.storage import TriageStore
 from repro.errors import ExecTimeoutError, FuzzerError, WorkerCrashError
-from repro.fuzz.executor import ExecResult, Executor
 from repro.isolation.pool import ForkWorkerPool, WatchdogExpired, WorkerDeath
 from repro.observe.bus import NULL_BUS
 from repro.pmem.image import PMImage
+
+if TYPE_CHECKING:
+    # Annotations only: importing repro.fuzz here at run time closes the
+    # cycle repro.fuzz -> fuzz.engine -> isolation.backend -> repro.fuzz.
+    from repro.fuzz.executor import ExecResult, Executor
 
 #: Backend names accepted by ``--isolation`` / ``create_backend``.
 ISOLATION_MODES = ("fork", "none")
@@ -64,8 +73,10 @@ class ExecutionBackend:
     def plan(self, jobs: Sequence[tuple]) -> None:
         """Advise the backend of the jobs the caller will request next.
 
-        Each job is a ``(job_kind, image_bytes, data, kwargs)`` tuple in
-        the exact order the caller intends to run them.  Backends that
+        Each job is a ``(job_kind, image, data, kwargs)`` tuple in the
+        exact order the caller intends to run them; ``image`` is the
+        input :class:`~repro.pmem.image.PMImage` of a ``run`` job and
+        the raw image bytes of a ``raw`` job.  Backends that
         batch use the plan to ship several jobs per worker dispatch; the
         default backend ignores it (a no-op for in-process execution).
         """
@@ -133,9 +144,13 @@ class ForkServerBackend(ExecutionBackend):
         # The parent draws the injected-fault stream (identical order to
         # in-process execution); the child's injector is disarmed.
         self.executor._env_check()
-        return self._dispatch("run", image.to_bytes(), bytes(data), kwargs)
+        # The image object itself goes into the job frame: pickle ships
+        # its payload once per frame (memoized across a batch), and the
+        # worker runs it without re-serializing or re-checksumming.
+        return self._dispatch("run", image, bytes(data), kwargs)
 
     def run_raw_image(self, image_bytes: bytes, data: bytes) -> ExecResult:
+        # The bytes are the input here: validating them is the point.
         self.executor._env_check()
         return self._dispatch("raw", bytes(image_bytes), bytes(data), {})
 
@@ -179,14 +194,14 @@ class ForkServerBackend(ExecutionBackend):
             self._plan.popleft()
         return self.pool.submit(*job)
 
-    def _dispatch(self, job_kind: str, image_bytes: bytes, data: bytes,
-                  kwargs: dict) -> ExecResult:
+    def _dispatch(self, job_kind: str, image: Union[PMImage, bytes],
+                  data: bytes, kwargs: dict) -> ExecResult:
         try:
-            reply = self._obtain((job_kind, image_bytes, data, kwargs))
+            reply = self._obtain((job_kind, image, data, kwargs))
         except WatchdogExpired as exc:
             self._count("watchdog_kills")
             self._emit_kill("watchdog", exc.exit_detail)
-            self._write_triage("watchdog-timeout", image_bytes, data, kwargs,
+            self._write_triage("watchdog-timeout", image, data, kwargs,
                                exit_detail=exc.exit_detail,
                                error=str(exc))
             raise ExecTimeoutError(
@@ -196,7 +211,7 @@ class ForkServerBackend(ExecutionBackend):
         except WorkerDeath as exc:
             self._count("worker_crashes")
             self._emit_kill("worker-death", exc.exit_detail)
-            self._write_triage("worker-death", image_bytes, data, kwargs,
+            self._write_triage("worker-death", image, data, kwargs,
                                exit_detail=exc.exit_detail,
                                error=str(exc))
             raise WorkerCrashError(
@@ -231,11 +246,15 @@ class ForkServerBackend(ExecutionBackend):
         if self.stats is not None:
             self.stats.worker_recycles = self.pool.recycled
 
-    def _write_triage(self, reason: str, image_bytes: bytes, data: bytes,
-                      kwargs: dict, exit_detail: str = "",
+    def _write_triage(self, reason: str, image: Union[PMImage, bytes],
+                      data: bytes, kwargs: dict, exit_detail: str = "",
                       error: str = "") -> Optional[str]:
         if self.triage is None:
             return None
+        # A bundle always stores serialized image bytes, whichever form
+        # the job carried, so ``triage --replay`` reads every bundle.
+        image_bytes = (image.to_bytes() if isinstance(image, PMImage)
+                       else image)
         info = self.campaign_info() or {}
         meta = {
             "reason": reason,

@@ -237,9 +237,13 @@ class ForkWorkerPool:
             raise WorkerDeath(detail or str(exc)) from None
         return slot, reply
 
-    def submit(self, job_kind: str, image_bytes: bytes, data: bytes,
+    def submit(self, job_kind: str, image, data: bytes,
                kwargs: dict) -> tuple:
         """Run one job on the next worker; returns the reply frame.
+
+        ``image`` is a :class:`~repro.pmem.image.PMImage` for a ``run``
+        job and raw image bytes for a ``raw`` job; it is pickled into
+        the frame as given.
 
         Raises:
             WatchdogExpired: no complete result by the wall deadline
@@ -247,7 +251,7 @@ class ForkWorkerPool:
             WorkerDeath: the worker died mid-job (already reaped).
         """
         slot, reply = self._round_trip(
-            ("job", job_kind, image_bytes, bytes(data), kwargs),
+            ("job", job_kind, image, bytes(data), kwargs),
             self.wall_timeout)
         self._account(slot, 1)
         return reply
@@ -255,9 +259,11 @@ class ForkWorkerPool:
     def submit_batch(self, jobs: Sequence[tuple]) -> List[tuple]:
         """Run N jobs back-to-back on one worker; returns their replies.
 
-        Each job is a ``(job_kind, image_bytes, data, kwargs)`` tuple.
-        The whole batch shares one frame round-trip and one wall-clock
-        deadline of ``wall_timeout * len(jobs)``; a hang anywhere in the
+        Each job is a ``(job_kind, image, data, kwargs)`` tuple, as for
+        :meth:`submit`; a batch of jobs on one image pickles that image
+        once (the pickler memoizes the repeated object).  The whole
+        batch shares one frame round-trip and one wall-clock deadline
+        of ``wall_timeout * len(jobs)``; a hang anywhere in the
         batch therefore still trips the watchdog, and a worker death
         loses the batch as a unit (the caller re-dispatches singly).
 
@@ -267,11 +273,10 @@ class ForkWorkerPool:
         if not jobs:
             return []
         if len(jobs) == 1:
-            kind, image_bytes, data, kwargs = jobs[0]
-            return [self.submit(kind, image_bytes, data, kwargs)]
+            return [self.submit(*jobs[0])]
         slot, reply = self._round_trip(
-            ("batch", [(kind, image_bytes, bytes(data), kwargs)
-                       for kind, image_bytes, data, kwargs in jobs]),
+            ("batch", [(kind, image, bytes(data), kwargs)
+                       for kind, image, data, kwargs in jobs]),
             self.wall_timeout * len(jobs))
         if (not isinstance(reply, tuple) or reply[0] != "batch"
                 or len(reply[1]) != len(jobs)):

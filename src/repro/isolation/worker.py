@@ -23,7 +23,16 @@ Three deliberate asymmetries with in-process execution:
 * a ``batch`` frame executes N jobs back-to-back and answers with one
   frame of N replies — the Section-4.7 dispatch cost (frame round-trip
   + result serialization) is paid once per batch instead of once per
-  execution.
+  execution.  Result serialization pickles only what the campaign
+  reads: the executor leaves the 256 KiB final image out of the result
+  unless indirect image fuzzing consumes it.
+
+A ``run`` job carries its input :class:`~repro.pmem.image.PMImage` as
+an object and the worker executes it as received — no
+``from_bytes`` checksum pass, exactly like the in-process executor
+handed a staged image.  A ``raw`` job carries bytes, because checking
+those bytes (AFL++ w/ ImgFuzz's directly mutated image) is what the
+execution measures.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from typing import Optional
 
 from repro.errors import ReproError
 from repro.isolation.protocol import PipeClosed, read_frame, write_frame
-from repro.pmem.image import PMImage
 
 
 def apply_rss_limit(limit_bytes: Optional[int]) -> None:
@@ -63,7 +71,7 @@ def _aux(executor) -> dict:
     return {"triggered": set(triggered) if triggered else None}
 
 
-def _run_job(executor, job_kind: str, image_bytes: bytes, data: bytes,
+def _run_job(executor, job_kind: str, image, data: bytes,
              kwargs: dict) -> tuple:
     """Execute one job; returns its complete reply frame payload."""
     injector = executor.injector
@@ -75,9 +83,8 @@ def _run_job(executor, job_kind: str, image_bytes: bytes, data: bytes,
         triggered.clear()
     try:
         if job_kind == "raw":
-            result = executor.run_raw_image(image_bytes, data)
+            result = executor.run_raw_image(image, data)
         else:
-            image = PMImage.from_bytes(image_bytes)
             result = executor.run(image, data, **kwargs)
         return ("ok", result, _aux(executor))
     except ReproError as exc:
@@ -102,9 +109,7 @@ def worker_loop(executor, job_fd: int, result_fd: int) -> None:
                                     [_run_job(executor, *job_msg)
                                      for job_msg in msg[1]]))
             continue
-        _, job_kind, image_bytes, data, kwargs = msg
-        write_frame(result_fd,
-                    _run_job(executor, job_kind, image_bytes, data, kwargs))
+        write_frame(result_fd, _run_job(executor, *msg[1:]))
 
 
 def worker_main(executor, job_fd: int, result_fd: int,
