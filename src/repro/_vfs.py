@@ -1,11 +1,11 @@
 """The filesystem-operation seam every durable protocol writes through.
 
 Each of this repo's durable stores — campaign checkpoints, the fleet's
-shared corpus, the corpus database, the serve submission journal, the
-scrubber's quarantine — ultimately commits state with a handful of
-primitive filesystem mutations: write bytes, fsync, rename/replace,
-hardlink, unlink, directory fsync.  This module names those primitives
-once, behind a process-global *VFS* object, so that:
+shared corpus, the corpus database, the scrubber's quarantine —
+ultimately commits state with a handful of primitive filesystem
+mutations: write bytes, fsync, rename/replace, hardlink, unlink,
+directory fsync.  This module names those primitives once, behind a
+process-global *VFS* object, so that:
 
 * production code calls one audited implementation (:class:`OsVFS`,
   a thin veneer over ``os``/``open``), and

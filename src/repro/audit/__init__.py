@@ -1,10 +1,10 @@
 """Durability auditor: crash-state enumeration for every durable store.
 
 The repo's durable protocols — campaign checkpoints, fleet corpus sync,
-the corpus database, the serve submission journal, the scrubber's
-quarantine, the rotating trace sinks — all commit state through the
-handful of filesystem primitives named by :mod:`repro._vfs`.  This
-package turns that seam into an auditor:
+the corpus database, the scrubber's quarantine, the rotating trace
+sinks — all commit state through the handful of filesystem primitives
+named by :mod:`repro._vfs`.  This package turns that seam into an
+auditor:
 
 1. :class:`~repro.audit.trace.TracingVFS` records the exact ordered
    mutation stream one run of each protocol performs;

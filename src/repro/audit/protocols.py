@@ -28,8 +28,7 @@ from repro._util import atomic_write_bytes, pack_checksummed
 from repro.audit.invariants import RecoveryInvariant
 
 #: Component names ``python -m repro audit --component`` accepts.
-COMPONENTS = ("checkpoint", "corpus", "corpusdb", "serve", "storage",
-              "sink")
+COMPONENTS = ("checkpoint", "corpus", "corpusdb", "storage", "sink")
 
 
 @dataclass
@@ -268,78 +267,6 @@ def _corpusdb_protocol() -> AuditProtocol:
 
 
 # ----------------------------------------------------------------------
-# serve: submission journal + terminal marker + intent commit
-# ----------------------------------------------------------------------
-def _serve_protocol() -> AuditProtocol:
-    from repro.serve.journal import SubmissionJournal
-    from repro.serve.state import ServePaths
-
-    cid = "tenant-c000001"
-    acked = "acked"  # durable witness that the client saw the 2xx
-
-    def paths_for(root: str) -> ServePaths:
-        return ServePaths(os.path.join(root, "serve"))
-
-    def setup(root: str) -> dict:
-        paths = paths_for(root)
-        paths.make_dirs()
-        os.makedirs(paths.campaign_dir(cid))
-        return {"cid": cid}
-
-    def run(root: str, ctx: dict) -> None:
-        paths = paths_for(root)
-        journal = SubmissionJournal(paths.journal)
-        intent = journal.append(cid, {"workload": "demo", "budget": 60})
-        # Model the acknowledged HTTP accept: once this witness is
-        # durable, the daemon has promised the campaign exists.
-        atomic_write_bytes(os.path.join(paths.root, acked),
-                           cid.encode("ascii"))
-        paths.write_retired(cid)
-        journal.commit(intent)
-
-    def recover(root: str, ctx: dict):
-        paths = paths_for(root)
-        journal = SubmissionJournal(paths.journal)
-        pending = [c for _, c, _ in journal.recover_pending()]
-        return {"pending": pending, "terminal": paths.terminal_state(cid)}
-
-    def check_never_forgotten(root: str, ctx: dict,
-                              result) -> Optional[str]:
-        paths = paths_for(root)
-        if not os.path.exists(os.path.join(paths.root, acked)):
-            return None  # never acknowledged: nothing was promised
-        if not isinstance(result, dict):
-            return f"recovery returned {result!r}"
-        if cid in result["pending"] or result["terminal"] is not None:
-            return None
-        return ("acknowledged campaign forgotten: intent committed but "
-                "no terminal artifact is durable")
-
-    def check_no_damaged_intents(root: str, ctx: dict,
-                                 result) -> Optional[str]:
-        journal = SubmissionJournal(paths_for(root).journal)
-        for _, c, _ in journal.pending():
-            if c is None:
-                return "damaged intent still present after recovery"
-        return None
-
-    return AuditProtocol(
-        name="serve",
-        description="serve submission journal + terminal-marker commit",
-        setup=setup, run=run, recover=recover,
-        invariants=[
-            RecoveryInvariant(
-                "accepted-never-forgotten",
-                "once acceptance is durable, every crash recovers to a "
-                "pending or terminal campaign — never to nothing",
-                check_never_forgotten),
-            RecoveryInvariant(
-                "damaged-intents-dropped",
-                "recovery removes unreadable intents",
-                check_no_damaged_intents)])
-
-
-# ----------------------------------------------------------------------
 # storage: claim-by-move quarantine of damaged entries
 # ----------------------------------------------------------------------
 def _storage_protocol() -> AuditProtocol:
@@ -503,7 +430,6 @@ _BUILDERS: Dict[str, Callable[[], AuditProtocol]] = {
     "checkpoint": _checkpoint_protocol,
     "corpus": _corpus_protocol,
     "corpusdb": _corpusdb_protocol,
-    "serve": _serve_protocol,
     "storage": _storage_protocol,
     "sink": _sink_protocol,
 }

@@ -27,12 +27,6 @@ The reproduction's equivalent of the artifact's driver scripts
     Inspect (``info``), heal (``scrub [--verify]``), or compact a
     durable cross-campaign corpus database (see :mod:`repro.corpusdb`).
 
-``serve``
-    Run the campaign-as-a-service daemon: accept submissions over a
-    localhost REST API, execute them in a supervised pool, and survive
-    daemon crashes without losing accepted work (see
-    :mod:`repro.serve`).
-
 ``workloads``
     List the available PM programs and their bug flags.
 
@@ -511,28 +505,6 @@ def _cmd_corpusdb(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ServeDaemon
-
-    daemon = ServeDaemon(
-        args.dir,
-        host=args.host, port=args.port,
-        max_running=args.max_running,
-        tenant_quota=args.tenant_quota,
-        queue_limit=args.queue_limit,
-        max_budget=args.max_budget,
-        lease_s=args.lease,
-        kill_grace=args.kill_grace,
-        max_deaths=args.max_deaths,
-        checkpoint_every=args.checkpoint_every,
-        fault_plan=args.fault_plan,
-        enable_chaos=args.enable_chaos,
-        exit_when_idle=args.exit_when_idle,
-        quiet=args.quiet,
-    )
-    return daemon.run()
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.audit import DurabilityAuditor
     from repro.audit.protocols import COMPONENTS
@@ -793,65 +765,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bound on moves per compact invocation")
     cdb.set_defaults(func=_cmd_corpusdb)
 
-    srv = sub.add_parser(
-        "serve",
-        help="run the campaign-as-a-service daemon")
-    srv.add_argument("dir",
-                     help="serve directory (submission journal, "
-                          "per-tenant campaign state); created on "
-                          "first use, replayed on every start")
-    srv.add_argument("--host", default="127.0.0.1",
-                     help="bind address (default: localhost only)")
-    srv.add_argument("--port", type=int, default=8765,
-                     help="TCP port (0 = kernel-assigned; the live "
-                          "address is published to <dir>/endpoint.json)")
-    srv.add_argument("--max-running", type=int, default=2, metavar="N",
-                     help="campaign runner processes in flight at once")
-    srv.add_argument("--tenant-quota", type=int, default=2, metavar="N",
-                     help="active (queued+running) campaigns allowed "
-                          "per tenant; beyond it submissions get 429")
-    srv.add_argument("--queue-limit", type=int, default=32, metavar="N",
-                     help="total active campaigns before the daemon "
-                          "applies 429 backpressure")
-    srv.add_argument("--max-budget", type=float, default=120.0,
-                     metavar="VSECONDS",
-                     help="largest virtual budget one submission may ask "
-                          "for")
-    srv.add_argument("--lease", type=float, default=5.0, metavar="SECONDS",
-                     help="heartbeat lease; a campaign silent this long "
-                          "is escalated SIGTERM then SIGKILL")
-    srv.add_argument("--kill-grace", type=float, default=2.0,
-                     metavar="SECONDS",
-                     help="wall seconds between the watchdog's SIGTERM "
-                          "and its SIGKILL")
-    srv.add_argument("--max-deaths", type=int, default=3, metavar="N",
-                     help="circuit breaker: deaths within the window "
-                          "before a campaign is retired")
-    srv.add_argument("--checkpoint-every", type=float, default=0.25,
-                     metavar="VSECONDS",
-                     help="checkpoint cadence for hosted campaigns "
-                          "(the granularity of crash recovery)")
-    srv.add_argument("--fault-plan", default=None, metavar="SPEC",
-                     help="seeded fault plan for the daemon's own "
-                          "failure paths, e.g. 'serve:0.05' or "
-                          "'serve-journal:0.1:2'")
-    srv.add_argument("--enable-chaos", action="store_true",
-                     help="accept submissions carrying chaos hooks "
-                          "(wedge-once, fail) — soak testing only")
-    srv.add_argument("--exit-when-idle", action="store_true",
-                     help="exit 0 once every known campaign is "
-                          "terminal (scripting/CI; default is to serve "
-                          "until signalled)")
-    srv.add_argument("--quiet", action="store_true",
-                     help="suppress per-request and lifecycle logging")
-    srv.set_defaults(func=_cmd_serve)
-
     audit = sub.add_parser(
         "audit",
         help="crash-test every durable store by systematic enumeration")
     audit.add_argument("--component", default="all",
                        choices=["all", "checkpoint", "corpus", "corpusdb",
-                                "serve", "storage", "sink"],
+                                "storage", "sink"],
                        help="which durable protocol to audit "
                             "(default: all)")
     audit.add_argument("--budget", type=int, default=0, metavar="N",
@@ -891,9 +810,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except ReproError as exc:
         # Bad fault plans, damaged/missing checkpoints, unusable corpus
-        # databases, rejected submissions: user input or environment
-        # errors get one clean line and the documented status, never a
-        # traceback.
+        # databases: user input or environment errors get one clean line
+        # and the documented status, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -96,9 +96,9 @@ def read_status(path: str, retries: int = 3,
     read from a concurrent writer — the engine publishes via atomic
     rename, but network and overlay filesystems do not all honor
     rename atomicity for readers — and retried a bounded number of
-    times before giving up.  Every reader (``monitor``, ``report``,
-    the serve daemon's status endpoint) shares this policy, so a torn
-    read costs one stale frame, never a traceback.
+    times before giving up.  Every reader (``monitor``, ``report``)
+    shares this policy, so a torn read costs one stale frame, never a
+    traceback.
     """
     for attempt in range(retries + 1):
         try:

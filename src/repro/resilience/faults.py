@@ -40,9 +40,6 @@ FAULT_SITES: Tuple[str, ...] = (
     "corpusdb-read",     # CorpusDatabase.get / scan: read I/O error
     "corpusdb-journal",  # IntentJournal.begin: intent write I/O error
     "corpusdb-compact",  # CorpusDatabase.compact: tier-move I/O error
-    "serve-journal",     # SubmissionJournal.append: intent write I/O error
-    "serve-accept",      # daemon admission path: transient accept failure
-    "serve-spawn",       # daemon campaign spawn: fork/launch failure
 )
 
 #: One-line description per fault site (``python -m repro faults list``).
@@ -58,9 +55,6 @@ FAULT_SITE_DESCRIPTIONS: Dict[str, str] = {
     "corpusdb-read": "CorpusDatabase.get / scan: read I/O error",
     "corpusdb-journal": "IntentJournal.begin: intent write I/O error",
     "corpusdb-compact": "CorpusDatabase.compact: tier-move I/O error",
-    "serve-journal": "SubmissionJournal.append: intent write I/O error",
-    "serve-accept": "daemon admission path: transient accept failure",
-    "serve-spawn": "daemon campaign spawn: fork/launch failure",
 }
 
 #: Sites drawn from the *host* fault stream (see :meth:`check_host`).
@@ -70,9 +64,6 @@ HOST_FAULT_SITES: Tuple[str, ...] = (
     "corpusdb-read",
     "corpusdb-journal",
     "corpusdb-compact",
-    "serve-journal",
-    "serve-accept",
-    "serve-spawn",
 )
 
 #: Spec-string aliases expanding to groups of sites.
@@ -83,7 +74,6 @@ SITE_GROUPS: Dict[str, Tuple[str, ...]] = {
     "exec": ("exec-fault", "exec-hang"),
     "corpusdb": ("corpusdb-publish", "corpusdb-read", "corpusdb-journal",
                  "corpusdb-compact"),
-    "serve": ("serve-journal", "serve-accept", "serve-spawn"),
 }
 
 

@@ -10,7 +10,6 @@ import os
 
 import pytest
 
-from repro._util import atomic_write_bytes
 from repro._vfs import current_vfs
 from repro.audit.runner import BUNDLE_MANIFEST, DurabilityAuditor
 
@@ -66,27 +65,3 @@ class TestSeededCorpusdbBug:
         assert rc == 1
         assert "ORDERING BUGS FOUND" in out
         assert "replayable corpusdb bundles" in out
-
-
-class TestSeededServeBug:
-    def test_unsynced_retired_marker_is_flagged(self, tmp_path,
-                                                monkeypatch):
-        # Pre-fix shape: the retired marker published without fsync —
-        # the intent commit can then become durable while the marker is
-        # not, and a crash forgets the acknowledged campaign.
-        from repro.serve.state import ServePaths
-
-        monkeypatch.setattr(
-            ServePaths, "write_retired",
-            lambda self, cid: atomic_write_bytes(
-                self.retired_marker(cid), b"", fsync=False))
-        result = DurabilityAuditor(str(tmp_path / "out")).audit_component(
-            "serve")
-        assert not result.ok
-        assert any(v.invariant == "accepted-never-forgotten"
-                   for v in result.violations)
-
-    def test_fixed_tree_is_clean(self, tmp_path):
-        result = DurabilityAuditor(str(tmp_path / "out")).audit_component(
-            "serve")
-        assert result.ok, "\n".join(v.render() for v in result.violations)

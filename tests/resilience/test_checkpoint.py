@@ -213,6 +213,33 @@ class TestResumeDeterminism:
                                resume_from=legacy)
         assert resumed.comparable() == straight.comparable()
 
+    def test_resume_ignores_retired_fault_site(self, tmp_path):
+        """A checkpoint pickles its fault plan, and unpickling skips the
+        site check, so a plan expanded when the registry still held the
+        serve daemon's sites resumes to the uninterrupted campaign."""
+        from repro.resilience.faults import FaultPlan, FaultSpec
+
+        path = str(tmp_path / "faulted.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
+                     fault_plan="all:0.02",
+                     checkpoint_every=0.1, checkpoint_path=path)
+        payload = read_checkpoint(path)
+        plan = payload["meta"]["fault_plan"]
+        retired = object.__new__(FaultSpec)
+        for name, value in (("site", "serve-journal"), ("rate", 0.02),
+                            ("burst", 1)):
+            object.__setattr__(retired, name, value)
+        payload["meta"]["fault_plan"] = FaultPlan(
+            plan.specs + (retired,), seed=plan.seed)
+        legacy = str(tmp_path / "legacy.ckpt")
+        write_checkpoint(legacy, payload)
+
+        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21,
+                                fault_plan="all:0.02")
+        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
+                               resume_from=legacy)
+        assert resumed.comparable() == straight.comparable()
+
     def test_resume_reads_old_image_store_state(self, tmp_path):
         """Older checkpoints carry the store's retired ``layouts`` index
         and level-6 ``zlib.compress`` blobs; they resume exactly like a

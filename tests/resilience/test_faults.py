@@ -138,17 +138,16 @@ class TestEnvFaultInjector:
 
 class TestSiteGroupRegistry:
     """The group aliases must track FAULT_SITES automatically: adding a
-    new site (as the serving plane did with serve-*) must flow into
-    ``all:`` plans without anyone remembering to update a list."""
+    new site must flow into ``all:`` plans without anyone remembering to
+    update a list."""
 
     def test_all_alias_is_the_fault_sites_tuple_itself(self):
         # Identity, not equality: "all" can never drift out of date.
         assert SITE_GROUPS["all"] is FAULT_SITES
 
-    def test_all_plan_covers_every_site_including_serve(self):
+    def test_all_plan_covers_every_site(self):
         covered = {s.site for s in FaultPlan.parse("all:0.5").specs}
         assert covered == set(FAULT_SITES)
-        assert {"serve-journal", "serve-accept", "serve-spawn"} <= covered
 
     def test_host_sites_are_a_subset_of_fault_sites(self):
         from repro.resilience.faults import HOST_FAULT_SITES
@@ -160,10 +159,6 @@ class TestSiteGroupRegistry:
             # Every alias must parse as a plan in its own right.
             parsed = {s.site for s in FaultPlan.parse(f"{name}:0.1").specs}
             assert parsed == set(sites), name
-
-    def test_serve_group_matches_the_serve_prefixed_sites(self):
-        assert set(SITE_GROUPS["serve"]) == \
-            {site for site in FAULT_SITES if site.startswith("serve-")}
 
     def test_fault_sites_have_no_duplicates(self):
         assert len(FAULT_SITES) == len(set(FAULT_SITES))

@@ -335,45 +335,19 @@ class TestVersionAndExitCodes:
         assert len(err.strip().splitlines()) == 1
 
 
-class TestServeCLI:
-    def test_serve_parser_defaults(self):
-        args = build_parser().parse_args(["serve", "/tmp/x"])
-        assert args.dir == "/tmp/x"
-        assert args.host == "127.0.0.1"
-        assert args.port == 8765
-        assert args.max_running == 2
-        assert args.tenant_quota == 2
-        assert args.queue_limit == 32
-        assert args.max_budget == 120.0
-        assert args.max_deaths == 3
-        assert args.checkpoint_every == 0.25
-        assert args.fault_plan is None
-        assert not args.enable_chaos
-        assert not args.exit_when_idle
+class TestRetiredServe:
+    """``serve`` names neither a subcommand nor a fault group."""
 
-    def test_serve_requires_a_directory(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve"])
+    def test_serve_subcommand_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(tmp_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "serve" in err
 
-    def test_serve_bad_fault_plan_is_clean_error(self, tmp_path, capsys):
-        assert main(["serve", str(tmp_path), "--fault-plan",
-                     "bogus-site:0.5"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_serve_exit_when_idle_drains_a_seeded_journal(self, tmp_path,
-                                                          capsys):
-        # A journaled-but-never-started campaign from a previous daemon
-        # run is recovered, executed, and the daemon exits 0 idle.
-        from repro.serve import SubmissionJournal
-        from repro.serve.state import ServePaths
-        paths = ServePaths(str(tmp_path))
-        paths.make_dirs()
-        SubmissionJournal(paths.journal).append(
-            "acme-c000001", {"tenant": "acme", "workload": "btree",
-                             "config": "pmfuzz", "budget": 0.3,
-                             "seed": 4})
-        assert main(["serve", str(tmp_path), "--exit-when-idle",
-                     "--port", "0", "--quiet",
-                     "--checkpoint-every", "0.1"]) == 0
-        assert paths.load_stats("acme-c000001") is not None
-        assert paths.read_endpoint() is not None
+    def test_serve_fault_group_is_a_clean_error(self, capsys):
+        assert main(["fuzz", "--workload", "btree", "--budget", "0.1",
+                     "--fault-plan", "serve:0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
