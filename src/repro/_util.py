@@ -1,9 +1,10 @@
-"""Small shared utilities: stable hashing and formatting helpers.
+"""Small shared utilities: stable hashing, formatting, crash-safe blobs.
 
 Python's built-in ``hash()`` is salted per process, which would break the
 paper's derandomization requirement (Section 4.4): identical inputs must
 produce identical coverage maps and image hashes across runs.  Everything
-here is deterministic.
+here is deterministic.  The checksummed-container and atomic-write
+helpers at the end are what campaign checkpoints are written with.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ def format_duration(virtual_seconds: float) -> str:
 # ----------------------------------------------------------------------
 # Crash-safe on-disk blobs
 #
-# Every durable artifact the fuzzer writes — campaign checkpoints,
-# shared-corpus sync entries, fleet-member result files — uses the same
-# two disciplines: a checksummed container (magic + SHA-256 + payload)
-# so damage is *detected*, and write-tmp + fsync + rename so damage from
-# a kill mid-write is *impossible* (the classic protocol the PM programs
-# under test are being fuzzed for).
+# Every durable artifact the fuzzer writes — campaign checkpoints and
+# their .prev rotation — uses the same two disciplines: a checksummed
+# container (magic + SHA-256 + payload) so damage is *detected*, and
+# write-tmp + fsync + rename so damage from a kill mid-write is
+# *impossible* (the classic protocol the PM programs under test are
+# being fuzzed for).
 # ----------------------------------------------------------------------
 _DIGEST_LEN = 64  # sha256 hex digest length
 

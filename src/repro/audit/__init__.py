@@ -1,10 +1,9 @@
 """Durability auditor: crash-state enumeration for every durable store.
 
-The repo's durable protocols — campaign checkpoints, fleet corpus sync,
-the corpus database, the scrubber's quarantine, the rotating trace
-sinks — all commit state through the handful of filesystem primitives
-named by :mod:`repro._vfs`.  This package turns that seam into an
-auditor:
+The repo's durable protocols — campaign checkpoints, the scrubber's
+quarantine, the rotating trace sinks — commit state through the
+handful of filesystem primitives named by :mod:`repro._vfs`.  This
+package turns that seam into an auditor:
 
 1. :class:`~repro.audit.trace.TracingVFS` records the exact ordered
    mutation stream one run of each protocol performs;
@@ -15,7 +14,8 @@ auditor:
 3. for every state, the component's *real* recovery entry point runs
    and a set of typed :class:`~repro.audit.invariants.RecoveryInvariant`
    checks decide whether recovery restored the protocol's contract
-   (exactly-once visibility, no half-published entries, idempotence).
+   (an intact checkpoint, no half-published entries, every durable
+   trace event visible, idempotence).
 
 ``python -m repro audit --component all`` drives the whole thing; a
 non-empty violation list exits 1 and leaves a replayable crash-state

@@ -13,9 +13,9 @@ Every component follows the same shape:
 * ``invariants`` are the typed per-component
   :class:`~repro.audit.invariants.RecoveryInvariant` checks.
 
-Everything is deterministic — fixed payloads, fixed campaign ids,
-pinned mtimes — so the same component and budget always enumerate the
-same states and render the same report.
+Everything is deterministic — fixed payloads and file names — so the
+same component and budget always enumerate the same states and render
+the same report.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro._util import atomic_write_bytes, pack_checksummed
 from repro.audit.invariants import RecoveryInvariant
 
 #: Component names ``python -m repro audit --component`` accepts.
-COMPONENTS = ("checkpoint", "corpus", "corpusdb", "storage", "sink")
+COMPONENTS = ("checkpoint", "corpus", "storage", "sink")
 
 
 @dataclass
@@ -89,7 +89,7 @@ def _checkpoint_protocol() -> AuditProtocol:
 
 
 # ----------------------------------------------------------------------
-# corpus: fleet shared-corpus publish + scrubber recovery
+# corpus: shared-corpus entry publish + scrubber recovery
 # ----------------------------------------------------------------------
 def _corpus_protocol() -> AuditProtocol:
     from repro.core.storage import (CORPUS_ENTRY_MAGIC, CORPUS_ENTRY_SUFFIX,
@@ -150,7 +150,7 @@ def _corpus_protocol() -> AuditProtocol:
 
     return AuditProtocol(
         name="corpus",
-        description="fleet shared-corpus entry publish + scrub recovery",
+        description="shared-corpus entry publish + scrub recovery",
         setup=setup, run=run, recover=recover,
         invariants=[
             RecoveryInvariant(
@@ -162,108 +162,6 @@ def _corpus_protocol() -> AuditProtocol:
                 "after scrubbing, every visible entry verifies and no "
                 "orphaned temp files remain",
                 check_no_half)])
-
-
-# ----------------------------------------------------------------------
-# corpusdb: journaled publish / compact / retire + scrub_database
-# ----------------------------------------------------------------------
-def _corpusdb_protocol() -> AuditProtocol:
-    from repro.corpusdb.db import (CorpusDatabase, CorpusDBPaths, entry_key)
-    from repro.corpusdb.journal import IntentJournal
-    from repro.corpusdb.scrub import scrub_database
-    from repro.errors import CorpusCorruptionError
-
-    def payload_for(i: int) -> dict:
-        data = f"seed-input-{i}".encode("ascii")
-        image = f"seed-image-{i}".encode("ascii") * 8
-        return {"key": entry_key(data, image), "data": data, "image": image}
-
-    def setup(root: str) -> dict:
-        db = CorpusDatabase.open(os.path.join(root, "db"))
-        keys = []
-        for i, stamp in enumerate((1000.0, 2000.0, 3000.0)):
-            payload = payload_for(i)
-            db.publish(payload)
-            # Pinned mtimes make the compactor's oldest-first selection
-            # identical on every audit run.
-            os.utime(db.hot_path(payload["key"]), (stamp, stamp))
-            keys.append(payload["key"])
-        new = payload_for(99)
-        return {"keys": keys, "new": new}
-
-    def open_paths(root: str) -> CorpusDatabase:
-        return CorpusDatabase(CorpusDBPaths(os.path.join(root, "db")))
-
-    def run(root: str, ctx: dict) -> None:
-        db = open_paths(root)
-        db.publish(ctx["new"])
-        # Four hot entries, limit two: the two oldest seeds move cold.
-        db.compact(hot_limit=2)
-        db.retire(ctx["keys"][2])
-
-    def recover(root: str, ctx: dict):
-        report, _ = scrub_database(os.path.join(root, "db"), verify=True,
-                                   tmp_grace=-1.0, take_lock=False)
-        return report
-
-    def check_compacted(root: str, ctx: dict, result) -> Optional[str]:
-        db = open_paths(root)
-        for key in ctx["keys"][:2]:
-            if db.find(key) is None:
-                return (f"entry {key[:12]}… lost across the hot->cold "
-                        f"move (neither tier holds it after recovery)")
-        return None
-
-    def check_journal_empty(root: str, ctx: dict, result) -> Optional[str]:
-        pending = IntentJournal(os.path.join(root, "db", "journal")).pending()
-        if pending:
-            return f"{len(pending)} intents still pending after replay"
-        return None
-
-    def check_no_duplicates(root: str, ctx: dict, result) -> Optional[str]:
-        db = open_paths(root)
-        hot = set(db._tier_keys(db.paths.hot))
-        cold = set(db._tier_keys(db.paths.cold))
-        both = hot & cold
-        if both:
-            return (f"{len(both)} entries visible in both tiers after "
-                    f"recovery: {sorted(both)[0][:12]}…")
-        return None
-
-    def check_visible_healthy(root: str, ctx: dict, result) -> Optional[str]:
-        if result is not None and getattr(result, "residual", None):
-            return f"undetected corruption after repair: {result.residual}"
-        db = open_paths(root)
-        for key in [ctx["new"]["key"]] + ctx["keys"]:
-            if db.find(key) is None:
-                continue  # an absent entry is a legal crash outcome
-            try:
-                db.get(key)
-            except CorpusCorruptionError as exc:
-                return f"visible entry {key[:12]}… is damaged: {exc}"
-        return None
-
-    return AuditProtocol(
-        name="corpusdb",
-        description="corpus database publish/compact/retire + scrub",
-        setup=setup, run=run, recover=recover,
-        invariants=[
-            RecoveryInvariant(
-                "compacted-never-lost",
-                "a hot->cold move can duplicate but never lose an entry",
-                check_compacted),
-            RecoveryInvariant(
-                "journal-drained",
-                "journal replay resolves every pending intent",
-                check_journal_empty),
-            RecoveryInvariant(
-                "exactly-once-tiers",
-                "no entry is visible in both tiers after recovery",
-                check_no_duplicates),
-            RecoveryInvariant(
-                "visible-entries-healthy",
-                "every entry recovery leaves visible loads cleanly",
-                check_visible_healthy)])
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +327,6 @@ def _sink_protocol() -> AuditProtocol:
 _BUILDERS: Dict[str, Callable[[], AuditProtocol]] = {
     "checkpoint": _checkpoint_protocol,
     "corpus": _corpus_protocol,
-    "corpusdb": _corpusdb_protocol,
     "storage": _storage_protocol,
     "sink": _sink_protocol,
 }

@@ -23,16 +23,12 @@ The reproduction's equivalent of the artifact's driver scripts
     replay one (``--replay <bundle-dir>``) to reproduce the execution
     that killed or hung a worker.
 
-``corpusdb``
-    Inspect (``info``), heal (``scrub [--verify]``), or compact a
-    durable cross-campaign corpus database (see :mod:`repro.corpusdb`).
-
 ``workloads``
     List the available PM programs and their bug flags.
 
 Exit codes follow one convention across every subcommand (the table in
 README.md is the contract): 0 success, 1 domain failure (a missed bug,
-residual damage, a reproduced crash, no data yet), 2 usage or
+an ordering bug, a reproduced crash, no data yet), 2 usage or
 configuration error — always with a one-line ``error:`` on stderr,
 never a traceback — and 130 on interrupt.
 """
@@ -118,18 +114,6 @@ def _fastpath_kwargs(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _corpusdb_kwargs(args: argparse.Namespace) -> dict:
-    """Corpus-database engine kwargs (empty when --corpus-db is off, so
-    checkpoint metadata stays identical to pre-flag campaigns)."""
-    if not getattr(args, "corpus_db", None):
-        return {}
-    if args.corpus_db_every <= 0:
-        raise FuzzerError(
-            f"--corpus-db-every must be > 0, got {args.corpus_db_every}")
-    return {"corpus_db": args.corpus_db,
-            "corpus_db_every": args.corpus_db_every}
-
-
 def _crashgen_kwargs(args: argparse.Namespace) -> dict:
     """Crash-generation engine kwargs (empty at the default setting, so
     checkpoint metadata stays identical to pre-flag campaigns)."""
@@ -188,82 +172,9 @@ def _summary_line(stats) -> str:
                   f"triage-bundles={stats.triage_bundles}"]
     elif stats.isolation_fallback:
         parts.append("backend=none(fallback)")
-    if stats.fleet_size:
-        parts += [f"fleet={stats.fleet_size}",
-                  f"restarts={stats.member_restarts}",
-                  f"sync={stats.sync_published}p/{stats.sync_imported}i/"
-                  f"{stats.sync_import_rejected}r",
-                  f"corpus-quarantined={stats.corpus_quarantined}"]
-        if stats.members_retired:
-            parts.append(
-                "retired=" + ",".join(str(i) for i in stats.members_retired))
-    if stats.corpusdb_degraded:
-        parts.append("corpusdb=degraded")
-    elif (stats.corpusdb_published or stats.corpusdb_imported
-          or stats.corpusdb_warm_start):
-        parts.append(f"corpusdb={stats.corpusdb_published}p/"
-                     f"{stats.corpusdb_imported}i/"
-                     f"{stats.corpusdb_warm_start}w")
     if stats.disk_full_faults:
         parts.append(f"disk-full={stats.disk_full_faults}")
     return " ".join(parts)
-
-
-def _parse_kill_plan(specs) -> dict:
-    """``M:E`` chaos specs → {member index: epoch to SIGKILL it after}."""
-    plan = {}
-    for spec in specs or ():
-        member, sep, epoch = spec.partition(":")
-        try:
-            if not sep:
-                raise ValueError
-            plan[int(member)] = int(epoch)
-        except ValueError:
-            raise FuzzerError(
-                f"bad --fleet-kill spec {spec!r} (expected MEMBER:EPOCH)")
-    return plan
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    """The ``fuzz --fleet N`` branch: run a supervised member fleet."""
-    from repro.orchestrate import run_fleet
-
-    fleet_dir = args.fleet_dir or \
-        f"fleet-{args.workload}-{_slug(args.config)}"
-    stats = run_fleet(
-        args.workload, args.config, args.budget,
-        fleet=args.fleet, fleet_dir=fleet_dir,
-        seed=args.seed, sync_every=args.sync_every,
-        heartbeat_lease=args.member_lease,
-        fault_plan=args.fault_plan,
-        engine_kwargs={**_isolation_kwargs(args), **_observe_kwargs(args),
-                       **_crashgen_kwargs(args), **_corpusdb_kwargs(args),
-                       **_batch_kwargs(args), **_fastpath_kwargs(args)},
-        kill_plan=_parse_kill_plan(args.fleet_kill),
-    )
-    print(f"configuration     : {stats.config_name}")
-    print(f"workload          : {stats.workload_name}")
-    print(f"fleet             : {stats.fleet_size} members "
-          f"({stats.member_restarts} restarts, "
-          f"{len(stats.members_retired)} retired)")
-    print(f"executions        : {stats.executions}")
-    print(f"stopped           : {stats.stop_reason}")
-    print(f"PM paths covered  : {stats.final_pm_paths}")
-    print(f"branch edges      : {stats.final_branch_edges}")
-    print(f"corpus sync       : {stats.sync_published} published, "
-          f"{stats.sync_imported} imported, "
-          f"{stats.sync_import_rejected} rejected")
-    if stats.corpus_quarantined:
-        print(f"quarantined       : {stats.corpus_quarantined} corrupt "
-              "corpus entries")
-    if stats.members_retired:
-        print(f"members retired   : "
-              f"{', '.join(str(i) for i in stats.members_retired)} "
-              "(fleet degraded)")
-    print(f"summary           : {_summary_line(stats)}")
-    if getattr(args, "profile", False):
-        _print_profile(stats)
-    return 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -271,19 +182,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print("error: fuzz: --workload is required (unless resuming with "
               "--resume)", file=sys.stderr)
         return 2
-    if args.fleet > 1:
-        if args.resume:
-            print("error: fuzz: --resume is for solo campaigns; a fleet "
-                  "resumes by re-running with the same --fleet-dir",
-                  file=sys.stderr)
-            return 2
-        return _cmd_fleet(args)
-    # Solo campaign: first SIGINT/SIGTERM stops cleanly (final
-    # checkpoint + summary with stop_reason=signal), the second
-    # hard-exits.  The handlers are removed once the campaign returns,
+    # First SIGINT/SIGTERM stops cleanly (final checkpoint + summary
+    # with stop_reason=signal), the second hard-exits.  The handlers are removed once the campaign returns,
     # so an embedding process (and anything it forks later) does not
     # keep routing its signals to a finished engine.
-    from repro.orchestrate.signals import install_graceful_stop
+    from repro.fuzz.signals import install_graceful_stop
     stops = []
     hook = lambda engine: stops.append(  # noqa: E731
         install_graceful_stop(engine))
@@ -299,7 +202,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                                  **_isolation_kwargs(args),
                                  **_observe_kwargs(args),
                                  **_crashgen_kwargs(args),
-                                 **_corpusdb_kwargs(args),
                                  **_batch_kwargs(args),
                                  **_fastpath_kwargs(args))
     finally:
@@ -322,16 +224,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"harness faults    : {stats.harness_faults} "
               f"({stats.retries} retries, {stats.timeouts} timeouts, "
               f"{stats.quarantined} quarantined)")
-    if getattr(args, "corpus_db", None):
-        if stats.corpusdb_degraded:
-            print(f"corpus database   : degraded "
-                  f"({stats.corpusdb_published} published before); "
-                  "campaign finished standalone")
-        else:
-            print(f"corpus database   : {stats.corpusdb_published} "
-                  f"published, {stats.corpusdb_imported} imported "
-                  f"({stats.corpusdb_warm_start} at warm-start), "
-                  f"{stats.corpusdb_import_rejected} rejected")
     print(f"summary           : {_summary_line(stats)}")
     if getattr(args, "profile", False):
         _print_profile(stats)
@@ -462,49 +354,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_corpusdb(args: argparse.Namespace) -> int:
-    """Manage a cross-campaign corpus database (info / scrub / compact)."""
-    from repro.corpusdb.db import CorpusDatabase
-    from repro.corpusdb.scrub import scrub_database
-    from repro.errors import CorpusDBError
-
-    try:
-        if args.action == "info":
-            db = CorpusDatabase.open(args.path, create=False)
-            info = db.info()
-            print(f"corpus database   : {info['root']}")
-            print(f"entries           : {info['entries']} "
-                  f"({info['hot']} hot, {info['cold']} cold, "
-                  f"{info['bytes']} bytes)")
-            print(f"journal pending   : {info['journal_pending']}")
-            print(f"quarantined       : {info['quarantined']}")
-            return 0
-        if args.action == "compact":
-            db = CorpusDatabase.open(args.path, create=False)
-            replay = db.replay_journal()
-            moved = db.compact(hot_limit=args.hot_limit,
-                               max_moves=args.max_moves)
-            print(f"journal replay    : {replay.completed} completed, "
-                  f"{replay.rolled_back} rolled back")
-            print(f"compacted         : {moved} entries moved cold")
-            return 0
-        # scrub [--verify]
-        report, _ = scrub_database(args.path, verify=args.verify,
-                                   tmp_grace=args.tmp_grace)
-        for name, label in sorted(report.typed_reasons.items()):
-            print(f"quarantined       : {name} ({label})")
-        print(f"scrub             : {report.summary()}")
-        if args.verify and not report.ok:
-            for name, label in sorted(report.residual.items()):
-                print(f"RESIDUAL DAMAGE   : {name} ({label})",
-                      file=sys.stderr)
-            return 1
-        return 0
-    except CorpusDBError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.audit import DurabilityAuditor
     from repro.audit.protocols import COMPONENTS
@@ -615,29 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--triage-dir", default="triage",
                       help="directory for on-death crash-triage bundles "
                            "(fork only; default: ./triage)")
-    fuzz.add_argument("--fleet", type=int, default=1, metavar="N",
-                      help="shard the campaign across N supervised "
-                           "fuzzer processes sharing one corpus "
-                           "(heartbeats, automatic restarts, merged "
-                           "report); 1 = solo")
-    fuzz.add_argument("--fleet-dir", default=None,
-                      help="shared fleet directory (default: "
-                           "fleet-<workload>-<config>); re-running with "
-                           "the same directory resumes the fleet from "
-                           "its member checkpoints")
-    fuzz.add_argument("--sync-every", type=float, default=0.5,
-                      metavar="VSECONDS",
-                      help="corpus sync epoch length in virtual seconds "
-                           "(fleet only)")
-    fuzz.add_argument("--member-lease", type=float, default=5.0,
-                      metavar="SECONDS",
-                      help="heartbeat lease; a member silent this long "
-                           "is SIGKILLed and restarted (fleet only)")
-    fuzz.add_argument("--fleet-kill", action="append", default=None,
-                      metavar="MEMBER:EPOCH",
-                      help="chaos testing: SIGKILL the given member once "
-                           "it publishes the given epoch (repeatable); "
-                           "the fleet must self-heal around it")
     fuzz.add_argument("--trace-dir", default=None, metavar="DIR",
                       help="write structured trace shards (JSONL) and "
                            "live status.json files here; read them back "
@@ -657,17 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="collect wall-clock per-stage timers and "
                            "print the flame-style breakdown at the end "
                            "(virtual-time attribution is always on)")
-    fuzz.add_argument("--corpus-db", default=None, metavar="DIR",
-                      help="durable cross-campaign corpus database: "
-                           "warm-start the queue from it at boot, "
-                           "publish discoveries into it, and import "
-                           "other campaigns' entries mid-flight; an "
-                           "unusable database degrades gracefully "
-                           "(the campaign runs standalone)")
-    fuzz.add_argument("--corpus-db-every", type=float, default=0.5,
-                      metavar="VSECONDS",
-                      help="corpus-database sync cadence in virtual "
-                           "seconds (needs --corpus-db)")
     fuzz.add_argument("--crashgen", choices=["singlepass", "reexec"],
                       default="singlepass",
                       help="crash-image generation strategy: harvest "
@@ -740,37 +555,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "timeout)")
     rep.set_defaults(func=_cmd_report)
 
-    cdb = sub.add_parser(
-        "corpusdb",
-        help="manage a cross-campaign corpus database")
-    cdb.add_argument("action", choices=["info", "scrub", "compact"],
-                     help="info: counts and sizes; scrub: journal "
-                          "replay + typed quarantine of damaged "
-                          "entries (--verify re-checks the whole "
-                          "store); compact: move excess hot entries "
-                          "to the cold tier")
-    cdb.add_argument("path", help="database root directory")
-    cdb.add_argument("--verify", action="store_true",
-                     help="after repair, deep-verify every entry "
-                          "(checksum + content address); exit 1 if "
-                          "any damage remains")
-    cdb.add_argument("--tmp-grace", type=float, default=60.0,
-                     metavar="SECONDS",
-                     help="age before an orphaned .tmp file is "
-                          "presumed dead and removed")
-    cdb.add_argument("--hot-limit", type=int, default=256, metavar="N",
-                     help="entries to keep in the hot tier when "
-                          "compacting")
-    cdb.add_argument("--max-moves", type=int, default=None, metavar="N",
-                     help="bound on moves per compact invocation")
-    cdb.set_defaults(func=_cmd_corpusdb)
-
     audit = sub.add_parser(
         "audit",
         help="crash-test every durable store by systematic enumeration")
     audit.add_argument("--component", default="all",
-                       choices=["all", "checkpoint", "corpus", "corpusdb",
-                                "storage", "sink"],
+                       choices=["all", "checkpoint", "sink"],
                        help="which durable protocol to audit "
                             "(default: all)")
     audit.add_argument("--budget", type=int, default=0, metavar="N",
@@ -809,8 +598,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except ReproError as exc:
-        # Bad fault plans, damaged/missing checkpoints, unusable corpus
-        # databases: user input or environment errors get one clean line
+        # Bad fault plans, damaged/missing or retired checkpoints: user
+        # input or environment errors get one clean line
         # and the documented status, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2

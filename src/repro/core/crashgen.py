@@ -27,8 +27,8 @@ re-execution would have produced.  The *virtual-time* cost model is
 still charged per harvested image exactly as if the re-execution had
 happened — the captured ``fences_done`` at each point reconstructs the
 fence count that re-execution would have reported — so Figure-13
-curves, ``FuzzStats.comparable()`` and fleet merges are bit-identical
-between the two modes.  The legacy path stays available as
+curves and ``FuzzStats.comparable()`` are bit-identical between the
+two modes.  The legacy path stays available as
 ``mode="reexec"`` (CLI ``--crashgen=reexec``) and is the oracle for the
 equivalence test grid; it is also the graceful-degradation path when
 the single pass itself dies to an environment fault.

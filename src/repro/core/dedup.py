@@ -147,9 +147,10 @@ class ImageStore:
     def raw_serialized(self, image_id: str) -> Optional[bytes]:
         """Serialized (decompressed) bytes of a stored image, or None.
 
-        Bypasses the environment-fault sites: this is the fleet-publish
-        read of the process's *own in-memory* store, not a modeled SSD
-        access, so it must not perturb the deterministic fault stream.
+        Bypasses the environment-fault sites: the engine reads its own
+        in-memory store here to plan a fork-worker batch ahead of the
+        round's executions, which is not a modeled SSD access, so it
+        must not perturb the deterministic fault stream.
         """
         stored = self._by_hash.get(image_id)
         if stored is None:

@@ -22,58 +22,17 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro._util import move_durable, sha256_hex, unpack_checksummed
+from repro._util import move_durable, unpack_checksummed
 from repro._vfs import current_vfs
 from repro.core.dedup import ImageStore
 from repro.pmem.image import PMImage
 
-#: Container magic for shared-corpus sync entries (see
-#: :mod:`repro.orchestrate.sync`); defined here so the scrubber can
-#: verify entries without importing the orchestration layer.
+#: Container magic of a shared-corpus entry file, the checksummed
+#: container :class:`CorpusScrubber` verifies by default.
 CORPUS_ENTRY_MAGIC = b"PMFZSYNC1\n"
 
 #: Shared-corpus entry file suffix.
 CORPUS_ENTRY_SUFFIX = ".entry"
-
-# Typed damage labels for checksummed containers (see classify_damage).
-DAMAGE_WRONG_MAGIC = "wrong-magic"      #: leading magic bytes differ
-DAMAGE_TRUNCATED = "truncated"          #: file cut before the header ended
-DAMAGE_CHECKSUM = "checksum-mismatch"   #: payload hash differs (torn write
-#: past the header, or bit-rot; callers with payload-format knowledge —
-#: e.g. the corpusdb scrubber's pickle probe — can refine this further)
-DAMAGE_UNREADABLE = "unreadable"        #: the file could not be read at all
-
-
-def classify_damage(magic: bytes, data: Optional[bytes]) -> Optional[str]:
-    """Typed verdict for one checksummed container's bytes.
-
-    Returns ``None`` for a healthy container, else one of the
-    ``DAMAGE_*`` labels.  A checksum alone cannot distinguish a payload
-    truncated by a torn write from a bit-flipped one (the digest covers
-    the *original* payload, which a truncated file no longer holds), so
-    both fall under :data:`DAMAGE_CHECKSUM` here; format-aware callers
-    refine that label by probing the payload.
-    """
-    if data is None:
-        return DAMAGE_UNREADABLE
-    n = len(magic)
-    if len(data) < n:
-        return DAMAGE_TRUNCATED if magic.startswith(data) \
-            else DAMAGE_WRONG_MAGIC
-    if data[:n] != magic:
-        return DAMAGE_WRONG_MAGIC
-    if len(data) < n + 65:  # magic + 64 hex digits + newline
-        return DAMAGE_TRUNCATED
-    digest = data[n:n + 64]
-    if data[n + 64:n + 65] != b"\n":
-        return DAMAGE_CHECKSUM
-    try:
-        expected = digest.decode("ascii")
-    except UnicodeDecodeError:
-        return DAMAGE_CHECKSUM
-    if sha256_hex(data[n + 65:]) != expected:
-        return DAMAGE_CHECKSUM
-    return None
 
 
 class TestCaseStorage:
@@ -198,15 +157,16 @@ class CorpusScrubber:
     truncation and bit-flips), and *quarantines* damaged files instead
     of letting them kill an importer: a bad entry is claimed by a
     durable move (:func:`~repro._util.move_durable`) into the
-    quarantine directory (claim-by-rename — when several fleet members
-    scrub concurrently, exactly one wins the claim and counts the
-    entry; the losers observe ``ENOENT`` and move on).  Orphaned ``*.tmp`` files older than ``tmp_grace`` seconds
-    (leftovers of a member killed mid-``atomic_write_bytes``; younger
-    ones may be in-flight writes) are deleted.
+    quarantine directory (claim-by-rename — when several scrubbers run
+    concurrently, exactly one wins the claim and counts the entry; the
+    losers observe ``ENOENT`` and move on).  Orphaned ``*.tmp`` files
+    older than ``tmp_grace`` seconds (leftovers of a writer killed
+    mid-``atomic_write_bytes``; younger ones may be in-flight writes)
+    are deleted.
 
-    Runs at fleet start-up and on every member resume, so corruption
-    introduced while the campaign was down is swept before any importer
-    touches it.
+    No campaign path calls it since the fleet and the corpus database
+    were retired; the ``corpus`` and ``storage`` audit components keep
+    its crash safety checked until it is retired too.
     """
 
     def __init__(self, corpus_dir: str, quarantine_dir: str,

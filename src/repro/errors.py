@@ -111,17 +111,17 @@ class StorageFaultError(HarnessFaultError):
 class CorpusCorruptionError(StorageFaultError):
     """A stored corpus entry is *genuinely* damaged — not a torn read.
 
-    Raised when an image or shared-corpus entry fails checksum/length
-    verification against its own stored bytes (a bit-flip or truncation
-    that a retry cannot fix), as opposed to the transient read-path
-    corruption :class:`StorageFaultError` models.  The entry is
-    quarantined by the raiser, so the campaign loses one test case, not
-    the resume: the supervisor treats this as a non-transient harness
-    fault, charges the recovery cost, and moves on.
+    Raised when a stored image fails decompression or validation
+    against its own stored bytes (a bit-flip or truncation that a retry
+    cannot fix), as opposed to the transient read-path corruption
+    :class:`StorageFaultError` models.  The entry is quarantined by the
+    raiser, so the campaign loses one test case, not the resume: the
+    supervisor treats this as a non-transient harness fault, charges the
+    recovery cost, and moves on.
 
     Args:
         message: human-readable description.
-        entry: identifier of the damaged entry (image id or file name).
+        entry: identifier of the damaged entry (the image id).
     """
 
     def __init__(self, message: str = "", entry: str = "") -> None:
@@ -167,24 +167,6 @@ class ExecTimeoutError(HarnessFaultError):
 
 class CheckpointError(ReproError):
     """A campaign checkpoint could not be written, read, or verified."""
-
-
-class CorpusDBError(ReproError):
-    """The cross-campaign corpus database is unusable.
-
-    Raised by :mod:`repro.corpusdb` when the database cannot be opened
-    (missing parent directory, foreign or future on-disk format, held
-    maintenance lock) or an operation exhausted its bounded retries.
-    The engine-side client converts this into graceful degradation — a
-    ``degraded`` trace event and a standalone campaign — never a failed
-    run.
-    """
-
-    def __init__(self, message: str, reason: str = "unavailable") -> None:
-        super().__init__(message)
-        #: machine-readable cause: "missing" / "locked" / "format" /
-        #: "faulting" / "unavailable"
-        self.reason = reason
 
 
 import struct as _struct  # noqa: E402  (kept local to the tuple below)

@@ -86,8 +86,6 @@ class FuzzEngine:
         trace_rotate_bytes: Optional[int] = None,
         profile: bool = False,
         status_every: float = 0.5,
-        corpus_db: Optional[str] = None,
-        corpus_db_every: float = 0.5,
         cov_backend: Optional[str] = None,
         warm_open: bool = True,
     ) -> None:
@@ -141,6 +139,11 @@ class FuzzEngine:
         # that had not re-fired since resume would silently lose its
         # checkpointed value.  Static registration also keeps the
         # snapshot key set identical across trace on/off and backends.
+        # The "sync" and "corpusdb" stages and the three "corpusdb/"
+        # counters belonged to the retired fleet and corpus database and
+        # always read zero; they stay registered because the pinned
+        # comparable() digests cover the snapshot key set, and retire
+        # with the next re-pin (ROADMAP item 1).
         for stage in ("mutate", "execute", "crashgen", "sync", "checkpoint",
                       "corpusdb"):
             self.profiler.add_vtime(stage, 0.0)
@@ -154,8 +157,7 @@ class FuzzEngine:
         if trace_dir:
             self.trace = TraceBus(
                 sink_factory=lambda: JsonlTraceSink(
-                    os.path.join(trace_dir,
-                                 shard_name(self.stats.member_index)),
+                    os.path.join(trace_dir, shard_name(-1)),
                     rotate_bytes=trace_rotate_bytes),
                 sample=trace_sample)
         else:
@@ -204,20 +206,6 @@ class FuzzEngine:
         self._seed_image_bytes = b""
         self._next_sample = 0.0
         self._set_up = False
-        #: Fleet hook points (attached by repro.orchestrate, else inert):
-        #: a shared-corpus syncer whose record_saved() sees every saved
-        #: test case, and a per-round callback for heartbeat writes.
-        self.fleet_sync = None
-        self.round_hook = None
-        self._fleet_sync_state = None  # stashed by checkpoint restore
-        #: Cross-campaign corpus database client (inert when --corpus-db
-        #: is off; never fails the run — see repro.corpusdb.client).
-        self.corpus_db = None
-        if corpus_db:
-            from repro.corpusdb.client import CorpusDBClient
-            self.corpus_db = CorpusDBClient(corpus_db,
-                                            every=corpus_db_every)
-            self.corpus_db.attach(self)
         #: Graceful-stop flag (first SIGINT/SIGTERM sets it; the loop
         #: finishes the in-flight execution and stops cleanly).
         self._stop_requested = False
@@ -238,9 +226,6 @@ class FuzzEngine:
         """Create the seed image and execute every seed input once."""
         if self._set_up:
             return
-        # The member index is assigned after construction (by the fleet
-        # orchestrator); stamp it before the seed executions emit.
-        self.trace.member = self.stats.member_index
         workload: Workload = self.workload_factory()
         self.stats.workload_name = workload.name
         seed_image = workload.create_image()
@@ -262,10 +247,6 @@ class FuzzEngine:
                 entry = self.queue.add(data, image_id=self._seed_image_id,
                                        branch_favored=True)
                 self._run_one(entry, data)
-        if self.corpus_db is not None:
-            # Warm-start after the seed executions so imports are
-            # coverage-gated against the real baseline maps.
-            self.corpus_db.boot(self)
         self._set_up = True
 
     # ------------------------------------------------------------------
@@ -281,66 +262,41 @@ class FuzzEngine:
         flows through the snapshotted RNG — replays the interrupted
         tail bit-for-bit, ending in the same final state as an
         uninterrupted run.
-        """
-        try:
-            self.setup()
-            self.run_slice(budget_vseconds)
-        finally:
-            # Reap fork-server workers even on an abrupt exit; the pool
-            # respawns lazily if the engine runs again (resume).
-            self.backend.close()
-        return self.finish()
-
-    def run_slice(self, until_vtime: float) -> None:
-        """Fuzz until the virtual clock reaches ``until_vtime``.
-
-        The epoch-sized unit of the fleet orchestrator: no finalization
-        happens here (no stop_reason, no final sample, no backend
-        teardown), so a member can interleave slices with corpus sync
-        and checkpoints, then call :meth:`finish` once.  Solo campaigns
-        get the same loop via :meth:`run`.
-        """
-        self.setup()
-        # The member index is assigned after construction (by the fleet
-        # orchestrator); stamp it on the bus before the first emit so
-        # events carry the right shard label.
-        self.trace.member = self.stats.member_index
-        while (self.vclock < until_vtime
-               and self.stats.executions < MAX_EXECUTIONS
-               and not self._stop_requested):
-            if self.round_hook is not None:
-                self.round_hook(self)
-            self._maybe_checkpoint()
-            if self.corpus_db is not None:
-                self.corpus_db.maybe_sync(self)
-            entry = self.queue.select(self.rng)
-            entry.fuzz_rounds += 1
-            children = self._children_of(entry)
-            self._plan_children(entry, children)
-            for index, data in enumerate(children):
-                if (self.vclock >= until_vtime
-                        or self.stats.executions >= MAX_EXECUTIONS
-                        or self._stop_requested):
-                    break
-                self._current_ops = (self._child_ops[index]
-                                     if index < len(self._child_ops) else ())
-                self._run_one(entry, data)
-            self._current_ops = ()
-            # Speculative batch results the round did not consume (budget
-            # truncation, load faults) are dropped unmerged.
-            self.backend.discard_plan()
-            if self.stats.executions % 64 == 0:
-                self.queue.cull()
-
-    def finish(self) -> FuzzStats:
-        """Finalize the campaign: stop reason, coverage sets, last sample.
 
         On a signal-requested stop the complete campaign state is
         checkpointed one final time (when a checkpoint path is
         configured), so a Ctrl-C'd campaign can resume without losing
         its tail.
         """
-        self.backend.close()
+        try:
+            self.setup()
+            while (self.vclock < budget_vseconds
+                   and self.stats.executions < MAX_EXECUTIONS
+                   and not self._stop_requested):
+                self._maybe_checkpoint()
+                entry = self.queue.select(self.rng)
+                entry.fuzz_rounds += 1
+                children = self._children_of(entry)
+                self._plan_children(entry, children)
+                for index, data in enumerate(children):
+                    if (self.vclock >= budget_vseconds
+                            or self.stats.executions >= MAX_EXECUTIONS
+                            or self._stop_requested):
+                        break
+                    self._current_ops = (
+                        self._child_ops[index]
+                        if index < len(self._child_ops) else ())
+                    self._run_one(entry, data)
+                self._current_ops = ()
+                # Speculative batch results the round did not consume
+                # (budget truncation, load faults) are dropped unmerged.
+                self.backend.discard_plan()
+                if self.stats.executions % 64 == 0:
+                    self.queue.cull()
+        finally:
+            # Reap fork-server workers even on an abrupt exit; the pool
+            # respawns lazily if the engine runs again (resume).
+            self.backend.close()
         if self._stop_requested:
             self.stats.stop_reason = "signal"
         elif self.stats.executions >= MAX_EXECUTIONS:
@@ -349,8 +305,6 @@ class FuzzEngine:
             self.stats.stop_reason = "budget"
         self.stats.pm_covered_slots = set(self.pm_cov.covered_slots())
         self.stats.branch_covered_slots = set(self.branch_cov.covered_slots())
-        if self.corpus_db is not None:
-            self.corpus_db.final_flush(self)
         self._sample(force=True)
         # Final metrics snapshot lands in the stats object even without
         # a trace directory — comparable() always carries the metrics.
@@ -365,7 +319,7 @@ class FuzzEngine:
 
         Safe to call from a signal handler: it only sets a flag; the
         fuzzing loop observes it at the next round boundary and
-        :meth:`finish` records ``stop_reason="signal"`` plus a final
+        :meth:`run` records ``stop_reason="signal"`` plus a final
         checkpoint.
         """
         self._stop_requested = True
@@ -415,7 +369,7 @@ class FuzzEngine:
                                     detail=f"checkpoint skipped: {exc}")
                     return ""
             # Emit *before* capturing so the snapshotted bus sequence
-            # already covers this event: a resumed member continues at
+            # already covers this event: a resumed campaign continues at
             # the same seq as an uninterrupted run (merge dedup relies
             # on replayed tails carrying identical (member, seq) pairs).
             self.trace.emit("checkpoint", self.vclock,
@@ -571,16 +525,6 @@ class FuzzEngine:
                 parent=parent.entry_id,
                 created_at=self.vclock,
             )
-            if self.fleet_sync is not None:
-                # Fleet sync hook: every coverage-interesting test case
-                # is a candidate for publication to the shared corpus at
-                # the next epoch boundary.
-                self.fleet_sync.record_saved(saved, result)
-            if self.corpus_db is not None:
-                # Same contract toward the cross-campaign database: the
-                # entry is buffered now (bytes resolved fault-free) and
-                # published at the next sync round.
-                self.corpus_db.record_saved(saved, result)
         # Mutation-operator effectiveness: which operators produced the
         # children we ran, and which of those children earned a queue
         # slot.  Deterministic (a function of the seeded campaign only).
@@ -660,13 +604,12 @@ class FuzzEngine:
         return counter
 
     def _status_writer(self) -> Optional[StatusWriter]:
-        """Lazy status writer (path depends on the late member index)."""
+        """Lazy status writer (None without a trace directory)."""
         if self.trace_dir is None:
             return None
         if self._status is None:
             self._status = StatusWriter(
-                os.path.join(self.trace_dir,
-                             status_name(self.stats.member_index)),
+                os.path.join(self.trace_dir, status_name(-1)),
                 every_vtime=self.status_every)
         return self._status
 

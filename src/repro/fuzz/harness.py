@@ -12,7 +12,7 @@ diverges by fuzzer configuration: a warm-open cache hit skips the
 prefix, a cold run executes it.  If those branches were instrumented,
 the coverage map would differ between cache on and cache off, breaking
 the fast-path equivalence contract (identical ``comparable()`` stats
-across {coverage backend} × {warm-open} × {isolation} × {solo,fleet};
+across {coverage backend} × {warm-open} × {isolation};
 see ``tests/test_fastpath_grid.py``).  Here they are invisible to
 coverage, while the instrumented prefix/command code paths
 (:meth:`Workload.run_prefix`, :meth:`Workload.run_commands`) stay

@@ -1,4 +1,4 @@
-"""Two-stage graceful shutdown for campaigns and fleet members.
+"""Two-stage graceful shutdown for a fuzzing campaign.
 
 The first SIGINT/SIGTERM requests a *clean* stop: the fuzzing loop
 finishes its in-flight execution, takes a final checkpoint, and reports
@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import signal
 import sys
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 
 class GracefulStop:
@@ -26,11 +26,10 @@ class GracefulStop:
     """
 
     def __init__(self, on_first: Callable[[], None],
-                 signals: Iterable[int] = (signal.SIGINT, signal.SIGTERM),
-                 label: str = "campaign") -> None:
+                 signals: Iterable[int] = (signal.SIGINT, signal.SIGTERM)
+                 ) -> None:
         self.on_first = on_first
         self.signals = tuple(signals)
-        self.label = label
         self.count = 0
         self._previous: dict = {}
 
@@ -52,7 +51,7 @@ class GracefulStop:
     def _handle(self, signum: int, frame) -> None:
         self.count += 1
         if self.count == 1:
-            print(f"[{self.label}] caught {signal.Signals(signum).name}: "
+            print(f"[campaign] caught {signal.Signals(signum).name}: "
                   "stopping cleanly (final checkpoint + summary); "
                   "signal again to hard-exit", file=sys.stderr)
             self.on_first()
@@ -66,12 +65,6 @@ class GracefulStop:
         os._exit(128 + signum)
 
 
-def install_graceful_stop(engine, label: str = "campaign",
-                          also: Optional[Callable[[], None]] = None
-                          ) -> GracefulStop:
-    """Wire two-stage shutdown to ``engine.request_stop`` (+ ``also``)."""
-    def on_first() -> None:
-        engine.request_stop()
-        if also is not None:
-            also()
-    return GracefulStop(on_first, label=label).install()
+def install_graceful_stop(engine) -> GracefulStop:
+    """Wire two-stage shutdown to ``engine.request_stop``."""
+    return GracefulStop(engine.request_stop).install()

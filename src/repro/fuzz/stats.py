@@ -58,33 +58,28 @@ class FuzzStats:
     worker_recycles: int = 0  #: planned retirements (max-execs policy)
     triage_bundles: int = 0  #: crash-triage bundles written to disk
 
-    # Fleet / shared-corpus fields (maintained by repro.orchestrate).
-    fleet_size: int = 0  #: members in the fleet (0 = solo campaign)
-    member_index: int = -1  #: this campaign's fleet shard (-1 = solo)
-    sync_published: int = 0  #: interesting entries published to the corpus
-    sync_imported: int = 0  #: foreign entries imported (coverage-gated in)
-    sync_import_rejected: int = 0  #: foreign entries gated out / unusable
-    sync_barrier_timeouts: int = 0  #: epoch barriers abandoned (wall clock)
-    corpus_quarantined: int = 0  #: corrupt corpus entries quarantined
-    #: distinct coverage-map slots covered, filled at campaign end so
-    #: fleet merges can take exact unions (not just final counts).
+    # Inert: these fields belonged to the retired fleet and corpus
+    # database and always hold their defaults.  They stay because the
+    # pinned comparable() digests cover every field, and retire with the
+    # next re-pin (ROADMAP item 1).
+    fleet_size: int = 0
+    member_index: int = -1
+    sync_published: int = 0
+    sync_imported: int = 0
+    sync_import_rejected: int = 0
+    corpus_quarantined: int = 0
+    #: distinct coverage-map slots covered, filled at campaign end.
     pm_covered_slots: set = field(default_factory=set)
     branch_covered_slots: set = field(default_factory=set)
-    # Merged-report-only fields (set by repro.orchestrate.merge).
     member_summaries: list = field(default_factory=list)
-    members_retired: list = field(default_factory=list)  #: circuit-broken
-    member_restarts: int = 0  #: supervised restarts across the fleet
+    members_retired: list = field(default_factory=list)
+    corpusdb_published: int = 0
+    corpusdb_imported: int = 0
+    corpusdb_import_rejected: int = 0
+    corpusdb_warm_start: int = 0
+    corpusdb_quarantined: int = 0
+    corpusdb_degraded: int = 0
 
-    # Corpus-database counters (maintained by repro.corpusdb.client).
-    corpusdb_published: int = 0  #: entries published to the shared DB
-    corpusdb_imported: int = 0  #: DB entries imported (coverage-gated in)
-    corpusdb_import_rejected: int = 0  #: DB entries gated out / unusable
-    corpusdb_warm_start: int = 0  #: imports done during boot warm-start
-    corpusdb_quarantined: int = 0  #: damaged DB entries quarantined
-    corpusdb_degraded: int = 0  #: 1 if the DB client gave up and the
-    #: campaign continued standalone (missing/locked/persistently
-    #: faulting database)
-    corpusdb_retries: int = 0  #: DB I/O attempts retried (host-dependent)
     disk_full_faults: int = 0  #: injected/real ENOSPC hits absorbed
 
     # Observability snapshots (maintained by repro.observe).
@@ -101,31 +96,23 @@ class FuzzStats:
         self.samples.append(sample)
 
     #: Fields excluded from :meth:`comparable`: how the campaign was
-    #: *hosted* (isolation backend, worker management) and the wall-clock
-    #: artifacts of fleet supervision (restarts, barrier timeouts), none
-    #: of which the determinism contracts cover.  Everything else —
-    #: executions, samples, coverage, witnesses, fault accounting, sync
-    #: and quarantine counters — is promised to be bit-identical across
-    #: fork/none backends and across kill/restart fleet runs.
+    #: *hosted* (isolation backend, worker management, wall-clock
+    #: metrics), none of which the determinism contracts cover.
+    #: Everything else — executions, samples, coverage, witnesses, fault
+    #: and quarantine accounting — is promised to be bit-identical across
+    #: fork/none backends and across kill/resume.
     _HOST_DEPENDENT_FIELDS = (
         "isolation_backend", "isolation_fallback", "watchdog_kills",
         "worker_crashes", "worker_recycles", "triage_bundles",
-        "member_restarts", "sync_barrier_timeouts", "metrics_host",
-        # Wall-clock artifacts of corpus-database hosting: retry counts
-        # follow real I/O contention, and ENOSPC hits at the checkpoint
-        # surface follow the (host-chosen) checkpoint cadence.
-        "corpusdb_retries", "disk_full_faults",
+        "metrics_host",
+        # ENOSPC hits at the checkpoint surface follow the (host-chosen)
+        # checkpoint cadence.
+        "disk_full_faults",
     )
 
     def comparable(self) -> dict:
-        """Host-independent view of the campaign statistics.
-
-        For a solo campaign this is the fork/none equivalence contract;
-        for a fleet-merged report it is additionally the kill/restart
-        contract: a member SIGKILLed mid-campaign and restarted from its
-        checkpoint yields a merged report equal to the no-kill run's on
-        every field this returns.
-        """
+        """Host-independent view of the campaign statistics: the
+        fork/none and kill/resume equivalence contract."""
         from dataclasses import asdict
 
         full = asdict(self)

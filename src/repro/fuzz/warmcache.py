@@ -25,7 +25,7 @@ overlays the pending lines, remounts the pool (the pool constructor
 never touches the domain) and replays the recorded deltas — so sparse
 maps, ``comparable()`` stats, crash images and the Figure-13 virtual
 time are byte-identical to a cold open (``tests/test_fastpath_grid.py``
-proves this across backends × cache × isolation × fleet).
+proves this across backends × cache × isolation).
 
 Bypass rules (correctness over speed):
 

@@ -21,8 +21,7 @@ with tracing on or off (regression-tested in ``tests/observe``).
 
 from repro.observe.bus import NULL_BUS, TraceBus
 from repro.observe.events import EVENT_KINDS, TraceEvent
-from repro.observe.metrics import (MetricsRegistry,
-                                   merge_metric_snapshots)
+from repro.observe.metrics import MetricsRegistry
 from repro.observe.monitor import (StatusWriter, monitor_loop, read_status,
                                    render_status, status_snapshot)
 from repro.observe.profiler import StageProfiler, render_profile
@@ -32,7 +31,7 @@ from repro.observe.sink import JsonlTraceSink, merge_shards, read_events
 __all__ = [
     "EVENT_KINDS", "TraceEvent", "TraceBus", "NULL_BUS",
     "JsonlTraceSink", "read_events", "merge_shards",
-    "MetricsRegistry", "merge_metric_snapshots",
+    "MetricsRegistry",
     "StageProfiler", "render_profile",
     "StatusWriter", "status_snapshot", "read_status", "render_status",
     "monitor_loop", "render_report", "render_html_report",

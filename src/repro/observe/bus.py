@@ -1,7 +1,7 @@
 """The bounded trace bus: where every layer reports what it did.
 
-One :class:`TraceBus` per writer (solo campaign, fleet member, fleet
-supervisor).  Emitting is cheap and bounded:
+One :class:`TraceBus` per writer (a campaign, or an audit run).
+Emitting is cheap and bounded:
 
 * a disabled bus (no trace directory configured) rejects events on the
   first branch — the campaign pays one attribute load and a compare;
@@ -18,7 +18,7 @@ The bus never touches campaign state and draws no campaign randomness
 seeded campaign — the determinism contract the test suite enforces.
 
 The sequence counter and sampling phase are checkpointable
-(:meth:`getstate` / :meth:`setstate`): a member resumed from its
+(:meth:`getstate` / :meth:`setstate`): a campaign resumed from its
 checkpoint replays the interrupted tail with identical ``(member, seq)``
 labels, which is what lets the shard merge deduplicate the replay.
 """
@@ -50,8 +50,8 @@ class TraceBus:
         if sample < 1:
             raise ValueError(f"trace sample must be >= 1, got {sample}")
         self._sink = sink
-        #: Lazy sink construction: a fleet member's shard path depends on
-        #: its member index, which is assigned after engine construction.
+        #: Lazy sink construction: the trace directory is only created
+        #: once the first batch drains.
         self._sink_factory = sink_factory
         self.member = member
         self.sample = sample

@@ -1,7 +1,7 @@
 """Typed trace events: the vocabulary of the campaign event stream.
 
 Every layer of the campaign — engine, supervised executor, fork-server
-backend, corpus syncer, fleet supervisor, two-stage pipeline — reports
+backend, two-stage pipeline, durability auditor — reports
 what it does as :class:`TraceEvent` records on a
 :class:`~repro.observe.bus.TraceBus`.  The kinds are a closed set
 (:data:`EVENT_KINDS`): an unknown kind is a programming error and is
@@ -25,14 +25,11 @@ EVENT_KINDS = frozenset({
     "exec",            # one test-case execution (sampled via --trace-sample)
     "new_path",        # coverage-interesting test case saved to the queue
     "crash",           # SEGFAULT outcome / crash-triage bundle written
-    "sync_epoch",      # fleet epoch boundary: published / imported counts
-    "worker_kill",     # watchdog SIGKILL, worker death, member kill/retire
+    "worker_kill",     # watchdog SIGKILL or worker death
     "fault_injected",  # environment fault absorbed by the supervisor
     "checkpoint",      # campaign state snapshotted to disk
     "stage_enter",     # pipeline / profiling stage opened
     "stage_exit",      # pipeline / profiling stage closed
-    "corpusdb",        # corpus-database activity: warm-start / sync / flush
-    "degraded",        # a subsystem gave up; the campaign continues without
     "audit",           # durability-audit result for one component
 })
 
@@ -44,7 +41,7 @@ class TraceEvent:
     kind: str
     vtime: float  #: virtual-clock instant (campaign time, not wall time)
     seq: int  #: per-member monotonic sequence number (dedup key on merge)
-    member: int = -1  #: fleet member index (-1 = solo / supervisor)
+    member: int = -1  #: writer index (-1 = the campaign's own shard)
     payload: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:

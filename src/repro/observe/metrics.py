@@ -3,7 +3,7 @@
 Prometheus-shaped but process-local: each metric is registered once by
 name, updated from the hot loop with plain attribute arithmetic, and
 snapshotted into :class:`~repro.fuzz.stats.FuzzStats` so it survives
-checkpoint/resume and flows through the fleet merge.
+checkpoint/resume.
 
 Two determinism classes, enforced at registration:
 
@@ -12,14 +12,12 @@ Two determinism classes, enforced at registration:
   mutation-operator effectiveness, queue depth, coverage-map density.
   They land in ``FuzzStats.metrics`` and are part of the
   ``comparable()`` equivalence contracts (fork/none, trace on/off,
-  kill/restart).
+  kill/resume).
 * **host-dependent** metrics — anything touching the wall clock — land
   in ``FuzzStats.metrics_host``, which ``comparable()`` excludes.
 
 Snapshots are plain nested dicts (JSON-friendly, so ``status.json`` can
-carry them verbatim) and merge deterministically across fleet members:
-counters and histograms sum, gauges sum (a fleet gauge reads as the
-fleet total).
+carry them verbatim).
 """
 
 from __future__ import annotations
@@ -187,29 +185,3 @@ class MetricsRegistry:
                 metric = self._metrics.get(name)
                 if metric is not None:
                     metric.restore(value)
-
-
-def merge_metric_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Fold per-member metric snapshots into one fleet snapshot.
-
-    Counters/gauges sum; histograms sum element-wise.  Purely a function
-    of the inputs in the given order (the fleet merge passes members
-    sorted by index), so the result is deterministic.
-    """
-    merged: dict = {}
-    for snap in snapshots:
-        for name, value in snap.items():
-            if name not in merged:
-                merged[name] = (dict(value) if isinstance(value, dict)
-                                else value)
-            elif isinstance(value, dict):
-                base = merged[name]
-                if tuple(base["buckets"]) != tuple(value["buckets"]):
-                    raise ValueError(f"histogram {name!r}: bucket mismatch")
-                base["counts"] = [a + b for a, b in zip(base["counts"],
-                                                        value["counts"])]
-                base["count"] += value["count"]
-                base["sum"] += value["sum"]
-            else:
-                merged[name] += value
-    return {name: merged[name] for name in sorted(merged)}

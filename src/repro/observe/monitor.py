@@ -7,7 +7,7 @@ discipline as every other durable artifact — a reader never sees a torn
 status file, only the previous complete one.
 
 ``python -m repro monitor <dir>`` tails the status files in a trace
-directory (one per fleet member, one for a solo campaign) and redraws a
+directory and redraws a
 terminal summary; ``--once`` renders a single frame, which is what the
 CI smoke test drives.
 """
@@ -39,7 +39,6 @@ def status_snapshot(stats, vclock: float) -> dict:
         "config": stats.config_name,
         "workload": stats.workload_name,
         "member": stats.member_index,
-        "fleet_size": stats.fleet_size,
         "vtime": vclock,
         "executions": stats.executions,
         "execs_per_vsec": stats.executions / vclock if vclock else 0.0,

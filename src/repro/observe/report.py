@@ -1,13 +1,13 @@
 """Post-hoc campaign reports from the trace directory.
 
-``python -m repro report <dir>`` merges the per-member JSONL shards
+``python -m repro report <dir>`` merges the JSONL trace shards
 (deterministically, torn tails tolerated — see
 :mod:`repro.observe.sink`), reconstructs the coverage-over-time curve
-from ``new_path`` events, lays the fault / worker-kill / checkpoint /
-sync-epoch events on a timeline, and renders either a terminal report
-or a self-contained HTML page.  A campaign whose fleet member was
-SIGKILLed mid-write still reports: the member's torn tail is skipped
-and its replayed events deduplicate against the pre-kill ones.
+from ``new_path`` events, lays the fault / worker-kill / checkpoint
+events on a timeline, and renders either a terminal report or a
+self-contained HTML page.  A campaign SIGKILLed mid-write still
+reports: its torn tail is skipped, and after a resume its replayed
+events deduplicate against the pre-kill ones.
 """
 
 from __future__ import annotations
@@ -26,20 +26,18 @@ TIMELINE_KINDS = (
     ("worker_kill", "K"),
     ("crash", "C"),
     ("checkpoint", "·"),
-    ("sync_epoch", "S"),
 )
 
 _TIMELINE_WIDTH = 64
 
 
 def coverage_curve(events: List[TraceEvent]) -> List[Tuple[float, int]]:
-    """Fleet-wide coverage-over-time from ``new_path`` events.
+    """Coverage-over-time from ``new_path`` events.
 
-    Each ``new_path`` event carries the emitting member's cumulative
-    ``pm_paths``; the fleet curve takes, at each instant, the sum of the
-    latest per-member values — an upper-bound union proxy (exact union
-    needs the slot sets, which live in the merged stats, not the
-    stream).  For a solo campaign this is exactly the member's curve.
+    Each ``new_path`` event carries its writer's cumulative
+    ``pm_paths``.  A campaign writes one shard, so this is its curve;
+    should a directory hold several writers' shards, the curve takes at
+    each instant the sum of the latest per-writer values.
     """
     latest: Dict[int, int] = {}
     curve: List[Tuple[float, int]] = []

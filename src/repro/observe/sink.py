@@ -11,11 +11,11 @@ reader stitches rotations back together in order.
 Read side
 ---------
 :func:`read_events` skips undecodable lines (the torn tail a kill leaves
-behind, or a line damaged by bit rot) instead of failing: a crashed
-fleet member's shard must still merge into the campaign report.
-:func:`merge_shards` combines per-member shards deterministically —
-dedup by ``(member, seq)`` (a restarted member re-emits its replayed
-tail byte-for-byte), then sort by ``(vtime, member, seq)`` — so the
+behind, or a line damaged by bit rot) instead of failing: a killed
+campaign's shard must still merge into the campaign report.
+:func:`merge_shards` combines shards deterministically — dedup by
+``(member, seq)`` (a resumed campaign re-emits its replayed tail
+byte-for-byte), then sort by ``(vtime, member, seq)`` — so the
 merged timeline is a pure function of the shard contents, never of
 read order.
 """

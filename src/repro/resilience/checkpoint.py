@@ -30,6 +30,7 @@ registry without any caller-side bookkeeping.
 
 from __future__ import annotations
 
+import inspect
 import os
 import pickle
 import shutil
@@ -174,21 +175,8 @@ def capture_state(engine) -> dict:
         "supervisor": engine.supervisor.getstate(),
         "env_faults": (engine.env_faults.getstate()
                        if engine.env_faults is not None else None),
-        # Fleet shared-corpus sync state (None for solo campaigns).  The
-        # syncer itself is rebuilt by the fleet member on restart (it
-        # holds directory paths, which are process configuration); only
-        # its progress — next epoch, imported entries, pending
-        # publications — is campaign state.
-        "fleet": (engine.fleet_sync.getstate()
-                  if engine.fleet_sync is not None else None),
-        # Corpus-database client progress (None when --corpus-db is
-        # off).  Like the fleet syncer, the client object is rebuilt
-        # from the engine kwargs; only its progress — seen keys,
-        # buffered publishes, sync schedule, degradation — is state.
-        "corpusdb": (engine.corpus_db.getstate()
-                     if engine.corpus_db is not None else None),
         # Observability: metrics registry values plus the trace bus
-        # sequence/sampling phase, so a resumed member replays its
+        # sequence/sampling phase, so a resumed campaign replays its
         # interrupted tail with identical metric totals and identical
         # (member, seq) event labels (shard-merge dedup depends on it).
         "observe": {
@@ -263,18 +251,6 @@ def restore_state(engine, state: dict) -> None:
         engine.metrics.restore(observe.get("metrics"),
                                observe.get("metrics_host"))
         engine.trace.setstate(observe["bus"])
-    # A fleet member attaches its CorpusSyncer *after* resume; the
-    # stashed state is consumed by CorpusSyncer.attach().
-    engine._fleet_sync_state = state.get("fleet")
-    if engine.fleet_sync is not None and engine._fleet_sync_state is not None:
-        engine.fleet_sync.setstate(engine._fleet_sync_state)
-        engine._fleet_sync_state = None
-    # Corpus-database client: rebuilt by the engine constructor from the
-    # checkpointed kwargs; restore its progress (the database itself is
-    # reopened lazily at the next sync round).
-    corpusdb_state = state.get("corpusdb")
-    if engine.corpus_db is not None and corpusdb_state is not None:
-        engine.corpus_db.setstate(corpusdb_state)
 
 
 def write_engine_checkpoint(path: str, engine) -> None:
@@ -294,6 +270,15 @@ def write_engine_checkpoint(path: str, engine) -> None:
         "backend": engine.backend.describe(),
         "state": capture_state(engine),
     })
+
+
+def _engine_options() -> set:
+    """Every keyword argument the engine classes accept."""
+    from repro.core.pmfuzz import PMFuzzEngine
+    from repro.fuzz.engine import FuzzEngine
+
+    return {name for cls in (FuzzEngine, PMFuzzEngine)
+            for name in inspect.signature(cls.__init__).parameters}
 
 
 def resume_campaign(path: str, injector=None, allow_previous: bool = True):
@@ -328,6 +313,25 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
     # Likewise for the fork transport: the shared-memory ring and the
     # pipe carried identical frames, and only the pipe remains.
     engine_kwargs.pop("transport", None)
+    # A fleet member or a corpus-database campaign imported entries that
+    # a solo resume cannot reproduce, so it is refused, not resumed as
+    # something else; so is any other option the engine no longer
+    # takes.  Older solo checkpoints carry both state keys as None and
+    # resume exactly.
+    state = payload["state"]
+    if state.get("fleet") is not None:
+        raise CheckpointError(
+            f"checkpoint {path!r} is from a fleet member, and the fleet "
+            "was retired; it cannot be resumed")
+    if state.get("corpusdb") is not None:
+        raise CheckpointError(
+            f"checkpoint {path!r} is from a campaign with a corpus "
+            "database, which was retired; it cannot be resumed")
+    retired = sorted(set(engine_kwargs) - _engine_options())
+    if retired:
+        raise CheckpointError(
+            f"checkpoint {path!r} uses retired engine options "
+            f"{', '.join(retired)}; it cannot be resumed")
     engine = build_engine(
         meta["workload"],
         config_by_name(meta["config"]),
@@ -337,5 +341,5 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
         fault_plan=meta["fault_plan"],
         **engine_kwargs,
     )
-    restore_state(engine, payload["state"])
+    restore_state(engine, state)
     return engine

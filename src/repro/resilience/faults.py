@@ -35,11 +35,7 @@ FAULT_SITES: Tuple[str, ...] = (
     "decompress",      # ImageStore.get: transient LZ77 decompression failure
     "exec-fault",      # Executor.run: the harness process died (fork server)
     "exec-hang",       # Executor.run: virtual-time hang (target never exits)
-    "disk-full",       # ImageStore.put / checkpoint / corpusdb publish: ENOSPC
-    "corpusdb-publish",  # CorpusDatabase.publish: entry write I/O error
-    "corpusdb-read",     # CorpusDatabase.get / scan: read I/O error
-    "corpusdb-journal",  # IntentJournal.begin: intent write I/O error
-    "corpusdb-compact",  # CorpusDatabase.compact: tier-move I/O error
+    "disk-full",       # ImageStore.put / checkpoint write: ENOSPC
 )
 
 #: One-line description per fault site (``python -m repro faults list``).
@@ -50,21 +46,11 @@ FAULT_SITE_DESCRIPTIONS: Dict[str, str] = {
     "decompress": "ImageStore.get: transient LZ77 decompression failure",
     "exec-fault": "Executor.run: the harness process died (fork server)",
     "exec-hang": "Executor.run: virtual-time hang (target never exits)",
-    "disk-full": "ImageStore.put / checkpoint / corpusdb publish: ENOSPC",
-    "corpusdb-publish": "CorpusDatabase.publish: entry write I/O error",
-    "corpusdb-read": "CorpusDatabase.get / scan: read I/O error",
-    "corpusdb-journal": "IntentJournal.begin: intent write I/O error",
-    "corpusdb-compact": "CorpusDatabase.compact: tier-move I/O error",
+    "disk-full": "ImageStore.put / checkpoint write: ENOSPC",
 }
 
 #: Sites drawn from the *host* fault stream (see :meth:`check_host`).
-HOST_FAULT_SITES: Tuple[str, ...] = (
-    "disk-full",
-    "corpusdb-publish",
-    "corpusdb-read",
-    "corpusdb-journal",
-    "corpusdb-compact",
-)
+HOST_FAULT_SITES: Tuple[str, ...] = ("disk-full",)
 
 #: Spec-string aliases expanding to groups of sites.
 SITE_GROUPS: Dict[str, Tuple[str, ...]] = {
@@ -72,8 +58,6 @@ SITE_GROUPS: Dict[str, Tuple[str, ...]] = {
     "storage": ("storage-save", "storage-load", "storage-corrupt",
                 "disk-full"),
     "exec": ("exec-fault", "exec-hang"),
-    "corpusdb": ("corpusdb-publish", "corpusdb-read", "corpusdb-journal",
-                 "corpusdb-compact"),
 }
 
 
@@ -158,13 +142,12 @@ class EnvFaultInjector:
         self.plan = plan
         self._rng = random.Random(plan.seed)
         #: Second, independent RNG for *host-side* sites (checkpoint
-        #: writes, corpus-database I/O).  Those sites are consulted on a
-        #: cadence that depends on host configuration (checkpoint
-        #: interval, ``--corpus-db`` on/off), so drawing them from the
-        #: campaign fault stream would shift every later campaign-class
-        #: draw and break the bit-identity contracts.  A separate stream
-        #: keeps the campaign draws untouched no matter how often the
-        #: host sites fire.
+        #: writes).  Those sites are consulted on a cadence that depends
+        #: on host configuration (the checkpoint interval), so drawing
+        #: them from the campaign fault stream would shift every later
+        #: campaign-class draw and break the bit-identity contracts.  A
+        #: separate stream keeps the campaign draws untouched no matter
+        #: how often the host sites fire.
         self._host_rng = random.Random(plan.seed ^ self._HOST_STREAM_SALT)
         self._specs: Dict[str, FaultSpec] = {s.site: s for s in plan.specs}
         #: remaining forced faults per site (burst mode), per stream.
@@ -218,9 +201,9 @@ class EnvFaultInjector:
     def check_host(self, site: str) -> None:
         """:meth:`check`, but drawn from the host fault stream.
 
-        Used by the checkpoint writer and the corpus database, whose
-        consultation cadence is a host configuration choice rather than
-        part of the deterministic campaign trajectory.
+        Used by the checkpoint writer, whose consultation cadence is a
+        host configuration choice rather than part of the deterministic
+        campaign trajectory.
         """
         if self.should_fault_host(site):
             self._raise_for(site)

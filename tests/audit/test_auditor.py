@@ -34,7 +34,7 @@ def test_audit_is_deterministic(tmp_path):
     runs = []
     for i in range(2):
         auditor = DurabilityAuditor(str(tmp_path / f"out{i}"), budget=11)
-        report = auditor.audit(["corpusdb"])
+        report = auditor.audit(["sink"])
         runs.append((report.results[0].trace_lines,
                      report.results[0].states_enumerated,
                      report.results[0].states_checked,

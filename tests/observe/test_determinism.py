@@ -3,7 +3,7 @@
 Tracing, metrics, status publication, and profiling must be pure
 *observers*: a seeded campaign produces byte-identical host-independent
 statistics and an identical queue whether tracing is on or off, under
-either isolation backend, solo or fleet, killed or not.
+either isolation backend, killed and resumed or not.
 """
 
 import os
@@ -12,10 +12,10 @@ import pytest
 
 from repro.core.config import PMFUZZ
 from repro.core.pmfuzz import build_engine
+from repro.fuzz.engine import FuzzEngine
 from repro.fuzz.rng import DeterministicRandom
 from repro.observe.report import render_report
 from repro.observe.sink import merge_shards
-from repro.orchestrate import run_fleet
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="requires os.fork")
@@ -91,37 +91,41 @@ class TestSoloDeterminism:
         assert "peak=" in render_report(trace_dir)
 
 
-class TestFleetDeterminism:
-    def _fleet(self, tmp_path, name, trace=False, **kwargs):
-        engine_kwargs = dict(kwargs.pop("engine_kwargs", {}))
-        if trace:
-            engine_kwargs["trace_dir"] = str(tmp_path / name / "trace")
-        return run_fleet(
-            "btree", "pmfuzz", 0.5, 2, str(tmp_path / name / "fleet"),
-            sync_every=0.25, poll_interval=0.01, restart_backoff=0.05,
-            engine_kwargs=engine_kwargs, **kwargs)
+class TestKilledCampaignTrace:
+    def test_killed_campaign_replay_dedups_and_report_renders(
+            self, tmp_path, monkeypatch):
+        """A campaign killed mid-run and resumed from its checkpoint
+        re-emits its replayed tail with the same (member, seq) labels,
+        so the merged trace equals an uninterrupted run's."""
+        def engine_for(name):
+            os.makedirs(tmp_path / name)
+            return build_engine(
+                "hashmap_tx", PMFUZZ,
+                rng=DeterministicRandom(7).fork("hashmap_tx/obs"),
+                trace_dir=str(tmp_path / name / "trace"),
+                checkpoint_every=0.1,
+                checkpoint_path=str(tmp_path / name / "c.ckpt"))
 
-    def test_fleet_merge_invariant_under_tracing(self, tmp_path):
-        base = self._fleet(tmp_path, "base")
-        traced = self._fleet(tmp_path, "traced", trace=True)
-        assert traced.comparable() == base.comparable()
-        # Both member shards exist and merge cleanly.
-        events, _ = merge_shards(str(tmp_path / "traced" / "trace"))
-        assert {e.member for e in events if e.kind == "exec"} == {0, 1}
-        assert any(e.kind == "sync_epoch" for e in events)
+        reference = engine_for("ref").run(0.4)
+        victim = engine_for("killed")
+        real_run_one = victim._run_one
 
-    def test_killed_member_replay_dedups_and_report_renders(self, tmp_path):
-        base = self._fleet(tmp_path, "base")
-        killed = self._fleet(tmp_path, "killed", trace=True,
-                             kill_plan={0: 1})
-        assert killed.member_restarts >= 1
-        # Kill + restart + replay is invisible to the merged stats...
-        assert killed.comparable() == base.comparable()
-        # ...and to the merged trace: the replayed tail collapses onto
-        # the pre-kill events, leaving member 0's sequence gap-free.
+        def killing_run_one(entry, data):
+            if victim.stats.executions >= 40:
+                raise RuntimeError("simulated kill")
+            real_run_one(entry, data)
+
+        monkeypatch.setattr(victim, "_run_one", killing_run_one)
+        with pytest.raises(RuntimeError):
+            victim.run(0.4)
+        engine = FuzzEngine.resume(str(tmp_path / "killed" / "c.ckpt"))
+        assert engine.stats.executions < 40  # rolled back
+        resumed = engine.run(0.4)
+        assert resumed.comparable() == reference.comparable()
+
         trace_dir = str(tmp_path / "killed" / "trace")
         events, _ = merge_shards(trace_dir)
-        m0 = sorted(e.seq for e in events if e.member == 0)
-        assert len(set(m0)) == len(m0)
-        text = render_report(trace_dir)
-        assert "worker_kill" in text or "peak=" in text
+        ref_events, _ = merge_shards(str(tmp_path / "ref" / "trace"))
+        assert [(e.kind, e.vtime, e.seq) for e in events] == \
+            [(e.kind, e.vtime, e.seq) for e in ref_events]
+        assert "peak=" in render_report(trace_dir)

@@ -1,9 +1,9 @@
-"""Metrics registry: determinism classes, snapshot/restore, fleet merge."""
+"""Metrics registry: determinism classes, snapshot/restore."""
 
 import pytest
 
 from repro.observe.metrics import (Counter, Gauge, Histogram,
-                                   MetricsRegistry, merge_metric_snapshots)
+                                   MetricsRegistry)
 
 
 class TestMetricTypes:
@@ -82,34 +82,3 @@ class TestRegistry:
         fresh.histogram("cost", buckets=(1.0,))
         fresh.restore(snap)
         assert fresh.snapshot() == snap
-
-
-class TestFleetMerge:
-    def test_scalars_sum_histograms_sum_elementwise(self):
-        a = {"execs": 3, "cost": {"buckets": [1.0], "counts": [1, 0],
-                                  "count": 1, "sum": 0.5}}
-        b = {"execs": 4, "cost": {"buckets": [1.0], "counts": [0, 2],
-                                  "count": 2, "sum": 4.0}}
-        merged = merge_metric_snapshots([a, b])
-        assert merged["execs"] == 7
-        assert merged["cost"] == {"buckets": [1.0], "counts": [1, 2],
-                                  "count": 3, "sum": 4.5}
-
-    def test_merge_does_not_mutate_inputs(self):
-        a = {"cost": {"buckets": [1.0], "counts": [1, 0],
-                      "count": 1, "sum": 0.5}}
-        merge_metric_snapshots([a, a])
-        assert a["cost"]["count"] == 1
-
-    def test_bucket_mismatch_is_an_error(self):
-        a = {"cost": {"buckets": [1.0], "counts": [0, 0],
-                      "count": 0, "sum": 0.0}}
-        b = {"cost": {"buckets": [2.0], "counts": [0, 0],
-                      "count": 0, "sum": 0.0}}
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            merge_metric_snapshots([a, b])
-
-    def test_merge_of_disjoint_members_is_union(self):
-        merged = merge_metric_snapshots([{"a": 1}, {"b": 2}])
-        assert merged == {"a": 1, "b": 2}
-        assert list(merged) == ["a", "b"]

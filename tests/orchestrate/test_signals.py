@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.pmfuzz import run_campaign
 from repro.fuzz.engine import FuzzEngine
-from repro.orchestrate.signals import GracefulStop, install_graceful_stop
+from repro.fuzz.signals import GracefulStop, install_graceful_stop
 
 
 class TestGracefulStop:
@@ -68,17 +68,23 @@ class TestGracefulStop:
         assert flagged == [1]
 
 
+def _stop_after(engine, vtime=0.2):
+    """Request a stop at the first round boundary past ``vtime``, as a
+    signal handler would; the loop polls the checkpoint schedule once
+    per round, so that is where the request is made."""
+    maybe_checkpoint = engine._maybe_checkpoint
+
+    def hook():
+        if engine.vclock > vtime:
+            engine.request_stop()
+        maybe_checkpoint()
+    engine._maybe_checkpoint = hook
+
+
 class TestEngineSignalStop:
     def test_requested_stop_ends_campaign_with_signal_reason(self, tmp_path):
         ckpt = str(tmp_path / "c.ckpt")
-
-        def wire(engine):
-            def hook(eng):
-                if eng.vclock > 0.2:
-                    eng.request_stop()
-            engine.round_hook = hook
-
-        stats = run_campaign("btree", "pmfuzz", 5.0, engine_hook=wire,
+        stats = run_campaign("btree", "pmfuzz", 5.0, engine_hook=_stop_after,
                              checkpoint_path=ckpt)
         assert stats.stop_reason == "signal"
         # The loop stopped long before the budget was exhausted...
@@ -88,14 +94,8 @@ class TestEngineSignalStop:
 
     def test_signal_stopped_campaign_is_resumable(self, tmp_path):
         ckpt = str(tmp_path / "c.ckpt")
-
-        def wire(engine):
-            def hook(eng):
-                if eng.vclock > 0.2:
-                    eng.request_stop()
-            engine.round_hook = hook
-
-        interrupted = run_campaign("btree", "pmfuzz", 1.0, engine_hook=wire,
+        interrupted = run_campaign("btree", "pmfuzz", 1.0,
+                                   engine_hook=_stop_after,
                                    checkpoint_path=ckpt)
         assert interrupted.stop_reason == "signal"
         resumed_stats = run_campaign("btree", "pmfuzz", 1.0,

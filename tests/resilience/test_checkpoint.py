@@ -215,30 +215,78 @@ class TestResumeDeterminism:
 
     def test_resume_ignores_retired_fault_site(self, tmp_path):
         """A checkpoint pickles its fault plan, and unpickling skips the
-        site check, so a plan expanded when the registry still held the
-        serve daemon's sites resumes to the uninterrupted campaign."""
+        site check, so a plan expanded when the registry still held a
+        retired site (the serve daemon's, the corpus database's) resumes
+        to the uninterrupted campaign."""
         from repro.resilience.faults import FaultPlan, FaultSpec
 
         path = str(tmp_path / "faulted.ckpt")
         run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
                      fault_plan="all:0.02",
                      checkpoint_every=0.1, checkpoint_path=path)
+        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21,
+                                fault_plan="all:0.02")
+        for site in ("serve-journal", "corpusdb-publish"):
+            payload = read_checkpoint(path)
+            plan = payload["meta"]["fault_plan"]
+            retired = object.__new__(FaultSpec)
+            for name, value in (("site", site), ("rate", 0.02),
+                                ("burst", 1)):
+                object.__setattr__(retired, name, value)
+            payload["meta"]["fault_plan"] = FaultPlan(
+                plan.specs + (retired,), seed=plan.seed)
+            legacy = str(tmp_path / f"legacy-{site}.ckpt")
+            write_checkpoint(legacy, payload)
+
+            resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
+                                   resume_from=legacy)
+            assert resumed.comparable() == straight.comparable(), site
+
+    def test_resume_accepts_empty_retired_state_keys(self, tmp_path):
+        """Solo checkpoints from before the fleet and the corpus database
+        were retired carry both state keys as None; they resume to the
+        uninterrupted campaign."""
+        path = str(tmp_path / "solo.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
+                     checkpoint_every=0.1, checkpoint_path=path)
         payload = read_checkpoint(path)
-        plan = payload["meta"]["fault_plan"]
-        retired = object.__new__(FaultSpec)
-        for name, value in (("site", "serve-journal"), ("rate", 0.02),
-                            ("burst", 1)):
-            object.__setattr__(retired, name, value)
-        payload["meta"]["fault_plan"] = FaultPlan(
-            plan.specs + (retired,), seed=plan.seed)
+        assert "fleet" not in payload["state"]
+        payload["state"].update(fleet=None, corpusdb=None)
         legacy = str(tmp_path / "legacy.ckpt")
         write_checkpoint(legacy, payload)
 
-        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21,
-                                fault_plan="all:0.02")
+        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21)
         resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
                                resume_from=legacy)
         assert resumed.comparable() == straight.comparable()
+
+    @pytest.mark.parametrize("where,key,value,feature", [
+        ("kwargs", "corpus_db", "/srv/db", "retired engine options"),
+        ("state", "corpusdb", {"seen": []}, "corpus database"),
+        ("state", "fleet", {"epoch": 3}, "fleet"),
+    ], ids=["corpus-db-kwarg", "corpusdb-state", "fleet-state"])
+    def test_resume_refuses_retired_feature(self, tmp_path, capsys, where,
+                                            key, value, feature):
+        """A fleet member or corpus-database campaign imported entries a
+        solo resume cannot reproduce: resuming it is a one-line error."""
+        from repro.cli import main
+
+        path = str(tmp_path / "solo.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.3, seed=21,
+                     checkpoint_every=0.1, checkpoint_path=path)
+        payload = read_checkpoint(path)
+        target = (payload["meta"]["engine_kwargs"] if where == "kwargs"
+                  else payload["state"])
+        target[key] = value
+        legacy = str(tmp_path / "legacy.ckpt")
+        write_checkpoint(legacy, payload)
+
+        with pytest.raises(CheckpointError, match=feature):
+            resume_campaign(legacy)
+        assert main(["fuzz", "--resume", legacy, "--budget", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "retired" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_resume_reads_old_image_store_state(self, tmp_path):
         """Older checkpoints carry the store's retired ``layouts`` index

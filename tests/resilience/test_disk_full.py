@@ -1,9 +1,8 @@
-"""The ``disk-full`` (ENOSPC) fault site across its three surfaces.
+"""The ``disk-full`` (ENOSPC) fault site across its two surfaces.
 
-Satellite acceptance: injectable at image-store puts, checkpoint writes,
-and corpus-database publishes, with consistent accounting in
-``FuzzStats`` — and host-stream draws never perturbing the campaign
-fault stream.
+Injectable at image-store puts and checkpoint writes, with consistent
+accounting in ``FuzzStats`` — and host-stream draws never perturbing
+the campaign fault stream.
 """
 
 import pytest
@@ -25,9 +24,8 @@ class TestSiteRegistration:
         assert "disk-full" in FAULT_SITES
         assert "disk-full" in SITE_GROUPS["storage"]
 
-    def test_corpusdb_sites_are_host_stream(self):
-        assert set(SITE_GROUPS["corpusdb"]) <= set(HOST_FAULT_SITES)
-        assert "disk-full" in HOST_FAULT_SITES
+    def test_disk_full_is_the_only_host_stream_site(self):
+        assert HOST_FAULT_SITES == ("disk-full",)
 
     def test_injected_error_reads_as_enospc(self):
         inj = EnvFaultInjector(FaultPlan.parse("disk-full:1.0"))
@@ -94,14 +92,12 @@ class TestHostStreamIsolation:
         expected = [baseline.should_fault("exec-fault") for _ in range(128)]
 
         armed = EnvFaultInjector(
-            FaultPlan.parse("exec-fault:0.5,disk-full:0.5,corpusdb:0.5",
-                            seed=3))
+            FaultPlan.parse("exec-fault:0.5,disk-full:0.5", seed=3))
         seq = []
         for _ in range(128):
             # Interleave host draws between campaign draws: the
             # campaign-class sequence must not shift.
             armed.should_fault_host("disk-full")
-            armed.should_fault_host("corpusdb-publish")
             seq.append(armed.should_fault("exec-fault"))
         assert seq == expected
 

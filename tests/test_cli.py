@@ -234,47 +234,6 @@ class TestTriageCommand:
         assert "cannot load bundle" in capsys.readouterr().err
 
 
-class TestFleetFlags:
-    def test_fleet_flags_parse(self):
-        args = build_parser().parse_args(
-            ["fuzz", "--workload", "btree", "--fleet", "4",
-             "--fleet-dir", "shared", "--sync-every", "0.25",
-             "--member-lease", "2.5", "--fleet-kill", "0:1",
-             "--fleet-kill", "2:3"])
-        assert args.fleet == 4
-        assert args.fleet_dir == "shared"
-        assert args.sync_every == 0.25
-        assert args.member_lease == 2.5
-        assert args.fleet_kill == ["0:1", "2:3"]
-
-    def test_fleet_defaults_to_solo(self):
-        args = build_parser().parse_args(["fuzz", "--workload", "btree"])
-        assert args.fleet == 1
-        assert args.fleet_dir is None
-
-    def test_bad_kill_plan_is_clean_error(self, tmp_path, capsys):
-        assert main(["fuzz", "--workload", "btree", "--fleet", "2",
-                     "--fleet-dir", str(tmp_path / "f"),
-                     "--fleet-kill", "nonsense"]) == 2
-        assert "fleet-kill" in capsys.readouterr().err
-
-    def test_fleet_rejects_solo_resume_flag(self, tmp_path, capsys):
-        assert main(["fuzz", "--workload", "btree", "--fleet", "2",
-                     "--resume", "whatever.ckpt"]) == 2
-        assert "--fleet-dir" in capsys.readouterr().err
-
-    def test_fleet_campaign_via_cli(self, tmp_path, capsys):
-        code = main(["fuzz", "--workload", "btree", "--fleet", "2",
-                     "--fleet-dir", str(tmp_path / "fleet"),
-                     "--budget", "0.5", "--sync-every", "0.25"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fleet             : 2 members" in out
-        assert "corpus sync" in out
-        assert "stopped           : budget" in out
-        assert "fleet=2" in out  # summary line carries fleet counters
-
-
 class TestObservabilityFlags:
     def test_traced_profiled_campaign_via_cli(self, tmp_path, capsys):
         trace = tmp_path / "trace"
@@ -298,6 +257,12 @@ class TestObservabilityFlags:
                      "--trace-dir", str(tmp_path / "t"),
                      "--status-every", "-1"]) == 2
         assert "--status-every must be > 0" in capsys.readouterr().err
+
+    def test_monitor_and_report_wait_flags(self):
+        mon = build_parser().parse_args(["monitor", "/tmp/t", "--wait", "3"])
+        assert mon.wait == 3.0
+        rep = build_parser().parse_args(["report", "/tmp/t", "--wait", "2"])
+        assert rep.wait == 2.0
 
     def test_monitor_once_and_report_via_cli(self, tmp_path, capsys):
         trace = tmp_path / "trace"
@@ -336,7 +301,9 @@ class TestVersionAndExitCodes:
 
 
 class TestRetiredServe:
-    """``serve`` names neither a subcommand nor a fault group."""
+    """Retired subcommands, options, audit components and fault groups
+    (the serve daemon, the fleet, the corpus database) are usage
+    errors, never silently ignored."""
 
     def test_serve_subcommand_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -348,6 +315,27 @@ class TestRetiredServe:
     def test_serve_fault_group_is_a_clean_error(self, capsys):
         assert main(["fuzz", "--workload", "btree", "--budget", "0.1",
                      "--fault-plan", "serve:0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fuzz", "--fleet", "2"], id="fuzz-fleet"),
+        pytest.param(["fuzz", "--corpus-db", "d"], id="fuzz-corpus-db"),
+        pytest.param(["corpusdb", "info", "d"], id="corpusdb"),
+        pytest.param(["audit", "--component", "corpusdb"],
+                     id="audit-corpusdb"),
+    ])
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
+
+    def test_corpusdb_fault_group_is_a_clean_error(self, capsys):
+        assert main(["fuzz", "--workload", "btree", "--budget", "0.1",
+                     "--fault-plan", "corpusdb:0.1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
