@@ -126,8 +126,7 @@ def replace_durable(src: str, dst: str) -> None:
     crash-critical same-directory rename in the repo routes through
     here.  When ``src`` and ``dst`` have different parents both are
     fsynced (destination first, so the new name can never be the one
-    that is lost) — but see :func:`move_durable` for why a
-    cross-directory *move* should not use a rename at all.
+    that is lost).
     """
     from repro._vfs import current_vfs
 
@@ -138,52 +137,3 @@ def replace_durable(src: str, dst: str) -> None:
     vfs.fsync_dir(dst_dir)
     if src_dir != dst_dir:
         vfs.fsync_dir(src_dir)
-
-
-def move_durable(src: str, dst: str) -> None:
-    """Crash-safe cross-directory move: link, fsync, then unlink.
-
-    A cross-directory ``os.replace`` updates *two* directories; a crash
-    may persist the source-side removal without the destination-side
-    insertion (the two directory blocks reach disk independently),
-    silently losing the file.  No after-the-fact fsync closes that
-    window, so the move is decomposed into operations that are
-    individually safe at every crash point:
-
-    1. ``link(src, dst)`` — the file now has two names; losing the new
-       one costs nothing.
-    2. ``fsync(dst parent)`` — the new name is durable.
-    3. ``unlink(src)`` — only now may the old name disappear; a crash
-       that persists this step cannot lose the file, and a crash that
-       drops it merely leaves the file visible under both names (the
-       caller's recovery path removes the leftover).
-
-    Raises the same exceptions as ``os.replace`` for a missing ``src``
-    (``FileNotFoundError``), which callers use as a race claim.  Falls
-    back to :func:`replace_durable` where hardlinks are unsupported.
-    """
-    from repro._vfs import current_vfs
-
-    vfs = current_vfs()
-    if os.path.exists(dst):
-        # Content-addressed stores only move a key between tiers; an
-        # existing destination is the same payload (or a racing mover's
-        # completed work) — dropping the source finishes the move.
-        vfs.unlink(src)
-        vfs.fsync_dir(os.path.dirname(os.path.abspath(src)))
-        return
-    try:
-        vfs.link(src, dst)
-    except FileNotFoundError:
-        raise
-    except OSError:
-        # Filesystem without hardlink support: the atomic-but-less-
-        # crash-ordered rename is still strictly better than tearing.
-        replace_durable(src, dst)
-        return
-    vfs.fsync_dir(os.path.dirname(os.path.abspath(dst)))
-    try:
-        vfs.unlink(src)
-    except FileNotFoundError:
-        pass  # a racing mover finished step 3 first; dst is durable
-    vfs.fsync_dir(os.path.dirname(os.path.abspath(src)))

@@ -24,11 +24,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro._util import atomic_write_bytes, pack_checksummed
 from repro.audit.invariants import RecoveryInvariant
 
 #: Component names ``python -m repro audit --component`` accepts.
-COMPONENTS = ("checkpoint", "corpus", "storage", "sink")
+COMPONENTS = ("checkpoint", "sink")
 
 
 @dataclass
@@ -86,175 +85,6 @@ def _checkpoint_protocol() -> AuditProtocol:
             "recovery always loads exactly the old or the new snapshot, "
             "never a torn one and never neither",
             check_one_round)])
-
-
-# ----------------------------------------------------------------------
-# corpus: shared-corpus entry publish + scrubber recovery
-# ----------------------------------------------------------------------
-def _corpus_protocol() -> AuditProtocol:
-    from repro.core.storage import (CORPUS_ENTRY_MAGIC, CORPUS_ENTRY_SUFFIX,
-                                    CorpusScrubber)
-
-    seeds = ("1111aaaa", "2222bbbb")
-    new = "3333cccc"
-
-    def entry_blob(tag: str) -> bytes:
-        return pack_checksummed(CORPUS_ENTRY_MAGIC,
-                                f"payload-{tag}".encode("ascii") * 16)
-
-    def setup(root: str) -> dict:
-        corpus = os.path.join(root, "corpus")
-        os.makedirs(corpus)
-        os.makedirs(os.path.join(root, "quarantine"))
-        for tag in seeds:
-            with open(os.path.join(corpus, tag + CORPUS_ENTRY_SUFFIX),
-                      "wb") as fh:
-                fh.write(entry_blob(tag))
-        return {"seeds": seeds, "new": new}
-
-    def run(root: str, ctx: dict) -> None:
-        corpus = os.path.join(root, "corpus")
-        atomic_write_bytes(os.path.join(corpus, new + CORPUS_ENTRY_SUFFIX),
-                           entry_blob(new))
-
-    def scrubber(root: str) -> CorpusScrubber:
-        return CorpusScrubber(os.path.join(root, "corpus"),
-                              os.path.join(root, "quarantine"),
-                              tmp_grace=-1.0)
-
-    def recover(root: str, ctx: dict):
-        return scrubber(root).scrub()
-
-    def check_seeds(root: str, ctx: dict, result) -> Optional[str]:
-        s = scrubber(root)
-        for tag in seeds:
-            path = os.path.join(root, "corpus", tag + CORPUS_ENTRY_SUFFIX)
-            reason = s.verify_file(path)
-            if reason is not None:
-                return f"pre-existing entry {tag} damaged or lost: {reason}"
-        return None
-
-    def check_no_half(root: str, ctx: dict, result) -> Optional[str]:
-        s = scrubber(root)
-        corpus = os.path.join(root, "corpus")
-        for fname in sorted(os.listdir(corpus)):
-            if fname.endswith(".tmp"):
-                return f"orphaned temp file survived recovery: {fname}"
-            if not fname.endswith(CORPUS_ENTRY_SUFFIX):
-                continue
-            reason = s.verify_file(os.path.join(corpus, fname))
-            if reason is not None:
-                return f"half-published entry visible after scrub: " \
-                       f"{fname} ({reason})"
-        return None
-
-    return AuditProtocol(
-        name="corpus",
-        description="shared-corpus entry publish + scrub recovery",
-        setup=setup, run=run, recover=recover,
-        invariants=[
-            RecoveryInvariant(
-                "seeds-preserved",
-                "entries durable before the run survive every crash",
-                check_seeds),
-            RecoveryInvariant(
-                "no-half-published",
-                "after scrubbing, every visible entry verifies and no "
-                "orphaned temp files remain",
-                check_no_half)])
-
-
-# ----------------------------------------------------------------------
-# storage: claim-by-move quarantine of damaged entries
-# ----------------------------------------------------------------------
-def _storage_protocol() -> AuditProtocol:
-    from repro.core.storage import (CORPUS_ENTRY_MAGIC, CORPUS_ENTRY_SUFFIX,
-                                    CorpusScrubber)
-
-    healthy = ("aaaa0000", "bbbb1111")
-    damaged = "cccc2222"
-
-    def setup(root: str) -> dict:
-        corpus = os.path.join(root, "corpus")
-        os.makedirs(corpus)
-        os.makedirs(os.path.join(root, "quarantine"))
-        blobs = {}
-        for tag in healthy:
-            blob = pack_checksummed(CORPUS_ENTRY_MAGIC,
-                                    f"ok-{tag}".encode("ascii") * 16)
-            blobs[tag] = blob
-            with open(os.path.join(corpus, tag + CORPUS_ENTRY_SUFFIX),
-                      "wb") as fh:
-                fh.write(blob)
-        bad = b"this is not a checksummed container at all"
-        blobs[damaged] = bad
-        with open(os.path.join(corpus, damaged + CORPUS_ENTRY_SUFFIX),
-                  "wb") as fh:
-            fh.write(bad)
-        return {"blobs": blobs}
-
-    def scrubber(root: str) -> CorpusScrubber:
-        return CorpusScrubber(os.path.join(root, "corpus"),
-                              os.path.join(root, "quarantine"),
-                              tmp_grace=-1.0)
-
-    def run(root: str, ctx: dict) -> None:
-        scrubber(root).scrub()
-
-    def recover(root: str, ctx: dict):
-        return scrubber(root).scrub()
-
-    def check_not_lost(root: str, ctx: dict, result) -> Optional[str]:
-        name = damaged + CORPUS_ENTRY_SUFFIX
-        locations = []
-        for sub in ("corpus", "quarantine"):
-            try:
-                locations += [n for n in os.listdir(os.path.join(root, sub))
-                              if n == name or n.startswith(name + ".dup")]
-            except OSError:
-                pass
-        if not locations:
-            return ("damaged entry vanished: the quarantine move lost it "
-                    "instead of parking it")
-        return None
-
-    def check_healthy_intact(root: str, ctx: dict, result) -> Optional[str]:
-        for tag in healthy:
-            path = os.path.join(root, "corpus", tag + CORPUS_ENTRY_SUFFIX)
-            try:
-                with open(path, "rb") as fh:
-                    if fh.read() != ctx["blobs"][tag]:
-                        return f"healthy entry {tag} bytes changed"
-            except OSError:
-                return f"healthy entry {tag} missing after recovery"
-        return None
-
-    def check_corpus_clean(root: str, ctx: dict, result) -> Optional[str]:
-        s = scrubber(root)
-        corpus = os.path.join(root, "corpus")
-        for fname in sorted(os.listdir(corpus)):
-            if fname.endswith(CORPUS_ENTRY_SUFFIX) and \
-                    s.verify_file(os.path.join(corpus, fname)) is not None:
-                return f"damaged entry {fname} still visible after scrub"
-        return None
-
-    return AuditProtocol(
-        name="storage",
-        description="scrubber claim-by-move quarantine of damaged entries",
-        setup=setup, run=run, recover=recover,
-        invariants=[
-            RecoveryInvariant(
-                "damaged-never-lost",
-                "quarantining parks an entry; no crash point deletes it",
-                check_not_lost),
-            RecoveryInvariant(
-                "healthy-untouched",
-                "healthy entries are byte-identical across any crash",
-                check_healthy_intact),
-            RecoveryInvariant(
-                "corpus-clean-after-scrub",
-                "no damaged entry stays visible once recovery ran",
-                check_corpus_clean)])
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +156,6 @@ def _sink_protocol() -> AuditProtocol:
 # ----------------------------------------------------------------------
 _BUILDERS: Dict[str, Callable[[], AuditProtocol]] = {
     "checkpoint": _checkpoint_protocol,
-    "corpus": _corpus_protocol,
-    "storage": _storage_protocol,
     "sink": _sink_protocol,
 }
 

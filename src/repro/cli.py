@@ -56,24 +56,26 @@ def _slug(name: str) -> str:
     return "".join(c if c.isalnum() else "-" for c in name.lower()).strip("-")
 
 
+def _positive_seconds(flag: str, seconds: float) -> float:
+    """Reject a duration that is zero, negative, infinite or nan.
+
+    Every seconds-valued flag (virtual budgets and cadences, the wall
+    timeout) means "this long, then act"; none of those values does.
+    """
+    if not 0 < seconds < float("inf"):
+        raise FuzzerError(f"{flag} must be > 0 and finite, got {seconds}")
+    return seconds
+
+
 def _checkpoint_kwargs(args: argparse.Namespace, config_name: str) -> dict:
     """Checkpoint engine kwargs from the CLI flags (empty if disabled)."""
     if args.checkpoint_every is None:
         return {}
     path = getattr(args, "checkpoint_path", None) or \
         f"{args.workload}-{_slug(config_name)}.ckpt"
-    return {"checkpoint_every": args.checkpoint_every,
+    return {"checkpoint_every": _positive_seconds("--checkpoint-every",
+                                                  args.checkpoint_every),
             "checkpoint_path": path}
-
-
-def _check_wall_timeout(seconds: float) -> float:
-    """Reject a wall timeout at which the watchdog would kill every
-    execution (zero or negative) or could not be armed (inf, nan)."""
-    if not 0 < seconds < float("inf"):
-        raise FuzzerError(
-            f"--exec-wall-timeout must be a positive number of seconds, "
-            f"got {seconds}")
-    return seconds
 
 
 def _isolation_kwargs(args: argparse.Namespace) -> dict:
@@ -86,7 +88,8 @@ def _isolation_kwargs(args: argparse.Namespace) -> dict:
     return {
         "isolation": args.isolation,
         "isolation_workers": args.workers,
-        "exec_wall_timeout": _check_wall_timeout(args.exec_wall_timeout),
+        "exec_wall_timeout": _positive_seconds("--exec-wall-timeout",
+                                               args.exec_wall_timeout),
         "worker_rss_limit": rss * 1024 * 1024 if rss else None,
         "triage_dir": args.triage_dir,
     }
@@ -103,25 +106,6 @@ def _batch_kwargs(args: argparse.Namespace) -> dict:
     return {"batch_execs": batch} if batch != 8 else {}
 
 
-def _fastpath_kwargs(args: argparse.Namespace) -> dict:
-    """Per-exec fast-path engine kwargs (empty at the defaults, so
-    checkpoint metadata stays identical to pre-flag campaigns)."""
-    kwargs: dict = {}
-    if getattr(args, "cov_backend", None):
-        kwargs["cov_backend"] = args.cov_backend
-    if getattr(args, "warm_open", "on") == "off":
-        kwargs["warm_open"] = False
-    return kwargs
-
-
-def _crashgen_kwargs(args: argparse.Namespace) -> dict:
-    """Crash-generation engine kwargs (empty at the default setting, so
-    checkpoint metadata stays identical to pre-flag campaigns)."""
-    if getattr(args, "crashgen", "singlepass") == "singlepass":
-        return {}
-    return {"crashgen": args.crashgen}
-
-
 def _observe_kwargs(args: argparse.Namespace) -> dict:
     """Observability engine kwargs from the CLI flags (empty when off)."""
     kwargs: dict = {}
@@ -129,12 +113,10 @@ def _observe_kwargs(args: argparse.Namespace) -> dict:
         if args.trace_sample < 1:
             raise FuzzerError(
                 f"--trace-sample must be >= 1, got {args.trace_sample}")
-        if args.status_every <= 0:
-            raise FuzzerError(
-                f"--status-every must be > 0, got {args.status_every}")
         kwargs["trace_dir"] = args.trace_dir
         kwargs["trace_sample"] = args.trace_sample
-        kwargs["status_every"] = args.status_every
+        kwargs["status_every"] = _positive_seconds("--status-every",
+                                                   args.status_every)
         if getattr(args, "trace_rotate_mib", None):
             if args.trace_rotate_mib < 0:
                 raise FuzzerError(
@@ -182,6 +164,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print("error: fuzz: --workload is required (unless resuming with "
               "--resume)", file=sys.stderr)
         return 2
+    _positive_seconds("--budget", args.budget)
     # First SIGINT/SIGTERM stops cleanly (final checkpoint + summary
     # with stop_reason=signal), the second hard-exits.  The handlers are removed once the campaign returns,
     # so an embedding process (and anything it forks later) does not
@@ -201,9 +184,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                                  **_checkpoint_kwargs(args, args.config),
                                  **_isolation_kwargs(args),
                                  **_observe_kwargs(args),
-                                 **_crashgen_kwargs(args),
-                                 **_batch_kwargs(args),
-                                 **_fastpath_kwargs(args))
+                                 **_batch_kwargs(args))
     finally:
         for stop in stops:
             stop.uninstall()
@@ -231,13 +212,15 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    _positive_seconds("--budget", args.budget)
+    checkpoints = {config.name: _checkpoint_kwargs(args, config.name)
+                   for config in CONFIGS}
     curves = {}
     for config in CONFIGS:
         print(f"running {config.name} …", file=sys.stderr)
         curves[config.name] = run_campaign(
             args.workload, config.name, args.budget, seed=args.seed,
-            fault_plan=args.fault_plan,
-            **_checkpoint_kwargs(args, config.name))
+            fault_plan=args.fault_plan, **checkpoints[config.name])
     print(render_coverage_figure(
         curves, args.budget,
         title=f"PM path coverage — {args.workload}"))
@@ -249,6 +232,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_real_bugs(args: argparse.Namespace) -> int:
+    _positive_seconds("--budget", args.budget)
     if args.bug is not None:
         targets = [bug_by_number(args.bug)]
     else:
@@ -292,7 +276,8 @@ def _cmd_triage(args: argparse.Namespace) -> int:
     from repro.isolation.backend import create_backend
     from repro.workloads.registry import get_workload
 
-    wall_timeout = _check_wall_timeout(args.exec_wall_timeout)
+    wall_timeout = _positive_seconds("--exec-wall-timeout",
+                                     args.exec_wall_timeout)
     try:
         bundle = TriageStore.load_bundle(args.replay)
     except (OSError, ValueError) as exc:
@@ -435,19 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "wall-clock watchdog and RSS ceiling "
                            "(degrades to 'none' where fork is "
                            "unavailable)")
-    fuzz.add_argument("--cov-backend", choices=["settrace", "monitoring"],
-                      default=None,
-                      help="branch-coverage backend: 'monitoring' uses "
-                           "the low-overhead sys.monitoring line events "
-                           "(PEP 669, python >= 3.12), 'settrace' the "
-                           "portable reference tracer (default: "
-                           "monitoring where available; both produce "
-                           "identical edge maps)")
-    fuzz.add_argument("--warm-open", choices=["on", "off"], default="on",
-                      help="content-addressed warm-open pool cache: "
-                           "memoizes the post-open recovery/creation "
-                           "prefix per input image (default: on; "
-                           "observably identical either way)")
     fuzz.add_argument("--batch-execs", type=int, default=8, metavar="N",
                       help="executions shipped per fork-worker dispatch "
                            "(fork only; 1 disables batching)")
@@ -483,13 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="collect wall-clock per-stage timers and "
                            "print the flame-style breakdown at the end "
                            "(virtual-time attribution is always on)")
-    fuzz.add_argument("--crashgen", choices=["singlepass", "reexec"],
-                      default="singlepass",
-                      help="crash-image generation strategy: harvest "
-                           "all crash images from one snapshot-planned "
-                           "execution (default) or re-execute once per "
-                           "failure point as the paper does; both are "
-                           "byte- and stats-identical")
     fuzz.set_defaults(func=_cmd_fuzz)
 
     compare = sub.add_parser("compare",

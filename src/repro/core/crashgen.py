@@ -27,11 +27,11 @@ re-execution would have produced.  The *virtual-time* cost model is
 still charged per harvested image exactly as if the re-execution had
 happened — the captured ``fences_done`` at each point reconstructs the
 fence count that re-execution would have reported — so Figure-13
-curves and ``FuzzStats.comparable()`` are bit-identical between the
-two modes.  The legacy path stays available as
-``mode="reexec"`` (CLI ``--crashgen=reexec``) and is the oracle for the
-equivalence test grid; it is also the graceful-degradation path when
-the single pass itself dies to an environment fault.
+curves and ``FuzzStats.comparable()`` are bit-identical to the
+paper's loop.  That loop (:meth:`CrashImageGenerator._generate_reexec`)
+is kept for two reasons: it is the graceful-degradation path when the
+single pass itself dies to an environment fault, and it is the oracle
+the equivalence tests compare the single pass against.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ from repro.pmem.crash import SnapshotPlan
 from repro.pmem.image import PMImage
 from repro.workloads.base import RunOutcome
 from repro.workloads.mapcli import parse_commands
-
-#: Valid values for CrashImageGenerator(mode=...).
-CRASHGEN_MODES = ("singlepass", "reexec")
-
 
 @dataclass
 class CrashImage:
@@ -74,25 +70,15 @@ class CrashImageGenerator:
             case (the paper bounds per-test-case work to ~150 ms).
         extra_rate: probability of adding one probabilistic store-point
             failure per sampled ordering point.
-        mode: ``"singlepass"`` (default) harvests every crash image from
-            one snapshot-planned execution; ``"reexec"`` is the paper's
-            literal one-re-execution-per-point strategy.  Both produce
-            byte-identical images and charge identical virtual time.
     """
 
     def __init__(self, executor: Executor, rng: DeterministicRandom,
                  max_ordering_points: int = 4,
-                 extra_rate: float = 0.25,
-                 mode: str = "singlepass") -> None:
-        if mode not in CRASHGEN_MODES:
-            raise ValueError(
-                f"unknown crashgen mode {mode!r}; expected one of "
-                f"{CRASHGEN_MODES}")
+                 extra_rate: float = 0.25) -> None:
         self.executor = executor
         self.rng = rng
         self.max_ordering_points = max_ordering_points
         self.extra_rate = extra_rate
-        self.mode = mode
 
     def select_fences(self, fence_count: int) -> List[int]:
         """Choose the ordering points for a run with ``fence_count`` fences."""
@@ -117,13 +103,12 @@ class CrashImageGenerator:
         """Produce the crash images for one (image, commands) test case.
 
         Point selection — including the RNG draws for probabilistic
-        store points — happens identically before the mode branch, so
-        the two modes consume the same deterministic RNG stream.
+        store points — happens before either generation path runs, so
+        the single pass and its re-execution fallback consume the same
+        deterministic RNG stream.
         """
         fences = self.select_fences(fence_count)
         stores = self.select_stores(store_count)
-        if self.mode == "reexec":
-            return self._generate_reexec(image, data, fences, stores)
         return self._generate_singlepass(image, data, fences, stores)
 
     # ------------------------------------------------------------------
@@ -168,7 +153,7 @@ class CrashImageGenerator:
         crash at a store counts the fences completed before it).  The
         real cost of the one extra execution is *not* charged — that is
         the speedup, and it keeps the virtual-time ledger identical to
-        ``reexec`` mode.
+        the re-execution loop's.
 
         If the single pass itself dies to an environment fault that the
         supervisor could not absorb (``HARNESS_FAULT``), generation

@@ -40,19 +40,15 @@ class PMFuzzEngine(FuzzEngine):
     """The full PMFuzz fuzzing procedure (Figure 11)."""
 
     def __init__(self, *args, max_ordering_points: int = 4,
-                 crash_extra_rate: float = 0.25,
-                 crashgen: str = "singlepass", **kwargs) -> None:
+                 crash_extra_rate: float = 0.25, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         # Crash generation runs through the supervisor too, so an
         # environment fault during it is retried or absorbed instead of
-        # killing the campaign.  ``crashgen`` selects single-pass
-        # snapshot harvesting (default) or the paper's literal per-point
-        # re-execution ("reexec"); both charge identical virtual time.
+        # killing the campaign.
         self.crashgen = CrashImageGenerator(
             self.supervisor, self.rng,
             max_ordering_points=max_ordering_points,
             extra_rate=crash_extra_rate,
-            mode=crashgen,
         )
 
     # ------------------------------------------------------------------
@@ -196,7 +192,7 @@ def build_engine(
         # non-PMFuzz configuration simply has no crash generation to
         # shape, so they are accepted-and-inert rather than a TypeError
         # (the CLI passes one flag set for every Table-2 config).
-        for key in ("max_ordering_points", "crash_extra_rate", "crashgen"):
+        for key in ("max_ordering_points", "crash_extra_rate"):
             engine_kwargs.pop(key, None)
     engine = cls(factory, config, rng=rng, seed_inputs=seed_inputs,
                  injector=injector, env_faults=env_faults, **engine_kwargs)

@@ -19,20 +19,11 @@ import json
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro._util import move_durable, unpack_checksummed
-from repro._vfs import current_vfs
 from repro.core.dedup import ImageStore
 from repro.pmem.image import PMImage
-
-#: Container magic of a shared-corpus entry file, the checksummed
-#: container :class:`CorpusScrubber` verifies by default.
-CORPUS_ENTRY_MAGIC = b"PMFZSYNC1\n"
-
-#: Shared-corpus entry file suffix.
-CORPUS_ENTRY_SUFFIX = ".entry"
 
 
 class TestCaseStorage:
@@ -132,141 +123,6 @@ class TestCaseStorage:
                 f"(x{self.store.compression_ratio:.1f} compression), "
                 f"pm staging {self.staged_bytes / 1e6:.1f} MB, "
                 f"{self.evictions} evictions")
-
-
-# ----------------------------------------------------------------------
-# Corpus scrubbing (self-healing shared storage)
-# ----------------------------------------------------------------------
-@dataclass
-class ScrubReport:
-    """What one scrub pass found and did."""
-
-    scanned: int = 0  #: entry files examined
-    healthy: int = 0  #: entries that passed verification
-    quarantined: int = 0  #: corrupt/truncated entries moved aside
-    claimed_elsewhere: int = 0  #: bad entries another scrubber moved first
-    cleaned_tmp: int = 0  #: orphaned atomic-write temp files removed
-    reasons: Dict[str, str] = field(default_factory=dict)  #: name -> why
-
-
-class CorpusScrubber:
-    """Self-healing pass over a shared corpus directory.
-
-    Walks every ``*.entry`` file, verifies its checksummed container
-    (magic, header, SHA-256 over the full payload — which covers both
-    truncation and bit-flips), and *quarantines* damaged files instead
-    of letting them kill an importer: a bad entry is claimed by a
-    durable move (:func:`~repro._util.move_durable`) into the
-    quarantine directory (claim-by-rename — when several scrubbers run
-    concurrently, exactly one wins the claim and counts the entry; the
-    losers observe ``ENOENT`` and move on).  Orphaned ``*.tmp`` files
-    older than ``tmp_grace`` seconds (leftovers of a writer killed
-    mid-``atomic_write_bytes``; younger ones may be in-flight writes)
-    are deleted.
-
-    No campaign path calls it since the fleet and the corpus database
-    were retired; the ``corpus`` and ``storage`` audit components keep
-    its crash safety checked until it is retired too.
-    """
-
-    def __init__(self, corpus_dir: str, quarantine_dir: str,
-                 magic: bytes = CORPUS_ENTRY_MAGIC,
-                 suffix: str = CORPUS_ENTRY_SUFFIX,
-                 tmp_grace: float = 60.0) -> None:
-        self.corpus_dir = corpus_dir
-        self.quarantine_dir = quarantine_dir
-        self.magic = magic
-        self.suffix = suffix
-        self.tmp_grace = tmp_grace
-
-    # ------------------------------------------------------------------
-    def verify_file(self, path: str) -> Optional[str]:
-        """None if the entry is healthy, else the damage reason."""
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            return f"unreadable: {exc}"
-        try:
-            unpack_checksummed(self.magic, data,
-                               what=os.path.basename(path))
-        except ValueError as exc:
-            return str(exc)
-        return None
-
-    def quarantine(self, path: str, reason: str) -> bool:
-        """Claim a damaged entry by durable move; False if claimed elsewhere.
-
-        The collision suffix counts up deterministically (``.dup1``,
-        ``.dup2``, ...) so re-running a scrub over the same crash state
-        produces byte-identical quarantine trees — the property the
-        durability auditor's idempotence check verifies.
-        """
-        vfs = current_vfs()
-        vfs.mkdir(self.quarantine_dir)
-        target = os.path.join(self.quarantine_dir, os.path.basename(path))
-        n = 0
-        while os.path.exists(target):  # same name quarantined before
-            n += 1
-            target = os.path.join(self.quarantine_dir,
-                                  os.path.basename(path) + f".dup{n}")
-        try:
-            move_durable(path, target)
-        except FileNotFoundError:
-            return False
-        try:
-            vfs.write_bytes(target + ".reason",
-                            (reason + "\n").encode("utf-8"))
-        except OSError:
-            pass  # the quarantined entry itself is what matters
-        return True
-
-    def maybe_clean_tmp(self, path: str, now: Optional[float] = None) -> bool:
-        """Remove an orphaned ``*.tmp`` file past its grace period.
-
-        Returns True only when the file was actually removed.  A young
-        temp file is assumed to be a live publisher's in-flight
-        ``atomic_write_bytes`` (write finished, rename pending) and is
-        left alone — that age gate is what lets a scrub pass race a
-        live publisher without eating its work.
-        """
-        if now is None:
-            now = time.time()
-        try:
-            if now - os.path.getmtime(path) > self.tmp_grace:
-                current_vfs().unlink(path)
-                return True
-        except OSError:
-            pass  # in-flight write or already gone
-        return False
-
-    def scrub(self) -> ScrubReport:
-        """One full pass; never raises on damaged files."""
-        report = ScrubReport()
-        try:
-            names = sorted(os.listdir(self.corpus_dir))
-        except OSError:
-            return report
-        now = time.time()
-        for name in names:
-            path = os.path.join(self.corpus_dir, name)
-            if name.endswith(".tmp"):
-                if self.maybe_clean_tmp(path, now):
-                    report.cleaned_tmp += 1
-                continue
-            if not name.endswith(self.suffix):
-                continue
-            report.scanned += 1
-            reason = self.verify_file(path)
-            if reason is None:
-                report.healthy += 1
-                continue
-            report.reasons[name] = reason
-            if self.quarantine(path, reason):
-                report.quarantined += 1
-            else:
-                report.claimed_elsewhere += 1
-        return report
 
 
 # ----------------------------------------------------------------------

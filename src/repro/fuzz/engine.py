@@ -28,7 +28,6 @@ from repro.core.dedup import ImageStore
 from repro.core.storage import TestCaseStorage
 from repro.core.testcase import TestCaseTree
 from repro.errors import FuzzerError, HarnessFaultError, StorageFaultError
-from repro.instrument.covcore import set_backend as set_cov_backend
 from repro.fuzz.coverage import MAP_SIZE, GlobalCoverage
 from repro.fuzz.executor import CostModel, ExecResult, Executor
 from repro.fuzz.mutators import MutationEngine
@@ -86,14 +85,7 @@ class FuzzEngine:
         trace_rotate_bytes: Optional[int] = None,
         profile: bool = False,
         status_every: float = 0.5,
-        cov_backend: Optional[str] = None,
-        warm_open: bool = True,
     ) -> None:
-        #: Coverage backend ("settrace" or "monitoring"): selected
-        #: process-wide before the executor is built.  Both produce
-        #: identical edge maps (the fast-path grid is the proof), so the
-        #: choice is campaign metadata, never part of comparable().
-        self.cov_backend = set_cov_backend(cov_backend)
         self.workload_factory = workload_factory
         self.config = config
         self.rng = rng or DeterministicRandom()
@@ -110,7 +102,7 @@ class FuzzEngine:
         # configuration leaves it out of the result.
         self.executor = Executor(
             workload_factory, self.cost_model, injector=injector,
-            env_faults=env_faults, warm_open=warm_open,
+            env_faults=env_faults,
             keep_final_image=config.img_fuzz is ImgFuzzMode.INDIRECT)
         self.mutator = MutationEngine(self.rng)
         self.queue = FuzzQueue()

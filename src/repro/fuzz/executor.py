@@ -131,7 +131,9 @@ class Executor:
         # place per execution instead of rebuilt on the hot path.
         self._counter_map = PMCounterMap()
         self._volatile_proc = VolatileCommandProcessor()
-        #: Content-addressed post-open prefix cache (None = disabled).
+        #: Content-addressed post-open prefix cache.  Campaigns always
+        #: run with it; ``warm_open=False`` (None here) opens every pool
+        #: cold, the reference the equivalence tests compare against.
         #: Under fork isolation each worker inherits its own copy, so
         #: the cache is naturally per-process.
         self.warm_cache: Optional[WarmOpenCache] = \

@@ -8,13 +8,13 @@ classify how the run ended.
 It lives outside ``repro/workloads/`` on purpose.  Branch coverage
 instruments every line under ``repro/workloads`` — that package *is*
 the target program — and the harness is exactly where control flow
-diverges by fuzzer configuration: a warm-open cache hit skips the
-prefix, a cold run executes it.  If those branches were instrumented,
-the coverage map would differ between cache on and cache off, breaking
-the fast-path equivalence contract (identical ``comparable()`` stats
-across {coverage backend} × {warm-open} × {isolation};
-see ``tests/test_fastpath_grid.py``).  Here they are invisible to
-coverage, while the instrumented prefix/command code paths
+diverges between executions: a warm-open cache hit skips the prefix,
+a cold open (a cache miss or bypass) executes it.  If those branches
+were instrumented, the coverage map would depend on the cache's state,
+breaking the fast-path equivalence contract (identical
+``comparable()`` stats across {coverage backend} × {warm, cold open} ×
+{isolation}; see ``tests/test_fastpath_grid.py``).  Here they are
+invisible to coverage, while the instrumented prefix/command code paths
 (:meth:`Workload.run_prefix`, :meth:`Workload.run_commands`) stay
 identical across every configuration — on a warm hit the prefix's
 recorded coverage delta is replayed by the cache, so the resulting map

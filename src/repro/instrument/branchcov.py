@@ -40,7 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._util import stable_hash16
 from repro.errors import FuzzerError
-from repro.instrument.covcore import HAVE_MONITORING
+from repro.instrument.covcore import HAVE_MONITORING, TOOL_NAME
 
 #: Coverage map size (matches AFL's 64 KiB).
 COV_MAP_SIZE = 1 << 16
@@ -265,7 +265,6 @@ class MonitoringBranchCoverage(BranchCoverage):
     ``sys.monitoring.restart_events()`` first.
     """
 
-    _TOOL_NAME = "repro-branchcov"
     #: Whether COVERAGE_ID has been claimed for this process.
     _tool_claimed = False
     #: Fragment tuple the standing interpreter-global DISABLE decisions
@@ -279,12 +278,12 @@ class MonitoringBranchCoverage(BranchCoverage):
         cls = MonitoringBranchCoverage
         if not cls._tool_claimed:
             try:
-                mon.use_tool_id(mon.COVERAGE_ID, cls._TOOL_NAME)
+                mon.use_tool_id(mon.COVERAGE_ID, TOOL_NAME)
             except ValueError as exc:
                 raise FuzzerError(
                     "sys.monitoring COVERAGE_ID is already claimed by "
-                    f"another tool ({mon.get_tool(mon.COVERAGE_ID)!r}); "
-                    "run with --cov-backend settrace") from exc
+                    f"another tool ({mon.get_tool(mon.COVERAGE_ID)!r})"
+                ) from exc
             cls._tool_claimed = True
         fragments = tuple(self._fragments)
         if cls._disable_fragments is None:

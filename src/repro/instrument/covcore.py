@@ -1,7 +1,6 @@
-"""Coverage-backend selection: ``settrace`` reference vs ``sys.monitoring``.
+"""Coverage-backend choice: ``settrace`` reference vs ``sys.monitoring``.
 
-The per-exec fast path splits branch coverage into two interchangeable
-backends behind one selection seam:
+Branch coverage has two interchangeable backends:
 
 * ``settrace`` — the original :class:`~repro.instrument.branchcov.
   BranchCoverage` recorder, retained as the reference semantics.  Works
@@ -20,17 +19,17 @@ The contract (enforced by ``tests/test_fastpath_grid.py`` and the
 hypothesis properties in ``tests/fuzz/test_coverage_properties.py``) is
 *identical edge maps*: the same ``stable_hash16(file:line)`` locations,
 the same ``cur ^ (prev >> 1)`` slot encoding, byte-identical sparse
-maps for the same execution.  The monitoring backend is therefore the
-default wherever the interpreter provides ``sys.monitoring``; older
-interpreters degrade to ``settrace`` automatically (graceful
-degradation, never a hard failure).
+maps for the same execution.  So the platform decides, not the user:
+:func:`make_branch_coverage` builds a monitoring recorder wherever the
+interpreter provides ``sys.monitoring`` and its ``COVERAGE_ID`` tool
+slot is free (or already ours), and a settrace recorder otherwise —
+on older interpreters, and when another tool (a coverage tool or a
+debugger) already holds the slot.  The choice is never a stats field:
+``comparable()`` output is identical across backends.
 
-Selection is process-global because executions fork into worker
-subprocesses that inherit the constructed executor, so the engine sets
-the global once from its ``cov_backend`` kwarg before the executor is
-built, and records the resolved value in its campaign metadata.  The
-backend is engine configuration, never a stats field: ``comparable()``
-output is identical across backends.
+:func:`set_backend` pins one backend for the recorders built after it;
+it is the seam the equivalence tests use to reach the settrace path on
+interpreters where monitoring would otherwise be chosen.
 """
 
 from __future__ import annotations
@@ -38,58 +37,53 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Optional
 
-from repro.errors import FuzzerError
-
 #: Whether this interpreter provides PEP 669 monitoring (py3.12+).
 HAVE_MONITORING = hasattr(sys, "monitoring")
 
-#: Backend names accepted by ``--cov-backend`` / :func:`set_backend`.
+#: The two backends, by name.
 COV_BACKENDS = ("settrace", "monitoring")
 
-#: The default backend: monitoring wherever PEP 669 exists, else settrace.
+#: The backend chosen while ``COVERAGE_ID`` is free: monitoring wherever
+#: PEP 669 exists, else settrace.
 DEFAULT_BACKEND = "monitoring" if HAVE_MONITORING else "settrace"
 
-_active = DEFAULT_BACKEND
+#: Name under which the monitoring recorder claims ``COVERAGE_ID``.
+TOOL_NAME = "repro-branchcov"
 
-
-def resolve(name: Optional[str] = None) -> str:
-    """Validate ``name`` and resolve None/"" to the platform default.
-
-    Asking for ``monitoring`` on an interpreter without ``sys.monitoring``
-    is a configuration error (the caller asked for something the host
-    cannot honor), unlike the silent default degradation when no backend
-    is named.
-    """
-    if name in (None, ""):
-        return DEFAULT_BACKEND
-    if name not in COV_BACKENDS:
-        raise FuzzerError(f"unknown coverage backend {name!r}; "
-                          f"known: {', '.join(COV_BACKENDS)}")
-    if name == "monitoring" and not HAVE_MONITORING:
-        raise FuzzerError(
-            "coverage backend 'monitoring' requires sys.monitoring "
-            f"(PEP 669, py3.12+), unavailable on {sys.version.split()[0]}")
-    return name
+#: Backend pinned by :func:`set_backend` (None = the platform decides).
+_pinned: Optional[str] = None
 
 
 def set_backend(name: Optional[str] = None) -> str:
-    """Select the process-global backend; returns the resolved name."""
-    global _active
-    _active = resolve(name)
-    return _active
+    """Pin ``name`` for recorders built from now on (None unpins).
+
+    Returns the backend :func:`make_branch_coverage` now builds.
+    """
+    global _pinned
+    if name not in (None,) + COV_BACKENDS:
+        raise ValueError(f"unknown coverage backend {name!r}; "
+                         f"known: {', '.join(COV_BACKENDS)}")
+    if name == "monitoring" and not HAVE_MONITORING:
+        raise ValueError(
+            "coverage backend 'monitoring' requires sys.monitoring "
+            f"(PEP 669, py3.12+), unavailable on {sys.version.split()[0]}")
+    _pinned = name
+    return active_backend()
 
 
 def active_backend() -> str:
-    """The backend :func:`make_branch_coverage` currently builds."""
-    return _active
+    """The backend :func:`make_branch_coverage` builds right now."""
+    if _pinned is not None:
+        return _pinned
+    if HAVE_MONITORING and sys.monitoring.get_tool(
+            sys.monitoring.COVERAGE_ID) not in (None, TOOL_NAME):
+        return "settrace"  # another tool holds the slot
+    return DEFAULT_BACKEND
 
 
-# ----------------------------------------------------------------------
-# Construction factory (the only seam the rest of the code uses)
-# ----------------------------------------------------------------------
 def make_branch_coverage(path_fragments: Optional[Iterable[str]] = None):
-    """Build a branch-coverage recorder under the active backend."""
-    if _active == "monitoring":
+    """Build a branch-coverage recorder under :func:`active_backend`."""
+    if active_backend() == "monitoring":
         from repro.instrument.branchcov import MonitoringBranchCoverage
         return MonitoringBranchCoverage(path_fragments)
     from repro.instrument.branchcov import BranchCoverage

@@ -306,13 +306,14 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
             f"checkpoint {path!r} carries no campaign metadata; it was "
             "taken from a hand-built engine and cannot self-resume")
     engine_kwargs = dict(meta["engine_kwargs"])
-    # Checkpoints from before the single execution core may name the
-    # core they ran on; every core produced byte-identical campaigns, so
-    # the key is dropped and the campaign resumes exactly.
-    engine_kwargs.pop("exec_core", None)
-    # Likewise for the fork transport: the shared-memory ring and the
-    # pipe carried identical frames, and only the pipe remains.
-    engine_kwargs.pop("transport", None)
+    # Older checkpoints may name a path selector that no longer exists:
+    # the execution core, the fork transport, the coverage backend, the
+    # warm-open cache or the crash-generation mode.  Every setting of
+    # each produced identical campaigns, so the key is dropped and the
+    # campaign resumes exactly.
+    for key in ("exec_core", "transport", "cov_backend", "warm_open",
+                "crashgen"):
+        engine_kwargs.pop(key, None)
     # A fleet member or a corpus-database campaign imported entries that
     # a solo resume cannot reproduce, so it is refused, not resumed as
     # something else; so is any other option the engine no longer

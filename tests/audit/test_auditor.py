@@ -75,7 +75,7 @@ def test_comparable_stats_untouched_by_auditing(tmp_path):
     of the campaign-stats determinism contract."""
     stats = FuzzStats()
     before = stats.comparable()
-    DurabilityAuditor(str(tmp_path / "out"), budget=4).audit(["corpus"])
+    DurabilityAuditor(str(tmp_path / "out"), budget=4).audit(["checkpoint"])
     assert stats.comparable() == before
 
 

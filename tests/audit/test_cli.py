@@ -20,7 +20,7 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         assert rc == 0
         # One summary line per component, each capped at the budget.
-        for name in ("checkpoint", "corpus", "storage", "sink"):
+        for name in ("checkpoint", "sink"):
             assert name in out
 
     def test_same_invocation_renders_identical_report(self, tmp_path,

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro._util import atomic_write_bytes, move_durable, replace_durable
+from repro._util import atomic_write_bytes, replace_durable
 from repro._vfs import OS_VFS, current_vfs, install_vfs
 from repro.audit.trace import TracingVFS
 
@@ -83,50 +83,3 @@ class TestReplaceDurable:
         assert _kinds(traced) == ["replace", "fsync_dir", "fsync_dir"]
         assert traced.ops[1].path == "b"  # new name durable before old dies
         assert traced.ops[2].path == "a"
-
-
-class TestMoveDurable:
-    def test_link_fsync_unlink_fsync_protocol(self, tmp_path, traced):
-        (tmp_path / "hot").mkdir()
-        (tmp_path / "cold").mkdir()
-        (tmp_path / "hot" / "k").write_bytes(b"entry")
-        move_durable(str(tmp_path / "hot" / "k"),
-                     str(tmp_path / "cold" / "k"))
-        assert _kinds(traced) == ["link", "fsync_dir", "unlink", "fsync_dir"]
-        assert traced.ops[1].path == "cold"  # new name pinned before unlink
-        assert not (tmp_path / "hot" / "k").exists()
-        assert (tmp_path / "cold" / "k").read_bytes() == b"entry"
-
-    def test_existing_destination_just_drops_source(self, tmp_path, traced):
-        (tmp_path / "hot").mkdir()
-        (tmp_path / "cold").mkdir()
-        (tmp_path / "hot" / "k").write_bytes(b"entry")
-        (tmp_path / "cold" / "k").write_bytes(b"entry")
-        move_durable(str(tmp_path / "hot" / "k"),
-                     str(tmp_path / "cold" / "k"))
-        assert _kinds(traced) == ["unlink", "fsync_dir"]
-        assert not (tmp_path / "hot" / "k").exists()
-
-    def test_missing_source_raises_race_claim(self, tmp_path):
-        (tmp_path / "cold").mkdir()
-        with pytest.raises(FileNotFoundError):
-            move_durable(str(tmp_path / "gone"), str(tmp_path / "cold" / "k"))
-
-    def test_racing_unlink_of_source_is_tolerated(self, tmp_path,
-                                                  monkeypatch):
-        # A racing mover may remove src between our link and our unlink;
-        # dst is already durable, so the move must still succeed.
-        (tmp_path / "hot").mkdir()
-        (tmp_path / "cold").mkdir()
-        src = tmp_path / "hot" / "k"
-        src.write_bytes(b"entry")
-        import repro._vfs as _vfs
-        real_link = os.link
-
-        def link_then_steal(a, b):
-            real_link(a, b)
-            os.remove(a)  # the racing mover finishes first
-
-        monkeypatch.setattr(_vfs.os, "link", link_then_steal)
-        move_durable(str(src), str(tmp_path / "cold" / "k"))
-        assert (tmp_path / "cold" / "k").read_bytes() == b"entry"

@@ -1,7 +1,11 @@
-"""The PR-5 equivalence grid: single-pass crash harvesting is
-indistinguishable from the paper's literal per-point re-execution.
+"""The crash-generation equivalence grid: single-pass crash harvesting
+is indistinguishable from the paper's literal per-point re-execution.
 
-Contract under test (the tentpole's acceptance criteria):
+The re-execution loop is no longer selectable; it is the generator's
+fallback path, and these tests call it directly
+(``CrashImageGenerator._generate_reexec``) as the oracle.
+
+Contract under test:
 
 * byte-identical crash images, for both ordering-point and
   probabilistic store-point failures, with identical provenance and
@@ -41,10 +45,17 @@ def _seed_case(workload_name):
     return executor, image, parent
 
 
+def _reexec_through(gen):
+    """Route ``gen.generate`` to the per-point re-execution oracle."""
+    gen._generate_singlepass = gen._generate_reexec
+    return gen
+
+
 def _generate(executor, image, parent, mode, seed=11, extra_rate=1.0):
     gen = CrashImageGenerator(executor, DeterministicRandom(seed),
-                              max_ordering_points=4, extra_rate=extra_rate,
-                              mode=mode)
+                              max_ordering_points=4, extra_rate=extra_rate)
+    if mode == "reexec":
+        _reexec_through(gen)
     return gen.generate(image, CASE_DATA, parent.fence_count,
                         parent.store_count)
 
@@ -75,12 +86,6 @@ class TestGeneratorEquivalence:
         assert [bytes(c.image.payload) for c in single] == \
             [bytes(c.image.payload) for c in reexec]
         assert [c.cost for c in single] == [c.cost for c in reexec]
-
-    def test_unknown_mode_rejected(self):
-        executor = Executor(lambda: get_workload("btree"))
-        with pytest.raises(ValueError):
-            CrashImageGenerator(executor, DeterministicRandom(1),
-                                mode="psychic")
 
 
 class TestFaultDegradation:
@@ -124,7 +129,9 @@ class TestCampaignGridEquivalence:
         engine = build_engine(
             "hashmap_tx", PMFUZZ,
             rng=DeterministicRandom(7).fork("hashmap_tx/grid"),
-            isolation=isolation, crashgen=crashgen, **kwargs)
+            isolation=isolation, **kwargs)
+        if crashgen == "reexec":
+            _reexec_through(engine.crashgen)
         stats = engine.run(0.4)
         queue = sorted((e.data, e.image_id) for e in engine.queue.entries)
         return stats, queue

@@ -3,7 +3,6 @@ in-place reset, preload, and settrace/monitoring map equality."""
 
 import pytest
 
-from repro.errors import FuzzerError
 from repro.instrument import covcore
 from repro.instrument.branchcov import BranchCoverage
 from repro.workloads.base import Command
@@ -24,23 +23,20 @@ class TestBackendSeam:
     def test_default_backend(self):
         expected = "monitoring" if covcore.HAVE_MONITORING else "settrace"
         assert covcore.DEFAULT_BACKEND == expected
-        assert covcore.resolve(None) == expected
-        assert covcore.resolve("") == expected
-
-    def test_resolve_explicit(self):
-        assert covcore.resolve("settrace") == "settrace"
-        if covcore.HAVE_MONITORING:
-            assert covcore.resolve("monitoring") == "monitoring"
+        # Unpinned, the platform decides at build time.
+        assert covcore.set_backend(None) == covcore.active_backend()
+        if not covcore.HAVE_MONITORING:
+            assert covcore.active_backend() == "settrace"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(FuzzerError, match="settrace"):
-            covcore.resolve("dtrace")
+        with pytest.raises(ValueError, match="settrace"):
+            covcore.set_backend("dtrace")
 
     @pytest.mark.skipif(covcore.HAVE_MONITORING,
                         reason="needs an interpreter without sys.monitoring")
     def test_monitoring_unavailable_rejected(self):
-        with pytest.raises(FuzzerError, match="PEP 669"):
-            covcore.resolve("monitoring")
+        with pytest.raises(ValueError, match="PEP 669"):
+            covcore.set_backend("monitoring")
 
     def test_set_and_active(self):
         assert covcore.set_backend("settrace") == "settrace"

@@ -335,7 +335,7 @@ def queue_inputs(workload: str, bugs: frozenset, seed: int):
     """(image, data) of every queue entry of a short campaign."""
     engine = build_engine(workload, PMFUZZ,
                           rng=DeterministicRandom(seed).fork(workload),
-                          bugs=bugs, cov_backend="settrace")
+                          bugs=bugs)
     engine.run(0.05)
     return tuple((engine.storage.load(e.image_id), e.data)
                  for e in engine.queue.entries)
@@ -436,8 +436,7 @@ def test_injected_bugs_run_inside_the_library(workload, monkeypatch):
 def test_campaign_comparable_unchanged(monkeypatch):
     def campaign():
         engine = build_engine("btree", PMFUZZ,
-                              rng=DeterministicRandom(5).fork("btree"),
-                              cov_backend="settrace")
+                              rng=DeterministicRandom(5).fork("btree"))
         return engine.run(0.3).comparable()
 
     suspended = campaign()

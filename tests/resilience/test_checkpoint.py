@@ -213,6 +213,33 @@ class TestResumeDeterminism:
                                resume_from=legacy)
         assert resumed.comparable() == straight.comparable()
 
+    @pytest.mark.parametrize("key, value", [
+        ("cov_backend", "settrace"),
+        ("cov_backend", "monitoring"),
+        ("warm_open", False),
+        ("crashgen", "reexec"),
+    ], ids=["cov-backend-settrace", "cov-backend-monitoring",
+            "warm-open-off", "crashgen-reexec"])
+    def test_resume_ignores_retired_path_selector(self, tmp_path, key,
+                                                  value):
+        """Checkpoints taken with a retired path-selector flag carry the
+        choice in their engine kwargs.  Every setting produced identical
+        campaigns, so they resume to the uninterrupted campaign, even
+        where the named backend does not exist."""
+        path = str(tmp_path / "plain.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
+                     checkpoint_every=0.1, checkpoint_path=path)
+        payload = read_checkpoint(path)
+        assert key not in payload["meta"]["engine_kwargs"]
+        payload["meta"]["engine_kwargs"][key] = value
+        legacy = str(tmp_path / "legacy.ckpt")
+        write_checkpoint(legacy, payload)
+
+        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21)
+        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
+                               resume_from=legacy)
+        assert resumed.comparable() == straight.comparable()
+
     def test_resume_ignores_retired_fault_site(self, tmp_path):
         """A checkpoint pickles its fault plan, and unpickling skips the
         site check, so a plan expanded when the registry still held a

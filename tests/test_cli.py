@@ -52,15 +52,6 @@ class TestExecution:
         assert main(["fuzz", "--workload", "btree", "--config",
                      "bogus", "--budget", "0.1"]) == 2
 
-    def test_crashgen_flag(self, capsys):
-        args = build_parser().parse_args(
-            ["fuzz", "--workload", "btree"])
-        assert args.crashgen == "singlepass"
-        code = main(["fuzz", "--workload", "hashmap_tx", "--budget", "0.3",
-                     "--crashgen", "reexec"])
-        assert code == 0
-        assert "crash images" in capsys.readouterr().out
-
     def test_bogus_crashgen_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -119,6 +110,56 @@ class TestResilienceFlags:
              "--checkpoint-every", "0.5"])
         assert args.fault_plan == "all:0.01"
         assert args.checkpoint_every == 0.5
+
+
+class TestSecondsFlags:
+    """Every seconds-valued flag rejects zero, negative, infinite and
+    nan values with one ``error:`` line and exit 2, before any
+    campaign work starts."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["fuzz", "--workload", "btree", "--budget", "-1"],
+                     "--budget", id="fuzz-budget-negative"),
+        pytest.param(["fuzz", "--workload", "btree", "--budget", "0"],
+                     "--budget", id="fuzz-budget-zero"),
+        pytest.param(["fuzz", "--workload", "btree", "--budget", "nan"],
+                     "--budget", id="fuzz-budget-nan"),
+        pytest.param(["fuzz", "--workload", "btree", "--budget", "inf"],
+                     "--budget", id="fuzz-budget-inf"),
+        pytest.param(["compare", "--workload", "btree", "--budget", "nan"],
+                     "--budget", id="compare-budget-nan"),
+        pytest.param(["real-bugs", "--bug", "8", "--budget", "-1"],
+                     "--budget", id="real-bugs-budget-negative"),
+        pytest.param(["fuzz", "--workload", "btree", "--budget", "0.1",
+                      "--checkpoint-every", "0"],
+                     "--checkpoint-every", id="fuzz-checkpoint-every-zero"),
+        pytest.param(["fuzz", "--workload", "btree", "--budget", "0.1",
+                      "--checkpoint-every", "-1"],
+                     "--checkpoint-every",
+                     id="fuzz-checkpoint-every-negative"),
+        pytest.param(["fuzz", "--workload", "btree", "--budget", "0.1",
+                      "--checkpoint-every", "nan"],
+                     "--checkpoint-every", id="fuzz-checkpoint-every-nan"),
+        pytest.param(["compare", "--workload", "btree", "--budget", "0.1",
+                      "--checkpoint-every", "0"],
+                     "--checkpoint-every",
+                     id="compare-checkpoint-every-zero"),
+        pytest.param(["fuzz", "--workload", "btree", "--budget", "0.1",
+                      "--trace-dir", "t", "--status-every", "nan"],
+                     "--status-every", id="fuzz-status-every-nan"),
+        pytest.param(["fuzz", "--workload", "btree", "--budget", "0.1",
+                      "--trace-dir", "t", "--status-every", "inf"],
+                     "--status-every", id="fuzz-status-every-inf"),
+    ])
+    def test_bad_value_is_clean_error(self, argv, flag, tmp_path,
+                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a stray checkpoint would land here
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be > 0")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIsolationFlags:
@@ -302,8 +343,8 @@ class TestVersionAndExitCodes:
 
 class TestRetiredServe:
     """Retired subcommands, options, audit components and fault groups
-    (the serve daemon, the fleet, the corpus database) are usage
-    errors, never silently ignored."""
+    (the serve daemon, the fleet, the corpus database, the path-selector
+    flags) are usage errors, never silently ignored."""
 
     def test_serve_subcommand_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -325,6 +366,15 @@ class TestRetiredServe:
         pytest.param(["corpusdb", "info", "d"], id="corpusdb"),
         pytest.param(["audit", "--component", "corpusdb"],
                      id="audit-corpusdb"),
+        pytest.param(["audit", "--component", "corpus"], id="audit-corpus"),
+        pytest.param(["audit", "--component", "storage"],
+                     id="audit-storage"),
+        pytest.param(["fuzz", "--workload", "btree",
+                      "--cov-backend", "settrace"], id="fuzz-cov-backend"),
+        pytest.param(["fuzz", "--workload", "btree", "--warm-open", "off"],
+                     id="fuzz-warm-open"),
+        pytest.param(["fuzz", "--workload", "btree", "--crashgen", "reexec"],
+                     id="fuzz-crashgen"),
     ])
     def test_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,20 +1,24 @@
-"""The PR-10 fast-path equivalence grid: the ``sys.monitoring``
-coverage backend and the warm-open pool cache are indistinguishable
-from the reference configuration.
+"""The fast-path equivalence grid: the ``sys.monitoring`` coverage
+backend and the warm-open pool cache are indistinguishable from the
+reference configuration.
 
-Contract under test (the tentpole's acceptance criteria):
+Contract under test:
 
 * identical edge maps — both coverage backends hash the same
   ``file:line`` locations through the same edge encoding;
 * byte-identical crash images and ``FuzzStats.comparable()``-identical
-  campaigns across {settrace, monitoring} x {warm-open on, off} x
+  campaigns across {settrace, monitoring} x {warm, cold open} x
   {isolation none, fork};
-* the backend and cache settings are engine metadata, never stats
-  fields, and the cache's hit/miss counters never leak into
-  ``comparable()``.
+* neither the backend nor the cache is a stats field, and the cache's
+  hit/miss counters never leak into ``comparable()``.
+
+No flag or engine option selects these paths: the platform picks the
+backend and the cache is always on.  The grid reaches the other cells
+through test seams — :func:`~repro.instrument.covcore.set_backend` pins
+the backend, and an executor without a cache opens every pool cold.
 
 Monitoring cells skip where ``sys.monitoring`` is absent (py < 3.12);
-the warm-open dimension runs everywhere.  A separate subprocess test
+the warm/cold dimension runs everywhere.  A separate subprocess test
 (:class:`TestCrossInterpreter`) proves settrace-vs-monitoring equality
 on hosts where a PEP-669 interpreter is installed alongside.
 """
@@ -32,8 +36,10 @@ import pytest
 from repro.core.config import PMFUZZ
 from repro.core.pmfuzz import build_engine
 from repro.fuzz.rng import DeterministicRandom
+from repro.instrument.branchcov import (BranchCoverage,
+                                        MonitoringBranchCoverage)
 from repro.instrument.covcore import (DEFAULT_BACKEND, HAVE_MONITORING,
-                                      active_backend, set_backend)
+                                      TOOL_NAME, active_backend, set_backend)
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="requires os.fork")
@@ -51,14 +57,22 @@ def restore_backend():
 
 
 def run_solo(backend, warm, isolation, tmp_path, name):
-    kwargs = {"cov_backend": backend, "warm_open": warm}
+    """One grid cell: ``backend`` pinned, the cache on or off."""
+    kwargs = {}
     if isolation == "fork":
         kwargs["triage_dir"] = str(tmp_path / name / "triage")
+    if backend is not None:
+        set_backend(backend)
     engine = build_engine(
         "hashmap_tx", PMFUZZ,
         rng=DeterministicRandom(7).fork("hashmap_tx/grid"),
         isolation=isolation, **kwargs)
-    assert engine.cov_backend == backend == active_backend()
+    if backend is not None:
+        assert active_backend() == backend
+    if not warm:
+        # The fork pool and the supervisor share this executor object,
+        # so clearing its cache before the run makes every open cold.
+        engine.executor.warm_cache = None
     stats = engine.run(0.4)
     queue = sorted((e.data, e.image_id) for e in engine.queue.entries)
     images = {image_id: engine.storage.store.raw_serialized(image_id)
@@ -118,13 +132,47 @@ class TestBackendSelection:
             assert DEFAULT_BACKEND == "monitoring"
         else:
             assert DEFAULT_BACKEND == "settrace"
-        assert set_backend(None) == DEFAULT_BACKEND
+            assert set_backend(None) == DEFAULT_BACKEND
 
     def test_engine_records_backend_outside_stats(self, tmp_path):
-        stats, _, _ = run_solo("settrace", True, "none", tmp_path, "s")
+        set_backend("settrace")
+        engine = build_engine("hashmap_tx", PMFUZZ)
+        # Building an engine neither selects nor resets the backend.
+        assert active_backend() == "settrace"
+        assert type(engine.executor._branch_cov) is BranchCoverage
+        stats, _, _ = run_solo(None, True, "none", tmp_path, "s")
         # The backend must never leak into the determinism contract.
         assert "cov_backend" not in stats.comparable()
         assert not hasattr(stats, "cov_backend")
+        assert "cov_backend" not in engine.campaign_meta["engine_kwargs"]
+
+    @needs_monitoring
+    def test_foreign_coverage_tool_falls_back_to_settrace(self, tmp_path):
+        """Another tool holding ``COVERAGE_ID`` (a coverage tool, a
+        debugger) makes the campaign run on settrace, with the same
+        results, instead of failing."""
+        mon = sys.monitoring
+        set_backend(None)
+        reference = run_solo(None, True, "none", tmp_path, "ref")
+        holder = mon.get_tool(mon.COVERAGE_ID)
+        if holder == TOOL_NAME:  # an earlier recorder here claimed it
+            mon.free_tool_id(mon.COVERAGE_ID)
+            MonitoringBranchCoverage._tool_claimed = False
+        elif holder is not None:
+            pytest.skip(f"COVERAGE_ID is held by {holder!r}")
+        mon.use_tool_id(mon.COVERAGE_ID, "dummy-coverage-tool")
+        try:
+            assert active_backend() == "settrace"
+            engine = build_engine("hashmap_tx", PMFUZZ)
+            assert type(engine.executor._branch_cov) is BranchCoverage
+            fallback = run_solo(None, True, "none", tmp_path, "fallback")
+        finally:
+            mon.free_tool_id(mon.COVERAGE_ID)
+            # The next monitoring recorder claims the slot afresh.
+            mon.restart_events()
+            MonitoringBranchCoverage._disable_fragments = None
+        assert active_backend() == "monitoring"
+        assert_cell_equal(reference, fallback)
 
     def test_warm_cache_counters_outside_stats(self, tmp_path):
         stats, _, _ = run_solo("settrace", True, "none", tmp_path, "s")
@@ -152,9 +200,11 @@ from repro.core.pmfuzz import build_engine
 from repro.fuzz.rng import DeterministicRandom
 from repro.instrument.covcore import active_backend
 
+from repro.instrument.covcore import set_backend
+
+set_backend(sys.argv[1])
 engine = build_engine("hashmap_tx", PMFUZZ,
-                      rng=DeterministicRandom(7).fork("hashmap_tx/grid"),
-                      cov_backend=sys.argv[1])
+                      rng=DeterministicRandom(7).fork("hashmap_tx/grid"))
 stats = engine.run(0.4)
 queue = sorted((e.data.hex(), e.image_id) for e in engine.queue.entries)
 print(json.dumps({"backend": active_backend(),
