@@ -92,16 +92,16 @@ def _checkpoint_protocol() -> AuditProtocol:
 # ----------------------------------------------------------------------
 def _sink_protocol() -> AuditProtocol:
     from repro.observe.events import TraceEvent
-    from repro.observe.sink import JsonlTraceSink, merge_shards, shard_name
+    from repro.observe.sink import SHARD_NAME, JsonlTraceSink, merge_shards
 
     rotate_bytes = 256
 
     def events(lo: int, hi: int) -> list:
-        return [TraceEvent(kind="exec", vtime=float(i), seq=i, member=-1,
+        return [TraceEvent(kind="exec", vtime=float(i), seq=i,
                            payload={"n": i}) for i in range(lo, hi)]
 
     def sink_for(root: str) -> JsonlTraceSink:
-        return JsonlTraceSink(os.path.join(root, "trace", shard_name(-1)),
+        return JsonlTraceSink(os.path.join(root, "trace", SHARD_NAME),
                               rotate_bytes=rotate_bytes)
 
     def setup(root: str) -> dict:
@@ -128,7 +128,7 @@ def _sink_protocol() -> AuditProtocol:
     def check_consistent(root: str, ctx: dict, result) -> Optional[str]:
         seqs = result["seqs"]
         if len(seqs) != len(set(seqs)):
-            return "merged timeline contains duplicate (member, seq) events"
+            return "merged timeline contains duplicate seq events"
         stray = [s for s in seqs if s not in ctx["all"]]
         if stray:
             return f"merged timeline invented events: seqs {stray}"

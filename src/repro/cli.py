@@ -38,11 +38,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from repro import __version__
 from repro.analysis.figures import render_coverage_figure
-from repro.core.config import CONFIGS, config_by_name
+from repro.core.config import CONFIGS, RunConfig, config_by_name
 from repro.errors import FuzzerError, ReproError
 from repro.core.pipeline import FuzzAndDetectPipeline
 from repro.core.pmfuzz import run_campaign
@@ -57,76 +58,39 @@ def _slug(name: str) -> str:
 
 
 def _positive_seconds(flag: str, seconds: float) -> float:
-    """Reject a duration that is zero, negative, infinite or nan.
+    """Reject a ``--budget`` that is zero, negative, infinite or nan.
 
-    Every seconds-valued flag (virtual budgets and cadences, the wall
-    timeout) means "this long, then act"; none of those values does.
+    A budget means "fuzz this long"; none of those values does (the
+    seconds-valued :class:`RunConfig` fields apply the same rule).
     """
     if not 0 < seconds < float("inf"):
         raise FuzzerError(f"{flag} must be > 0 and finite, got {seconds}")
     return seconds
 
 
-def _checkpoint_kwargs(args: argparse.Namespace, config_name: str) -> dict:
-    """Checkpoint engine kwargs from the CLI flags (empty if disabled)."""
-    if args.checkpoint_every is None:
-        return {}
-    path = getattr(args, "checkpoint_path", None) or \
-        f"{args.workload}-{_slug(config_name)}.ckpt"
-    return {"checkpoint_every": _positive_seconds("--checkpoint-every",
-                                                  args.checkpoint_every),
-            "checkpoint_path": path}
+def _run_config(args: argparse.Namespace, config_name: str = "") -> RunConfig:
+    """The campaign's :class:`RunConfig` from its flags.
 
-
-def _isolation_kwargs(args: argparse.Namespace) -> dict:
-    """Execution-backend engine kwargs from the CLI flags."""
-    if getattr(args, "isolation", "none") == "none":
-        return {}
-    if args.workers < 1:
-        raise FuzzerError(f"--workers must be >= 1, got {args.workers}")
-    rss = getattr(args, "worker_rss_limit", None)
-    return {
-        "isolation": args.isolation,
-        "isolation_workers": args.workers,
-        "exec_wall_timeout": _positive_seconds("--exec-wall-timeout",
-                                               args.exec_wall_timeout),
-        "worker_rss_limit": rss * 1024 * 1024 if rss else None,
-        "triage_dir": args.triage_dir,
-    }
-
-
-def _batch_kwargs(args: argparse.Namespace) -> dict:
-    """Fork-dispatch batching engine kwargs (empty at the default, so
-    checkpoint metadata stays identical to pre-flag campaigns)."""
-    batch = getattr(args, "batch_execs", None)
-    if batch is None:
-        return {}
-    if batch < 1:
-        raise FuzzerError(f"--batch-execs must be >= 1, got {batch}")
-    return {"batch_execs": batch} if batch != 8 else {}
-
-
-def _observe_kwargs(args: argparse.Namespace) -> dict:
-    """Observability engine kwargs from the CLI flags (empty when off)."""
-    kwargs: dict = {}
-    if getattr(args, "trace_dir", None):
-        if args.trace_sample < 1:
-            raise FuzzerError(
-                f"--trace-sample must be >= 1, got {args.trace_sample}")
-        kwargs["trace_dir"] = args.trace_dir
-        kwargs["trace_sample"] = args.trace_sample
-        kwargs["status_every"] = _positive_seconds("--status-every",
-                                                   args.status_every)
-        if getattr(args, "trace_rotate_mib", None):
-            if args.trace_rotate_mib < 0:
-                raise FuzzerError(
-                    "--trace-rotate-mib must be >= 0, got "
-                    f"{args.trace_rotate_mib}")
-            kwargs["trace_rotate_bytes"] = \
-                args.trace_rotate_mib * 1024 * 1024
-    if getattr(args, "profile", False):
-        kwargs["profile"] = True
-    return kwargs
+    Every flag sets the field whose metadata names it, and a flag left at
+    None keeps the field's default.  Sizes in MiB become bytes (0 means
+    no limit), and ``--checkpoint-every`` without ``--checkpoint-path``
+    writes ``<workload>-<config>.ckpt`` in the working directory.
+    """
+    options = {}
+    for spec in fields(RunConfig):
+        flag = spec.metadata["flag"]
+        value = getattr(args, flag[2:].replace("-", "_"), None) \
+            if flag else None
+        if value is None:
+            continue
+        if spec.metadata["unit"] != 1:
+            value = value * spec.metadata["unit"] if value else None
+        options[spec.name] = value
+    if options.get("checkpoint_every") is not None \
+            and not options.get("checkpoint_path"):
+        options["checkpoint_path"] = \
+            f"{args.workload}-{_slug(config_name)}.ckpt"
+    return RunConfig(**options)
 
 
 def _print_profile(stats) -> None:
@@ -181,10 +145,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             stats = run_campaign(args.workload, args.config, args.budget,
                                  seed=args.seed, fault_plan=args.fault_plan,
                                  engine_hook=hook,
-                                 **_checkpoint_kwargs(args, args.config),
-                                 **_isolation_kwargs(args),
-                                 **_observe_kwargs(args),
-                                 **_batch_kwargs(args))
+                                 run_config=_run_config(args, args.config))
     finally:
         for stop in stops:
             stop.uninstall()
@@ -213,14 +174,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     _positive_seconds("--budget", args.budget)
-    checkpoints = {config.name: _checkpoint_kwargs(args, config.name)
+    run_configs = {config.name: _run_config(args, config.name)
                    for config in CONFIGS}
     curves = {}
     for config in CONFIGS:
         print(f"running {config.name} …", file=sys.stderr)
         curves[config.name] = run_campaign(
             args.workload, config.name, args.budget, seed=args.seed,
-            fault_plan=args.fault_plan, **checkpoints[config.name])
+            fault_plan=args.fault_plan, run_config=run_configs[config.name])
     print(render_coverage_figure(
         curves, args.budget,
         title=f"PM path coverage — {args.workload}"))
@@ -276,8 +237,7 @@ def _cmd_triage(args: argparse.Namespace) -> int:
     from repro.isolation.backend import create_backend
     from repro.workloads.registry import get_workload
 
-    wall_timeout = _positive_seconds("--exec-wall-timeout",
-                                     args.exec_wall_timeout)
+    run_config = _run_config(args)
     try:
         bundle = TriageStore.load_bundle(args.replay)
     except (OSError, ValueError) as exc:
@@ -291,8 +251,7 @@ def _cmd_triage(args: argparse.Namespace) -> int:
         return 2
     bugs = frozenset(bundle.meta.get("bugs") or ())
     executor = Executor(lambda: get_workload(workload, bugs=bugs))
-    backend, fallback = create_backend(
-        args.isolation, executor, wall_timeout=wall_timeout)
+    backend, fallback = create_backend(executor, run_config)
     if fallback:
         print(f"warning: replaying in-process ({fallback}); a true hang "
               "will wedge this command", file=sys.stderr)
@@ -348,9 +307,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     bus = None
     if args.trace_dir:
         from repro.observe.bus import TraceBus
-        from repro.observe.sink import JsonlTraceSink, shard_name
+        from repro.observe.sink import SHARD_NAME, JsonlTraceSink
         bus = TraceBus(sink=JsonlTraceSink(
-            os.path.join(args.trace_dir, shard_name(-1))), flush_every=1)
+            os.path.join(args.trace_dir, SHARD_NAME)), flush_every=1)
     auditor = DurabilityAuditor(args.out, budget=args.budget, bus=bus)
     report = auditor.audit(components)
     if bus is not None:

@@ -46,6 +46,13 @@ from repro.pmem.image import PMImage
 from repro.workloads.base import RunOutcome
 from repro.workloads.mapcli import parse_commands
 
+#: Sampled ordering points per test case (the campaign's setting).
+MAX_ORDERING_POINTS = 4
+
+#: Probability of one extra store-point failure per ordering point.
+EXTRA_RATE = 0.25
+
+
 @dataclass
 class CrashImage:
     """One generated crash image with its provenance."""
@@ -73,8 +80,8 @@ class CrashImageGenerator:
     """
 
     def __init__(self, executor: Executor, rng: DeterministicRandom,
-                 max_ordering_points: int = 4,
-                 extra_rate: float = 0.25) -> None:
+                 max_ordering_points: int = MAX_ORDERING_POINTS,
+                 extra_rate: float = EXTRA_RATE) -> None:
         self.executor = executor
         self.rng = rng
         self.max_ordering_points = max_ordering_points

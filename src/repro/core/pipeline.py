@@ -102,6 +102,9 @@ class FuzzAndDetectPipeline:
         max_checked: cap on replayed test cases (favored first), keeping
             the back-end testing cost bounded — the same reason the
             paper's test-case tree lets the tools skip redundant cases.
+        options: passed to :func:`~repro.core.pmfuzz.build_engine` (a
+            ``run_config`` and/or :class:`~repro.core.config.RunConfig`
+            fields).
     """
 
     def __init__(
@@ -111,14 +114,14 @@ class FuzzAndDetectPipeline:
         bugs: FrozenSet[str] = frozenset(),
         seed: int = 0x504D465A,
         max_checked: int = 64,
-        **engine_kwargs,
+        **options,
     ) -> None:
         self.workload_name = workload_name
         self.config: FuzzConfig = config_by_name(config_name)
         self.bugs = frozenset(bugs)
         self.seed = seed
         self.max_checked = max_checked
-        self.engine_kwargs = engine_kwargs
+        self.options = options
 
     # ------------------------------------------------------------------
     def run(self, budget_vseconds: float) -> PipelineResult:
@@ -127,7 +130,7 @@ class FuzzAndDetectPipeline:
             f"pipeline/{self.workload_name}/{self.config.name}"
         )
         engine = build_engine(self.workload_name, self.config, rng=rng,
-                              bugs=self.bugs, **self.engine_kwargs)
+                              bugs=self.bugs, **self.options)
         # Pipeline stages land on the campaign's own trace stream, so a
         # report over the trace directory shows where the fuzz stage
         # ended and the detection stage began.

@@ -21,12 +21,15 @@ Figure-12 test-case tree.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import cached_property
 from typing import FrozenSet, Optional, Sequence
 
-from repro.core.config import CONFIGS, FuzzConfig, ImgFuzzMode, config_by_name
+from repro.core.config import (CONFIGS, RUN_OPTIONS, FuzzConfig, ImgFuzzMode,
+                               RunConfig, config_by_name)
 from repro.core.crashgen import CrashImageGenerator
 from repro.core.priority import pm_path_priority
-from repro.errors import HarnessFaultError
+from repro.errors import FuzzerError, HarnessFaultError
 from repro.fuzz.engine import DEFAULT_SEED_INPUTS, FuzzEngine
 from repro.fuzz.executor import ExecResult
 from repro.fuzz.queue import QueueEntry
@@ -39,17 +42,12 @@ from repro.workloads.registry import get_workload
 class PMFuzzEngine(FuzzEngine):
     """The full PMFuzz fuzzing procedure (Figure 11)."""
 
-    def __init__(self, *args, max_ordering_points: int = 4,
-                 crash_extra_rate: float = 0.25, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    @cached_property
+    def crashgen(self) -> CrashImageGenerator:
         # Crash generation runs through the supervisor too, so an
         # environment fault during it is retried or absorbed instead of
         # killing the campaign.
-        self.crashgen = CrashImageGenerator(
-            self.supervisor, self.rng,
-            max_ordering_points=max_ordering_points,
-            extra_rate=crash_extra_rate,
-        )
+        return CrashImageGenerator(self.supervisor, self.rng)
 
     # ------------------------------------------------------------------
     def priority_for(self, result: ExecResult) -> int:
@@ -169,40 +167,38 @@ def build_engine(
     seed_inputs: Sequence[bytes] = DEFAULT_SEED_INPUTS,
     injector=None,
     fault_plan=None,
-    **engine_kwargs,
+    run_config: RunConfig = RunConfig(),
+    **options,
 ) -> FuzzEngine:
     """Construct the right engine class for a Table-2 configuration.
 
     ``fault_plan`` (a :class:`~repro.resilience.faults.FaultPlan` or a
     ``site:rate[:burst]`` spec string) arms environment-fault injection
-    across the harness.  The engine's ``campaign_meta`` records
-    everything needed to rebuild it, which is what makes checkpoints
-    self-describing (see :mod:`repro.resilience.checkpoint`).
+    across the harness.  ``options`` are :class:`RunConfig` fields that
+    override ``run_config``'s; any other keyword is an error.  The
+    engine's ``campaign_meta`` records everything needed to rebuild it,
+    which is what makes checkpoints self-describing (see
+    :mod:`repro.resilience.checkpoint`).
     """
+    unknown = sorted(set(options) - RUN_OPTIONS)
+    if unknown:
+        raise FuzzerError(f"unknown engine options: {', '.join(unknown)}")
+    run_config = replace(run_config, **options)
     rng = rng or DeterministicRandom().fork(f"{workload_name}/{config.name}")
     plan = as_fault_plan(fault_plan)
-    env_faults = engine_kwargs.pop("env_faults", None)
-    if plan is not None and env_faults is None:
-        env_faults = EnvFaultInjector(plan)
+    env_faults = EnvFaultInjector(plan) if plan is not None else None
     factory = lambda: get_workload(workload_name, bugs=bugs)  # noqa: E731
     cls = PMFuzzEngine if config.is_pmfuzz else FuzzEngine
-    meta_kwargs = dict(engine_kwargs)
-    if cls is FuzzEngine:
-        # Crash-generation knobs only exist on the PMFuzz engine; a
-        # non-PMFuzz configuration simply has no crash generation to
-        # shape, so they are accepted-and-inert rather than a TypeError
-        # (the CLI passes one flag set for every Table-2 config).
-        for key in ("max_ordering_points", "crash_extra_rate"):
-            engine_kwargs.pop(key, None)
-    engine = cls(factory, config, rng=rng, seed_inputs=seed_inputs,
-                 injector=injector, env_faults=env_faults, **engine_kwargs)
+    engine = cls(factory, config, run_config, rng=rng,
+                 seed_inputs=seed_inputs, injector=injector,
+                 env_faults=env_faults)
     engine.campaign_meta = {
         "workload": workload_name,
         "config": config.name,
         "bugs": sorted(bugs),
         "seed_inputs": [bytes(s) for s in seed_inputs],
-        "fault_plan": env_faults.plan if env_faults is not None else None,
-        "engine_kwargs": meta_kwargs,
+        "fault_plan": plan,
+        "engine_kwargs": run_config.options(),
     }
     return engine
 
@@ -217,12 +213,14 @@ def run_campaign(
     fault_plan=None,
     resume_from: Optional[str] = None,
     engine_hook=None,
-    **engine_kwargs,
+    **options,
 ) -> FuzzStats:
     """Run one complete campaign and return its statistics.
 
     This is the single entry point the benchmarks (and the quickstart
     example) use: workload × Table-2 configuration × virtual budget.
+    ``options`` go to :func:`build_engine` (a ``run_config`` and/or
+    :class:`RunConfig` fields).
 
     With ``resume_from`` set, the campaign is restored from that
     checkpoint instead of starting fresh (the other campaign-shaping
@@ -242,7 +240,7 @@ def run_campaign(
     rng = DeterministicRandom(seed).fork(f"{workload_name}/{config.name}")
     engine = build_engine(workload_name, config, rng=rng, bugs=bugs,
                           injector=injector, fault_plan=fault_plan,
-                          **engine_kwargs)
+                          **options)
     if engine_hook is not None:
         engine_hook(engine)
     return engine.run(budget_vseconds)

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import os
 
-from repro.core.config import FuzzConfig, ImgFuzzMode
+from repro.core.config import FuzzConfig, ImgFuzzMode, RunConfig
 from repro.core.dedup import ImageStore
 from repro.core.storage import TestCaseStorage
 from repro.core.testcase import TestCaseTree
@@ -37,9 +37,9 @@ from repro.fuzz.stats import CoverageSample, FuzzStats
 from repro.isolation.backend import create_backend
 from repro.observe.bus import TraceBus
 from repro.observe.metrics import MetricsRegistry
-from repro.observe.monitor import StatusWriter, status_name
+from repro.observe.monitor import STATUS_NAME, StatusWriter
 from repro.observe.profiler import StageProfiler
-from repro.observe.sink import JsonlTraceSink, shard_name
+from repro.observe.sink import SHARD_NAME, JsonlTraceSink
 from repro.pmem.image import PMImage
 from repro.workloads.base import RunOutcome, Workload
 
@@ -55,45 +55,37 @@ DEFAULT_SEED_INPUTS: Sequence[bytes] = (
 #: Hard cap so a mis-tuned budget can never spin forever.
 MAX_EXECUTIONS = 200_000
 
+#: Virtual seconds between coverage samples (the Figure-13 curve).
+SAMPLE_INTERVAL = 0.25
+
+#: Havoc/splice children per fuzzing round.
+HAVOC_BATCH = 12
+
 
 class FuzzEngine:
-    """One fuzzing campaign: a workload under one Table-2 configuration."""
+    """One fuzzing campaign: a workload under one Table-2 configuration.
+
+    ``run_config`` says how the campaign runs: where test cases
+    execute, when it checkpoints, and what it traces.
+    """
 
     def __init__(
         self,
         workload_factory,
         config: FuzzConfig,
+        run_config: RunConfig = RunConfig(),
         rng: Optional[DeterministicRandom] = None,
         seed_inputs: Sequence[bytes] = DEFAULT_SEED_INPUTS,
-        sample_interval: float = 0.25,
-        havoc_batch: int = 12,
         injector=None,
         env_faults=None,
-        exec_vtime_budget: float = 0.25,
-        max_retries: int = 3,
-        checkpoint_every: Optional[float] = None,
-        checkpoint_path: Optional[str] = None,
-        isolation: str = "none",
-        isolation_workers: int = 1,
-        batch_execs: int = 8,
-        exec_wall_timeout: float = 10.0,
-        worker_rss_limit: Optional[int] = None,
-        worker_max_execs: int = 256,
-        triage_dir: Optional[str] = None,
-        trace_dir: Optional[str] = None,
-        trace_sample: int = 1,
-        trace_rotate_bytes: Optional[int] = None,
-        profile: bool = False,
-        status_every: float = 0.5,
     ) -> None:
         self.workload_factory = workload_factory
         self.config = config
+        self.run_config = run_config
         self.rng = rng or DeterministicRandom()
         self.seed_inputs = [bytes(s) for s in seed_inputs]
         if not self.seed_inputs:
             raise FuzzerError("at least one seed input is required")
-        self.sample_interval = sample_interval
-        self.havoc_batch = havoc_batch
 
         self.cost_model = CostModel(sys_opt=config.sys_opt)
         self.env_faults = env_faults
@@ -115,11 +107,9 @@ class FuzzEngine:
         #: profiler, and a trace bus that is inert unless a trace
         #: directory is configured.  Nothing here feeds back into
         #: campaign decisions (determinism-neutral by contract).
-        self.trace_dir = trace_dir
-        self.profile = profile
-        self.status_every = status_every
         self.metrics = MetricsRegistry()
-        self.profiler = StageProfiler(self.metrics, wall_enabled=profile)
+        self.profiler = StageProfiler(self.metrics,
+                                      wall_enabled=run_config.profile)
         self._m_exec_cost = self.metrics.histogram("exec_cost_vs")
         self._m_queue_depth = self.metrics.gauge("queue_depth")
         self._m_pm_density = self.metrics.gauge("coverage/pm_density")
@@ -146,12 +136,12 @@ class FuzzEngine:
         for op in self.mutator.op_names():
             for what in ("execs", "saves"):
                 self._mutop(op, what)
-        if trace_dir:
+        if run_config.trace_dir:
             self.trace = TraceBus(
                 sink_factory=lambda: JsonlTraceSink(
-                    os.path.join(trace_dir, shard_name(-1)),
-                    rotate_bytes=trace_rotate_bytes),
-                sample=trace_sample)
+                    os.path.join(run_config.trace_dir, SHARD_NAME),
+                    rotate_bytes=run_config.trace_rotate_bytes),
+                sample=run_config.trace_sample)
         else:
             self.trace = TraceBus()  # disabled, but still checkpointable
         self._status: Optional[StatusWriter] = None
@@ -164,15 +154,8 @@ class FuzzEngine:
         #: Falls back to in-process where fork is unavailable, recording
         #: why, so a checkpointed fork campaign still resumes anywhere.
         self.backend, self._isolation_fallback = create_backend(
-            isolation, self.executor,
-            workers=isolation_workers,
-            wall_timeout=exec_wall_timeout,
-            rss_limit_bytes=worker_rss_limit,
-            max_execs_per_worker=worker_max_execs,
-            triage_dir=triage_dir,
-            stats=self.stats,
-            campaign_info=lambda: self.campaign_meta,
-            batch_execs=batch_execs)
+            self.executor, run_config, stats=self.stats,
+            campaign_info=lambda: self.campaign_meta)
         self.stats.isolation_backend = self.backend.name
         self.stats.isolation_fallback = self._isolation_fallback
         #: Resilience layer: retries transient harness faults, enforces
@@ -183,8 +166,8 @@ class FuzzEngine:
         from repro.resilience.supervisor import SupervisedExecutor
         self.supervisor = SupervisedExecutor(
             self.executor, stats=self.stats,
-            max_retries=max_retries,
-            exec_vtime_budget=exec_vtime_budget,
+            max_retries=run_config.max_retries,
+            exec_vtime_budget=run_config.exec_vtime_budget,
             backend=self.backend)
         # Fault and worker-kill events flow onto this campaign's bus at
         # the engine's current virtual time.
@@ -201,12 +184,8 @@ class FuzzEngine:
         #: Graceful-stop flag (first SIGINT/SIGTERM sets it; the loop
         #: finishes the in-flight execution and stops cleanly).
         self._stop_requested = False
-        if checkpoint_every is not None and not checkpoint_path:
-            raise FuzzerError("checkpoint_every requires checkpoint_path")
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = checkpoint_path
-        self._next_checkpoint = checkpoint_every or 0.0
-        #: Campaign provenance (workload name, config, kwargs) recorded
+        self._next_checkpoint = run_config.checkpoint_every or 0.0
+        #: Campaign provenance (workload name, config, options) recorded
         #: by build_engine so checkpoints are self-describing; engines
         #: constructed by hand can still checkpoint by filling this in.
         self.campaign_meta: dict = {}
@@ -247,8 +226,9 @@ class FuzzEngine:
     def run(self, budget_vseconds: float) -> FuzzStats:
         """Fuzz until the virtual-time budget is exhausted.
 
-        With ``checkpoint_every`` set, the complete campaign state is
-        snapshotted to ``checkpoint_path`` at fuzzing-round boundaries;
+        With ``run_config.checkpoint_every`` set, the complete campaign
+        state is snapshotted to ``run_config.checkpoint_path`` at
+        fuzzing-round boundaries;
         a campaign killed at *any* point resumes from its last
         checkpoint (:meth:`resume`) and — because every random decision
         flows through the snapshotted RNG — replays the interrupted
@@ -302,7 +282,7 @@ class FuzzEngine:
         # a trace directory — comparable() always carries the metrics.
         self._snapshot_metrics()
         self.trace.close()
-        if self._stop_requested and self.checkpoint_path:
+        if self._stop_requested and self.run_config.checkpoint_path:
             self.checkpoint()
         return self.stats
 
@@ -328,21 +308,20 @@ class FuzzEngine:
     # Checkpoint / resume (crash-safe campaign state)
     # ------------------------------------------------------------------
     def _maybe_checkpoint(self) -> None:
-        if self.checkpoint_every is None:
-            return
-        if self.vclock < self._next_checkpoint:
+        every = self.run_config.checkpoint_every
+        if every is None or self.vclock < self._next_checkpoint:
             return
         # Advance the schedule *before* capturing so a resumed campaign
         # inherits the already-advanced value and the trajectory of
         # checkpoints (which never mutates campaign state) lines up.
-        self._next_checkpoint = self.vclock + self.checkpoint_every
+        self._next_checkpoint = self.vclock + every
         self.checkpoint()
 
     def checkpoint(self, path: Optional[str] = None) -> str:
         """Atomically snapshot the complete campaign state to disk."""
         from repro.resilience.checkpoint import write_engine_checkpoint
 
-        target = path or self.checkpoint_path
+        target = path or self.run_config.checkpoint_path
         if not target:
             raise FuzzerError("no checkpoint path configured")
         with self.profiler.stage("checkpoint"):
@@ -363,7 +342,7 @@ class FuzzEngine:
             # Emit *before* capturing so the snapshotted bus sequence
             # already covers this event: a resumed campaign continues at
             # the same seq as an uninterrupted run (merge dedup relies
-            # on replayed tails carrying identical (member, seq) pairs).
+            # on replayed tails carrying identical seq numbers).
             self.trace.emit("checkpoint", self.vclock,
                             path=os.path.basename(target))
             write_engine_checkpoint(target, self)
@@ -394,7 +373,7 @@ class FuzzEngine:
                 det = self.mutator.deterministic(entry.data, limit=8)
                 children.extend(det)
                 ops.extend([("deterministic",)] * len(det))
-            for _ in range(self.havoc_batch):
+            for _ in range(HAVOC_BATCH):
                 if len(self.queue) > 1 and self.rng.chance(0.2):
                     other = self.queue.select(self.rng)
                     children.append(
@@ -561,7 +540,7 @@ class FuzzEngine:
     def _sample(self, force: bool = False) -> None:
         if not force and self.vclock < self._next_sample:
             return
-        self._next_sample = self.vclock + self.sample_interval
+        self._next_sample = self.vclock + SAMPLE_INTERVAL
         # Gauges track the sampled state regardless of tracing, so the
         # deterministic metrics snapshot is identical trace on/off.
         self._m_queue_depth.set(len(self.queue))
@@ -597,12 +576,13 @@ class FuzzEngine:
 
     def _status_writer(self) -> Optional[StatusWriter]:
         """Lazy status writer (None without a trace directory)."""
-        if self.trace_dir is None:
+        trace_dir = self.run_config.trace_dir
+        if trace_dir is None:
             return None
         if self._status is None:
             self._status = StatusWriter(
-                os.path.join(self.trace_dir, status_name(-1)),
-                every_vtime=self.status_every)
+                os.path.join(trace_dir, STATUS_NAME),
+                every_vtime=self.run_config.status_every)
         return self._status
 
     # ------------------------------------------------------------------

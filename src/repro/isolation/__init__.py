@@ -11,9 +11,10 @@ Public surface:
   (fork, dispatch, watchdog, recycle, reap).
 """
 
+from repro.core.config import ISOLATION_MODES
 from repro.isolation.backend import (ExecutionBackend, ForkServerBackend,
-                                     InProcessBackend, ISOLATION_MODES,
-                                     create_backend, fork_unavailable_reason)
+                                     InProcessBackend, create_backend,
+                                     fork_unavailable_reason)
 from repro.isolation.pool import (ForkWorkerPool, WatchdogExpired,
                                   WorkerDeath)
 

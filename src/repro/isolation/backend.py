@@ -37,8 +37,9 @@ from collections import deque
 from typing import (TYPE_CHECKING, Callable, Deque, Optional, Sequence,
                     Tuple, Union)
 
+from repro.core.config import RunConfig
 from repro.core.storage import TriageStore
-from repro.errors import ExecTimeoutError, FuzzerError, WorkerCrashError
+from repro.errors import ExecTimeoutError, WorkerCrashError
 from repro.isolation.pool import ForkWorkerPool, WatchdogExpired, WorkerDeath
 from repro.observe.bus import NULL_BUS
 from repro.pmem.image import PMImage
@@ -47,10 +48,6 @@ if TYPE_CHECKING:
     # Annotations only: importing repro.fuzz here at run time closes the
     # cycle repro.fuzz -> fuzz.engine -> isolation.backend -> repro.fuzz.
     from repro.fuzz.executor import ExecResult, Executor
-
-#: Backend names accepted by ``--isolation`` / ``create_backend``.
-ISOLATION_MODES = ("fork", "none")
-
 
 class ExecutionBackend:
     """Interface between the supervisor and test-case execution."""
@@ -87,10 +84,6 @@ class ExecutionBackend:
     def close(self) -> None:
         """Release backend resources (workers respawn lazily on reuse)."""
 
-    def describe(self) -> dict:
-        """Backend configuration for checkpoints and triage metadata."""
-        return {"backend": self.name}
-
 
 class InProcessBackend(ExecutionBackend):
     """Run test cases in the campaign process (no isolation)."""
@@ -115,25 +108,22 @@ class ForkServerBackend(ExecutionBackend):
     def __init__(
         self,
         executor: Executor,
-        workers: int = 1,
-        wall_timeout: float = 10.0,
-        rss_limit_bytes: Optional[int] = None,
-        max_execs_per_worker: int = 256,
-        triage: Optional[TriageStore] = None,
+        run_config: RunConfig = RunConfig(),
         stats=None,
         campaign_info: Optional[Callable[[], dict]] = None,
-        batch_execs: int = 8,
     ) -> None:
         self.executor = executor
         self.pool = ForkWorkerPool(
-            executor, workers=workers, wall_timeout=wall_timeout,
-            rss_limit_bytes=rss_limit_bytes,
-            max_execs_per_worker=max_execs_per_worker)
-        self.wall_timeout = wall_timeout
-        self.triage = triage
+            executor, workers=run_config.isolation_workers,
+            wall_timeout=run_config.exec_wall_timeout,
+            rss_limit_bytes=run_config.worker_rss_limit,
+            max_execs_per_worker=run_config.worker_max_execs)
+        self.wall_timeout = run_config.exec_wall_timeout
+        self.triage = (TriageStore(run_config.triage_dir)
+                       if run_config.triage_dir else None)
         self.stats = stats
         self.campaign_info = campaign_info or (lambda: {})
-        self.batch_execs = max(1, int(batch_execs))
+        self.batch_execs = run_config.batch_execs
         #: Jobs the engine has announced for the current round, in order.
         self._plan: Deque[tuple] = deque()
         #: Speculatively executed (job, reply) pairs awaiting consumption.
@@ -267,6 +257,7 @@ class ForkServerBackend(ExecutionBackend):
             "workload": info.get("workload", ""),
             "config": info.get("config", ""),
             "bugs": list(info.get("bugs", [])),
+            "engine_kwargs": dict(info.get("engine_kwargs", {})),
         }
         path = self.triage.write_bundle(reason, data, image_bytes, meta)
         self._count("triage_bundles")
@@ -276,17 +267,6 @@ class ForkServerBackend(ExecutionBackend):
     def close(self) -> None:
         self.discard_plan()
         self.pool.close()
-
-    def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "workers": len(self.pool._workers),
-            "wall_timeout": self.wall_timeout,
-            "rss_limit_bytes": self.pool.rss_limit_bytes,
-            "max_execs_per_worker": self.pool.max_execs_per_worker,
-            "triage_dir": self.triage.root if self.triage else None,
-            "batch_execs": self.batch_execs,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -302,19 +282,13 @@ def fork_unavailable_reason() -> str:
 
 
 def create_backend(
-    isolation: Optional[str],
     executor: Executor,
+    run_config: RunConfig = RunConfig(),
     *,
-    workers: int = 1,
-    wall_timeout: float = 10.0,
-    rss_limit_bytes: Optional[int] = None,
-    max_execs_per_worker: int = 256,
-    triage_dir: Optional[str] = None,
     stats=None,
     campaign_info: Optional[Callable[[], dict]] = None,
-    batch_execs: int = 8,
 ) -> Tuple[ExecutionBackend, str]:
-    """Build the requested backend; returns ``(backend, fallback_reason)``.
+    """Build ``run_config``'s backend; returns ``(backend, fallback_reason)``.
 
     ``fallback_reason`` is non-empty when ``fork`` was requested but the
     platform cannot provide it — the returned backend is then the
@@ -322,19 +296,11 @@ def create_backend(
     degradation), with the reason surfaced through
     ``FuzzStats.isolation_fallback``.
     """
-    if isolation in (None, "", "none"):
+    if run_config.isolation == "none":
         return InProcessBackend(executor), ""
-    if isolation != "fork":
-        raise FuzzerError(f"unknown isolation backend {isolation!r}; "
-                          f"known: {', '.join(ISOLATION_MODES)}")
     reason = fork_unavailable_reason()
     if reason:
         return InProcessBackend(executor), reason
-    triage = TriageStore(triage_dir) if triage_dir else None
-    backend = ForkServerBackend(
-        executor, workers=workers, wall_timeout=wall_timeout,
-        rss_limit_bytes=rss_limit_bytes,
-        max_execs_per_worker=max_execs_per_worker,
-        triage=triage, stats=stats, campaign_info=campaign_info,
-        batch_execs=batch_execs)
+    backend = ForkServerBackend(executor, run_config, stats=stats,
+                                campaign_info=campaign_info)
     return backend, ""

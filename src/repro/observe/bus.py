@@ -19,8 +19,8 @@ seeded campaign — the determinism contract the test suite enforces.
 
 The sequence counter and sampling phase are checkpointable
 (:meth:`getstate` / :meth:`setstate`): a campaign resumed from its
-checkpoint replays the interrupted tail with identical ``(member, seq)``
-labels, which is what lets the shard merge deduplicate the replay.
+checkpoint replays the interrupted tail with identical ``seq`` labels,
+which is what lets the shard merge deduplicate the replay.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class TraceBus:
         self,
         sink: Optional[JsonlTraceSink] = None,
         sink_factory: Optional[Callable[[], JsonlTraceSink]] = None,
-        member: int = -1,
         sample: int = 1,
         ring: int = DEFAULT_RING,
         flush_every: int = DEFAULT_FLUSH_EVERY,
@@ -53,7 +52,6 @@ class TraceBus:
         #: Lazy sink construction: the trace directory is only created
         #: once the first batch drains.
         self._sink_factory = sink_factory
-        self.member = member
         self.sample = sample
         self.flush_every = max(1, flush_every)
         self.enabled = sink is not None or sink_factory is not None
@@ -76,7 +74,7 @@ class TraceBus:
         if len(self._ring) == self._ring.maxlen:
             self.dropped += 1
         self._ring.append(TraceEvent(kind=kind, vtime=vtime, seq=self._seq,
-                                     member=self.member, payload=payload))
+                                     payload=payload))
         self._seq += 1
         if len(self._ring) >= min(self.flush_every, self._ring.maxlen):
             self.flush()

@@ -40,8 +40,7 @@ class TraceEvent:
 
     kind: str
     vtime: float  #: virtual-clock instant (campaign time, not wall time)
-    seq: int  #: per-member monotonic sequence number (dedup key on merge)
-    member: int = -1  #: writer index (-1 = the campaign's own shard)
+    seq: int  #: monotonic sequence number (the dedup key on merge)
     payload: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -52,8 +51,7 @@ class TraceEvent:
     # ------------------------------------------------------------------
     def to_json(self) -> str:
         """One compact, key-sorted JSON line (the sink format)."""
-        record = {"kind": self.kind, "vtime": self.vtime, "seq": self.seq,
-                  "member": self.member}
+        record = {"kind": self.kind, "vtime": self.vtime, "seq": self.seq}
         record.update(self.payload)
         return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
@@ -62,7 +60,9 @@ class TraceEvent:
         """Parse one sink line; raises ValueError on damage.
 
         The torn tail a SIGKILLed writer leaves behind surfaces here as
-        a ValueError, which the tolerant reader skips.
+        a ValueError, which the tolerant reader skips.  An older line's
+        ``member`` header (the writer index) is dropped, not kept in
+        the payload.
         """
         try:
             record = json.loads(line)
@@ -74,20 +74,19 @@ class TraceEvent:
             kind = record.pop("kind")
             vtime = float(record.pop("vtime"))
             seq = int(record.pop("seq"))
-            member = int(record.pop("member", -1))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"trace line missing/bad header field: {exc}") \
                 from exc
-        return cls(kind=kind, vtime=vtime, seq=seq, member=member,
-                   payload=record)
+        record.pop("member", None)
+        return cls(kind=kind, vtime=vtime, seq=seq, payload=record)
 
     @property
-    def dedup_key(self):
+    def dedup_key(self) -> int:
         """Identity under the replay-after-restart contract.
 
-        A member SIGKILLed mid-epoch resumes from its checkpoint and
+        A campaign SIGKILLed mid-run resumes from its checkpoint and
         replays the interrupted tail bit-for-bit, re-emitting byte-
-        identical events with the same (member, seq); the deterministic
-        shard merge keeps one copy.
+        identical events with the same seq; the deterministic shard
+        merge keeps one copy.
         """
-        return (self.member, self.seq)
+        return self.seq

@@ -16,19 +16,15 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import time
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro._util import atomic_write_bytes
 
 STATUS_VERSION = 1
 
-_STATUS_RE = re.compile(r"^status(-m\d+)?\.json$")
-
-
-def status_name(member: int) -> str:
-    return "status.json" if member < 0 else f"status-m{member}.json"
+#: The status file a campaign publishes in its trace directory.
+STATUS_NAME = "status.json"
 
 
 def status_snapshot(stats, vclock: float) -> dict:
@@ -38,7 +34,6 @@ def status_snapshot(stats, vclock: float) -> dict:
         "version": STATUS_VERSION,
         "config": stats.config_name,
         "workload": stats.workload_name,
-        "member": stats.member_index,
         "vtime": vclock,
         "executions": stats.executions,
         "execs_per_vsec": stats.executions / vclock if vclock else 0.0,
@@ -112,43 +107,32 @@ def read_status(path: str, retries: int = 3,
     return None
 
 
-def status_files(trace_dir: str) -> List[str]:
-    try:
-        names = sorted(n for n in os.listdir(trace_dir)
-                       if _STATUS_RE.match(n))
-    except OSError:
-        return []
-    return [os.path.join(trace_dir, n) for n in names]
+def read_campaign_status(trace_dir: str) -> Optional[dict]:
+    """The campaign's latest status snapshot; None before the first."""
+    return read_status(os.path.join(trace_dir, STATUS_NAME))
 
 
-def render_status(snapshots: List[dict]) -> str:
-    """One terminal frame over every live status file."""
+def render_status(snap: Optional[dict]) -> str:
+    """One terminal frame of a campaign's status snapshot."""
     from repro.analysis.figures import sparkline
 
-    if not snapshots:
+    if not snap:
         return "no status files yet (campaign not started, or no " \
                "--trace-dir configured)"
-    lines: List[str] = []
-    header = snapshots[0]
-    title = f"{header.get('workload') or '?'} / {header.get('config') or '?'}"
-    lines.append(f"== campaign monitor — {title} ==")
-    peak = max((s.get("pm_paths", 0) for s in snapshots), default=1)
-    for snap in snapshots:
-        member = snap.get("member", -1)
-        who = "solo" if member < 0 else f"m{member}"
-        curve = [int(p) for _, p in snap.get("curve") or []]
-        age = time.time() - snap.get("written_at", time.time())
-        status = snap.get("stop_reason") or "running"
-        lines.append(
-            f"{who:6s} vt={snap.get('vtime', 0.0):8.3f} "
-            f"execs={snap.get('executions', 0):7d} "
-            f"pm={snap.get('pm_paths', 0):5d} "
-            f"edges={snap.get('branch_edges', 0):5d} "
-            f"q={snap.get('queue_size', 0):4d} "
-            f"faults={snap.get('harness_faults', 0):3d} "
-            f"[{status}] ({age:.0f}s ago)")
-        lines.append(f"{'':6s} {sparkline(curve, peak)}")
-    return "\n".join(lines)
+    title = f"{snap.get('workload') or '?'} / {snap.get('config') or '?'}"
+    curve = [int(p) for _, p in snap.get("curve") or []]
+    age = time.time() - snap.get("written_at", time.time())
+    status = snap.get("stop_reason") or "running"
+    return "\n".join([
+        f"== campaign monitor — {title} ==",
+        f"vt={snap.get('vtime', 0.0):8.3f} "
+        f"execs={snap.get('executions', 0):7d} "
+        f"pm={snap.get('pm_paths', 0):5d} "
+        f"edges={snap.get('branch_edges', 0):5d} "
+        f"q={snap.get('queue_size', 0):4d} "
+        f"faults={snap.get('harness_faults', 0):3d} "
+        f"[{status}] ({age:.0f}s ago)",
+        sparkline(curve, snap.get("pm_paths", 0))])
 
 
 def wait_for_campaign(trace_dir: str, wait: float, out=None,
@@ -169,7 +153,7 @@ def wait_for_campaign(trace_dir: str, wait: float, out=None,
     out = out or sys.stdout
 
     def has_data() -> bool:
-        if any(read_status(p) is not None for p in status_files(trace_dir)):
+        if read_campaign_status(trace_dir) is not None:
             return True
         return bool(shard_files(trace_dir))
 
@@ -197,7 +181,7 @@ def wait_for_campaign(trace_dir: str, wait: float, out=None,
 def monitor_loop(trace_dir: str, interval: float = 1.0,
                  once: bool = False, max_frames: Optional[int] = None,
                  out=None, wait: float = 0.0) -> int:
-    """Tail the status files; returns a shell exit status.
+    """Tail the status file; returns a shell exit status.
 
     ``once`` renders a single frame (CI smoke / scripting);
     ``max_frames`` bounds the loop for tests.  ``wait`` tolerates a
@@ -212,14 +196,12 @@ def monitor_loop(trace_dir: str, interval: float = 1.0,
         wait_for_campaign(trace_dir, wait, out=out)
     frames = 0
     while True:
-        snapshots = [s for s in (read_status(p)
-                                 for p in status_files(trace_dir))
-                     if s is not None]
-        print(render_status(snapshots), file=out, flush=True)
+        snap = read_campaign_status(trace_dir)
+        print(render_status(snap), file=out, flush=True)
         frames += 1
         if once or (max_frames is not None and frames >= max_frames):
-            return 0 if snapshots else 1
-        if snapshots and all(s.get("stop_reason") for s in snapshots):
-            print("all campaigns stopped; exiting monitor", file=out)
+            return 0 if snap else 1
+        if snap and snap.get("stop_reason"):
+            print("campaign stopped; exiting monitor", file=out)
             return 0
         time.sleep(interval)

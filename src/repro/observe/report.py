@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import html as _html
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.observe.events import TraceEvent
-from repro.observe.monitor import read_status, status_files
+from repro.observe.monitor import read_campaign_status
 from repro.observe.sink import merge_shards
 
 #: Event kinds drawn on the incident timeline, with their glyphs.
@@ -34,22 +34,13 @@ _TIMELINE_WIDTH = 64
 def coverage_curve(events: List[TraceEvent]) -> List[Tuple[float, int]]:
     """Coverage-over-time from ``new_path`` events.
 
-    Each ``new_path`` event carries its writer's cumulative
-    ``pm_paths``.  A campaign writes one shard, so this is its curve;
-    should a directory hold several writers' shards, the curve takes at
-    each instant the sum of the latest per-writer values.
+    Each ``new_path`` event carries the campaign's cumulative
+    ``pm_paths``.
     """
-    latest: Dict[int, int] = {}
-    curve: List[Tuple[float, int]] = []
-    for event in events:
-        if event.kind != "new_path":
-            continue
-        pm = event.payload.get("pm_paths")
-        if pm is None:
-            continue
-        latest[event.member] = int(pm)
-        curve.append((event.vtime, sum(latest.values())))
-    return curve
+    return [(event.vtime, int(event.payload["pm_paths"]))
+            for event in events
+            if event.kind == "new_path"
+            and event.payload.get("pm_paths") is not None]
 
 
 def event_counts(events: List[TraceEvent]) -> Dict[str, int]:
@@ -86,34 +77,26 @@ def render_report(trace_dir: str) -> str:
     from repro.analysis.figures import sparkline
 
     events, skipped = merge_shards(trace_dir)
-    statuses = [s for s in (read_status(p)
-                            for p in status_files(trace_dir))
-                if s is not None]
+    status = read_campaign_status(trace_dir)
     lines = [f"== campaign report — {trace_dir} =="]
-    if statuses:
-        head = statuses[0]
+    if status:
         lines.append(f"workload/config   : "
-                     f"{head.get('workload') or '?'} / "
-                     f"{head.get('config') or '?'}")
-        lines.append(f"members           : {len(statuses)} "
-                     f"(executions {sum(s.get('executions', 0) for s in statuses)}, "
-                     f"faults {sum(s.get('harness_faults', 0) for s in statuses)})")
+                     f"{status.get('workload') or '?'} / "
+                     f"{status.get('config') or '?'}")
+        lines.append(f"executions        : {status.get('executions', 0)} "
+                     f"(faults {status.get('harness_faults', 0)})")
     lines.append(f"trace events      : {len(events)} merged"
                  + (f", {skipped} damaged lines skipped (torn tails)"
                     if skipped else ""))
-    if not events and not statuses:
+    if not events and not status:
         lines.append("nothing to report: no shards or status files found")
         return "\n".join(lines)
 
     curve = coverage_curve(events)
-    if not curve and statuses:
+    if not curve and status:
         # Exec-only traces (heavy sampling) still get a curve from the
         # status samples.
-        merged: List[Tuple[float, int]] = []
-        for snap in statuses:
-            merged.extend((float(t), int(p))
-                          for t, p in snap.get("curve") or [])
-        curve = sorted(merged)
+        curve = [(float(t), int(p)) for t, p in status.get("curve") or []]
     if curve:
         values = [paths for _, paths in curve]
         lines.append("-- PM path coverage over virtual time --")
@@ -173,12 +156,10 @@ def render_html_report(trace_dir: str) -> str:
     body.extend(f"<tr><td>{_html.escape(kind)}</td><td>{counts[kind]}</td>"
                 f"</tr>" for kind in sorted(counts))
     body.append("</table>")
-    statuses = [s for s in (read_status(p)
-                            for p in status_files(trace_dir))
-                if s is not None]
-    if statuses:
-        body.append("<h2>Final member status</h2><pre>")
-        body.append(_html.escape(json.dumps(statuses, indent=2,
+    status = read_campaign_status(trace_dir)
+    if status:
+        body.append("<h2>Final status</h2><pre>")
+        body.append(_html.escape(json.dumps(status, indent=2,
                                             sort_keys=True)))
         body.append("</pre>")
     return ("<!DOCTYPE html><html><head><meta charset='utf-8'>"

@@ -13,9 +13,9 @@ Read side
 :func:`read_events` skips undecodable lines (the torn tail a kill leaves
 behind, or a line damaged by bit rot) instead of failing: a killed
 campaign's shard must still merge into the campaign report.
-:func:`merge_shards` combines shards deterministically — dedup by
-``(member, seq)`` (a resumed campaign re-emits its replayed tail
-byte-for-byte), then sort by ``(vtime, member, seq)`` — so the
+:func:`merge_shards` combines the shard and its rotations
+deterministically — dedup by ``seq`` (a resumed campaign re-emits its
+replayed tail byte-for-byte), then sort by ``(vtime, seq)`` — so the
 merged timeline is a pure function of the shard contents, never of
 read order.
 """
@@ -30,15 +30,11 @@ from repro._util import replace_durable
 from repro._vfs import current_vfs
 from repro.observe.events import TraceEvent
 
-#: Shard file name for one trace writer (member -1 = solo campaign).
-_SHARD_RE = re.compile(r"^trace-(solo|supervisor|m(\d+))\.jsonl(\.\d+)?$")
+#: The trace shard a campaign (or an audit run) writes.
+SHARD_NAME = "trace-solo.jsonl"
 
-
-def shard_name(member: int) -> str:
-    """Canonical shard file name for one writer."""
-    if member < 0:
-        return "trace-solo.jsonl"
-    return f"trace-m{member}.jsonl"
+#: The shard and its numbered rotations.
+_SHARD_RE = re.compile(r"^trace-solo\.jsonl(\.\d+)?$")
 
 
 class JsonlTraceSink:
@@ -123,38 +119,36 @@ def _rotation_order(name: str) -> Tuple[int, int]:
     """Sort key putting ``x.jsonl.1`` before ``x.jsonl.2`` before
     ``x.jsonl`` (rotations are older than the live file)."""
     match = _SHARD_RE.match(name)
-    suffix = match.group(3) if match else None
+    suffix = match.group(1) if match else None
     return (0, int(suffix[1:])) if suffix else (1, 0)
 
 
 def shard_files(trace_dir: str) -> List[str]:
-    """Every shard (and rotation) under a trace directory, in merge
-    order: grouped per writer, rotations first, oldest first."""
+    """The shard and its rotations under a trace directory, in merge
+    order: rotations first, oldest first."""
     try:
         names = os.listdir(trace_dir)
     except OSError:
         return []
-    matched = [n for n in names if _SHARD_RE.match(n)]
-    matched.sort(key=lambda n: (n.split(".jsonl")[0], _rotation_order(n)))
+    matched = sorted((n for n in names if _SHARD_RE.match(n)),
+                     key=_rotation_order)
     return [os.path.join(trace_dir, n) for n in matched]
 
 
 def merge_shards(trace_dir: str) -> Tuple[List[TraceEvent], int]:
     """Deterministically merge every shard under ``trace_dir``.
 
-    Returns ``(events, skipped_lines)``.  Duplicate ``(member, seq)``
-    pairs — the replayed tail of a killed-and-resumed member — collapse
-    to their first occurrence; the result is sorted by
-    ``(vtime, member, seq)`` so the merged timeline never depends on
-    file-system listing order.
+    Returns ``(events, skipped_lines)``.  Duplicate ``seq`` numbers —
+    the replayed tail of a killed-and-resumed campaign — collapse to
+    their first occurrence; the result is sorted by ``(vtime, seq)`` so
+    the merged timeline never depends on file-system listing order.
     """
-    seen: Dict[tuple, TraceEvent] = {}
+    seen: Dict[int, TraceEvent] = {}
     skipped = 0
     for path in shard_files(trace_dir):
         events, bad = read_events(path)
         skipped += bad
         for event in events:
             seen.setdefault(event.dedup_key, event)
-    merged = sorted(seen.values(),
-                    key=lambda e: (e.vtime, e.member, e.seq))
+    merged = sorted(seen.values(), key=lambda e: (e.vtime, e.seq))
     return merged, skipped

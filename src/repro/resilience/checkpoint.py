@@ -23,14 +23,14 @@ state atomically and restores it bit-for-bit:
 
 A checkpoint is self-describing: it embeds the ``campaign_meta``
 recorded by :func:`repro.core.pmfuzz.build_engine` (workload name,
-configuration, bug flags, seed inputs, fault plan, engine kwargs), so
-:func:`resume_campaign` can rebuild the right engine class from the
-registry without any caller-side bookkeeping.
+configuration, bug flags, seed inputs, fault plan, and the
+:class:`~repro.core.config.RunConfig` fields that differ from their
+defaults), so :func:`resume_campaign` can rebuild the right engine class
+from the registry without any caller-side bookkeeping.
 """
 
 from __future__ import annotations
 
-import inspect
 import os
 import pickle
 import shutil
@@ -178,7 +178,7 @@ def capture_state(engine) -> dict:
         # Observability: metrics registry values plus the trace bus
         # sequence/sampling phase, so a resumed campaign replays its
         # interrupted tail with identical metric totals and identical
-        # (member, seq) event labels (shard-merge dedup depends on it).
+        # seq event labels (shard-merge dedup depends on it).
         "observe": {
             "metrics": engine.metrics.snapshot(),
             "metrics_host": engine.metrics.snapshot(host_dependent=True),
@@ -217,8 +217,8 @@ def restore_state(engine, state: dict) -> None:
     engine.supervisor.setstate(state["supervisor"])
     engine.backend.stats = engine.stats
     # The backend is process state, not campaign state: the checkpoint
-    # records its *configuration* (via campaign_meta's engine kwargs),
-    # and the resumed engine re-resolved it at construction — possibly
+    # records its *configuration* (the RunConfig in campaign_meta), and
+    # the resumed engine re-resolved it at construction — possibly
     # degrading to in-process on a platform without fork.  The restored
     # stats must reflect the backend actually running *now*.
     engine.stats.isolation_backend = engine.backend.name
@@ -257,28 +257,33 @@ def write_engine_checkpoint(path: str, engine) -> None:
     """Snapshot ``engine`` and atomically persist it to ``path``.
 
     The execution backend itself is process state (pipes, worker PIDs)
-    and is never captured; its *configuration* rides along twice — in
-    ``campaign_meta``'s engine kwargs (which is what resume rebuilds
-    from) and, purely descriptively, as the resolved ``backend`` record
-    so an operator inspecting a checkpoint can see how the campaign was
-    actually executing.
+    and is never captured; resume rebuilds it from the RunConfig in
+    ``campaign_meta``.
     """
     rotate_previous(path)
     write_checkpoint(path, {
         "version": FORMAT_VERSION,
         "meta": dict(engine.campaign_meta),
-        "backend": engine.backend.describe(),
         "state": capture_state(engine),
     })
 
 
-def _engine_options() -> set:
-    """Every keyword argument the engine classes accept."""
-    from repro.core.pmfuzz import PMFuzzEngine
-    from repro.fuzz.engine import FuzzEngine
+#: Retired path selectors: the execution core, the fork transport, the
+#: coverage backend, the warm-open cache and the crash-generation mode.
+#: Every setting of each produced identical campaigns.
+_RETIRED_SELECTORS = frozenset({"exec_core", "transport", "cov_backend",
+                                "warm_open", "crashgen"})
 
-    return {name for cls in (FuzzEngine, PMFuzzEngine)
-            for name in inspect.signature(cls.__init__).parameters}
+
+def _retired_constants() -> dict:
+    """Retired engine options that became constants, with their values."""
+    from repro.core import crashgen
+    from repro.fuzz import engine
+
+    return {"sample_interval": engine.SAMPLE_INTERVAL,
+            "havoc_batch": engine.HAVOC_BATCH,
+            "max_ordering_points": crashgen.MAX_ORDERING_POINTS,
+            "crash_extra_rate": crashgen.EXTRA_RATE}
 
 
 def resume_campaign(path: str, injector=None, allow_previous: bool = True):
@@ -295,7 +300,7 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
     the ``.prev`` rotation when ``allow_previous`` is set; only when
     both are unusable does :class:`CheckpointError` propagate.
     """
-    from repro.core.config import config_by_name
+    from repro.core.config import RUN_OPTIONS, config_by_name
     from repro.core.pmfuzz import build_engine
 
     payload = read_checkpoint_with_fallback(path,
@@ -305,20 +310,27 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
         raise CheckpointError(
             f"checkpoint {path!r} carries no campaign metadata; it was "
             "taken from a hand-built engine and cannot self-resume")
-    engine_kwargs = dict(meta["engine_kwargs"])
-    # Older checkpoints may name a path selector that no longer exists:
-    # the execution core, the fork transport, the coverage backend, the
-    # warm-open cache or the crash-generation mode.  Every setting of
-    # each produced identical campaigns, so the key is dropped and the
-    # campaign resumes exactly.
-    for key in ("exec_core", "transport", "cov_backend", "warm_open",
-                "crashgen"):
-        engine_kwargs.pop(key, None)
+    # Older checkpoints may name options the engine no longer takes.  A
+    # retired path selector is dropped whatever its value, and an option
+    # that became a constant is dropped when it held that constant's
+    # value: either way the campaign resumes exactly.  Any other value,
+    # or any other option, cannot be reproduced and is refused.
+    constants = _retired_constants()
+    options, retired = {}, []
+    for key, value in meta["engine_kwargs"].items():
+        if key in RUN_OPTIONS:
+            options[key] = value
+        elif not (key in _RETIRED_SELECTORS
+                  or key in constants and constants[key] == value):
+            retired.append(f"{key}={value!r}")
+    if retired:
+        raise CheckpointError(
+            f"checkpoint {path!r} uses retired engine options "
+            f"{', '.join(sorted(retired))}; it cannot be resumed")
     # A fleet member or a corpus-database campaign imported entries that
     # a solo resume cannot reproduce, so it is refused, not resumed as
-    # something else; so is any other option the engine no longer
-    # takes.  Older solo checkpoints carry both state keys as None and
-    # resume exactly.
+    # something else.  Older solo checkpoints carry both state keys as
+    # None and resume exactly.
     state = payload["state"]
     if state.get("fleet") is not None:
         raise CheckpointError(
@@ -328,11 +340,6 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
         raise CheckpointError(
             f"checkpoint {path!r} is from a campaign with a corpus "
             "database, which was retired; it cannot be resumed")
-    retired = sorted(set(engine_kwargs) - _engine_options())
-    if retired:
-        raise CheckpointError(
-            f"checkpoint {path!r} uses retired engine options "
-            f"{', '.join(retired)}; it cannot be resumed")
     engine = build_engine(
         meta["workload"],
         config_by_name(meta["config"]),
@@ -340,7 +347,7 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
         seed_inputs=[bytes(s) for s in meta["seed_inputs"]],
         injector=injector,
         fault_plan=meta["fault_plan"],
-        **engine_kwargs,
+        **options,
     )
     restore_state(engine, state)
     return engine

@@ -8,7 +8,7 @@ from repro.audit.protocols import COMPONENTS, build_protocol
 from repro.audit.runner import DurabilityAuditor
 from repro.fuzz.stats import FuzzStats
 from repro.observe.bus import TraceBus
-from repro.observe.sink import JsonlTraceSink, merge_shards, shard_name
+from repro.observe.sink import SHARD_NAME, JsonlTraceSink, merge_shards
 
 
 @pytest.mark.parametrize("component", COMPONENTS)
@@ -58,7 +58,7 @@ def test_clean_component_leaves_no_output_tree(tmp_path):
 
 
 def test_audit_emits_one_bus_event_per_component(tmp_path):
-    sink = JsonlTraceSink(str(tmp_path / "trace" / shard_name(-1)))
+    sink = JsonlTraceSink(str(tmp_path / "trace" / SHARD_NAME))
     bus = TraceBus(sink=sink, flush_every=1)
     DurabilityAuditor(str(tmp_path / "out"), budget=3,
                       bus=bus).audit(["checkpoint", "sink"])

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.core.config import RunConfig
 from repro.core.storage import TriageStore
 from repro.errors import (ExecTimeoutError, FuzzerError, WorkerCrashError)
 from repro.fuzz.executor import Executor
@@ -21,22 +22,24 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 
 class TestSelection:
     def test_none_gives_in_process(self):
-        backend, fallback = create_backend("none", ScriptedExecutor())
+        backend, fallback = create_backend(ScriptedExecutor(),
+                                           RunConfig(isolation="none"))
         assert isinstance(backend, InProcessBackend)
         assert fallback == ""
 
     def test_default_is_in_process(self):
-        backend, fallback = create_backend(None, ScriptedExecutor())
+        backend, fallback = create_backend(ScriptedExecutor())
         assert isinstance(backend, InProcessBackend)
         assert fallback == ""
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(FuzzerError, match="unknown isolation"):
-            create_backend("docker", ScriptedExecutor())
+            RunConfig(isolation="docker")
 
     @needs_fork
     def test_fork_gives_fork_server(self):
-        backend, fallback = create_backend("fork", ScriptedExecutor())
+        backend, fallback = create_backend(ScriptedExecutor(),
+                                           RunConfig(isolation="fork"))
         try:
             assert isinstance(backend, ForkServerBackend)
             assert fallback == ""
@@ -47,7 +50,8 @@ class TestSelection:
         monkeypatch.setattr(
             "repro.isolation.backend.fork_unavailable_reason",
             lambda: "os.fork is unavailable on this platform")
-        backend, fallback = create_backend("fork", ScriptedExecutor())
+        backend, fallback = create_backend(ScriptedExecutor(),
+                                           RunConfig(isolation="fork"))
         assert isinstance(backend, InProcessBackend)
         assert "unavailable" in fallback
         # The degraded backend still executes.
@@ -109,8 +113,9 @@ class TestFailureTaxonomy:
     def test_watchdog_maps_to_exec_timeout(self, tmp_path):
         stats = FuzzStats()
         backend = ForkServerBackend(
-            ScriptedExecutor(), wall_timeout=0.4,
-            triage=TriageStore(str(tmp_path)), stats=stats)
+            ScriptedExecutor(),
+            RunConfig(exec_wall_timeout=0.4, triage_dir=str(tmp_path)),
+            stats=stats)
         try:
             with pytest.raises(ExecTimeoutError) as info:
                 backend.run_raw_image(b"the image", b"hang")
@@ -131,7 +136,7 @@ class TestFailureTaxonomy:
     def test_worker_death_maps_to_crash_error(self, tmp_path):
         stats = FuzzStats()
         backend = ForkServerBackend(
-            ScriptedExecutor(), triage=TriageStore(str(tmp_path)),
+            ScriptedExecutor(), RunConfig(triage_dir=str(tmp_path)),
             stats=stats)
         try:
             with pytest.raises(WorkerCrashError) as info:
@@ -155,7 +160,8 @@ class TestFailureTaxonomy:
 
     def test_without_triage_store_failures_still_map(self):
         stats = FuzzStats()
-        backend = ForkServerBackend(ScriptedExecutor(), wall_timeout=0.4,
+        backend = ForkServerBackend(ScriptedExecutor(),
+                                    RunConfig(exec_wall_timeout=0.4),
                                     stats=stats)
         try:
             with pytest.raises(ExecTimeoutError):
@@ -167,40 +173,15 @@ class TestFailureTaxonomy:
 
 
 @needs_fork
-class TestDescribe:
-    def test_describe_records_the_configuration(self, tmp_path):
-        backend = ForkServerBackend(
-            ScriptedExecutor(), workers=3, wall_timeout=7.5,
-            rss_limit_bytes=1 << 28, max_execs_per_worker=64,
-            triage=TriageStore(str(tmp_path)))
-        try:
-            desc = backend.describe()
-        finally:
-            backend.close()
-        assert desc == {
-            "backend": "fork",
-            "workers": 3,
-            "wall_timeout": 7.5,
-            "rss_limit_bytes": 1 << 28,
-            "max_execs_per_worker": 64,
-            "triage_dir": str(tmp_path),
-            "batch_execs": 8,
-        }
-
-    def test_in_process_describe(self):
-        assert InProcessBackend(ScriptedExecutor()).describe() == \
-            {"backend": "none"}
-
-
-@needs_fork
 class TestBackendBatching:
     @pytest.fixture
     def make_backend(self):
         backends = []
 
-        def _make(**kwargs):
-            kwargs.setdefault("wall_timeout", 5.0)
-            backend = ForkServerBackend(ScriptedExecutor(), **kwargs)
+        def _make(**options):
+            options.setdefault("exec_wall_timeout", 5.0)
+            backend = ForkServerBackend(ScriptedExecutor(),
+                                        RunConfig(**options))
             backends.append(backend)
             return backend
 

@@ -19,7 +19,7 @@ import pytest
 
 import repro.isolation.pool as pool_mod
 from repro.cli import main
-from repro.core.config import PMFUZZ, config_by_name
+from repro.core.config import PMFUZZ, RunConfig, config_by_name
 from repro.core.pmfuzz import build_engine, run_campaign
 from repro.core.storage import TriageStore
 from repro.fuzz.engine import FuzzEngine
@@ -221,13 +221,14 @@ class TestWatchdogInCampaign:
         triage_dir = str(tmp_path / "triage")
         engine = FuzzEngine(
             lambda: HangOnKey4(), PMFUZZ,
-            rng=DeterministicRandom(3).fork("hang/det"),
-            isolation="fork", exec_wall_timeout=0.4,
-            triage_dir=triage_dir)
+            RunConfig(isolation="fork", exec_wall_timeout=0.4,
+                      triage_dir=triage_dir),
+            rng=DeterministicRandom(3).fork("hang/det"))
         # Bundle metadata names a registry workload, which the replay
         # below resolves to the hanging variant.
-        engine.campaign_meta = {"workload": "hashmap_tx",
-                                "config": "pmfuzz", "bugs": []}
+        engine.campaign_meta = {
+            "workload": "hashmap_tx", "config": "pmfuzz", "bugs": [],
+            "engine_kwargs": engine.run_config.options()}
         stats = engine.run(0.4)
 
         # The infinite loop was killed at the wall deadline...
@@ -240,6 +241,9 @@ class TestWatchdogInCampaign:
         assert len(bundles) >= 1
         bundle = TriageStore.load_bundle(bundles[0])
         assert bundle.meta["reason"] == "watchdog-timeout"
+        assert bundle.meta["engine_kwargs"] == {
+            "isolation": "fork", "exec_wall_timeout": 0.4,
+            "triage_dir": triage_dir}
         assert b"i 4" in bundle.data
         # The run job shipped an image object; the bundle still holds
         # the input image's serialized bytes, valid and exact.

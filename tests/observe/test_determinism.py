@@ -83,9 +83,8 @@ class TestSoloDeterminism:
         assert skipped == 0
         kinds = {e.kind for e in events}
         assert "exec" in kinds and "new_path" in kinds
-        # Solo shard: every event labeled member -1, seq strictly
-        # increasing (the merge found no duplicates to collapse).
-        assert all(e.member == -1 for e in events)
+        # One shard, seq strictly increasing (the merge found no
+        # duplicates to collapse).
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         assert "peak=" in render_report(trace_dir)
@@ -95,7 +94,7 @@ class TestKilledCampaignTrace:
     def test_killed_campaign_replay_dedups_and_report_renders(
             self, tmp_path, monkeypatch):
         """A campaign killed mid-run and resumed from its checkpoint
-        re-emits its replayed tail with the same (member, seq) labels,
+        re-emits its replayed tail with the same seq labels,
         so the merged trace equals an uninterrupted run's."""
         def engine_for(name):
             os.makedirs(tmp_path / name)

@@ -12,13 +12,13 @@ class TestVocabulary:
 
     def test_every_known_kind_constructs(self):
         for kind in EVENT_KINDS:
-            event = TraceEvent(kind=kind, vtime=1.0, seq=3, member=2)
+            event = TraceEvent(kind=kind, vtime=1.0, seq=3)
             assert event.kind == kind
 
 
 class TestSerialization:
     def test_json_roundtrip_preserves_everything(self):
-        event = TraceEvent(kind="new_path", vtime=1.25, seq=17, member=3,
+        event = TraceEvent(kind="new_path", vtime=1.25, seq=17,
                            payload={"pm_paths": 42, "pm_novel": True})
         back = TraceEvent.from_json(event.to_json())
         assert back == event
@@ -33,8 +33,15 @@ class TestSerialization:
         assert keys == sorted(keys)
 
     def test_member_defaults_to_solo_on_parse(self):
+        """Every writer is the solo campaign: a line with or without the
+        old ``member`` header parses to the same event, and the header
+        does not leak into the payload."""
         event = TraceEvent.from_json('{"kind":"crash","vtime":1.0,"seq":0}')
-        assert event.member == -1
+        old = TraceEvent.from_json(
+            '{"kind":"crash","member":-1,"vtime":1.0,"seq":0}')
+        assert old == event
+        assert old.payload == {}
+        assert "member" not in event.to_json()
 
     @pytest.mark.parametrize("line", [
         "",                                # empty
@@ -51,15 +58,13 @@ class TestSerialization:
 
 class TestDedupKey:
     def test_replayed_event_shares_identity(self):
-        first = TraceEvent(kind="exec", vtime=1.0, seq=5, member=0,
+        first = TraceEvent(kind="exec", vtime=1.0, seq=5,
                            payload={"cost": 0.01})
-        replay = TraceEvent(kind="exec", vtime=1.0, seq=5, member=0,
+        replay = TraceEvent(kind="exec", vtime=1.0, seq=5,
                             payload={"cost": 0.01})
         assert first.dedup_key == replay.dedup_key
 
-    def test_key_separates_members_and_sequences(self):
-        a = TraceEvent(kind="exec", vtime=1.0, seq=5, member=0)
-        assert a.dedup_key != TraceEvent(kind="exec", vtime=1.0, seq=5,
-                                         member=1).dedup_key
-        assert a.dedup_key != TraceEvent(kind="exec", vtime=1.0, seq=6,
-                                         member=0).dedup_key
+    def test_key_separates_sequences(self):
+        a = TraceEvent(kind="exec", vtime=1.0, seq=5)
+        assert a.dedup_key != TraceEvent(kind="exec", vtime=1.0,
+                                         seq=6).dedup_key

@@ -2,30 +2,22 @@
 
 import io
 import json
-import os
 
 import pytest
 
 from repro.fuzz.stats import CoverageSample, FuzzStats
-from repro.observe.monitor import (StatusWriter, monitor_loop, read_status,
-                                   render_status, status_files, status_name,
-                                   status_snapshot)
+from repro.observe.monitor import (StatusWriter, monitor_loop,
+                                   read_campaign_status, read_status,
+                                   render_status, status_snapshot)
 
 
-def _stats(pm_paths=10, member=-1):
+def _stats(pm_paths=10):
     stats = FuzzStats(config_name="PMFuzz", workload_name="btree")
-    stats.member_index = member
     stats.executions = 100
     stats.record(CoverageSample(vtime=1.0, executions=100,
                                 pm_paths=pm_paths, branch_edges=20,
                                 queue_size=5, images=3))
     return stats
-
-
-class TestStatusNames:
-    def test_solo_and_member_names(self):
-        assert status_name(-1) == "status.json"
-        assert status_name(2) == "status-m2.json"
 
 
 class TestSnapshot:
@@ -78,24 +70,24 @@ class TestReaders:
         bad.write_text("{torn")
         assert read_status(str(bad)) is None
 
-    def test_status_files_lists_only_status_names(self, tmp_path):
-        for name in ("status.json", "status-m0.json", "status-m1.json",
-                     "trace-m0.jsonl", "other.json"):
-            (tmp_path / name).write_text("{}")
-        names = [os.path.basename(p) for p in status_files(str(tmp_path))]
-        assert names == ["status-m0.json", "status-m1.json", "status.json"]
+    def test_campaign_status_reads_only_status_json(self, tmp_path):
+        assert read_campaign_status(str(tmp_path)) is None
+        for name in ("status-m0.json", "other.json"):
+            (tmp_path / name).write_text('{"workload": "stale"}')
+        assert read_campaign_status(str(tmp_path)) is None
+        (tmp_path / "status.json").write_text('{"workload": "btree"}')
+        assert read_campaign_status(str(tmp_path)) == {"workload": "btree"}
 
 
 class TestRenderAndLoop:
     def test_render_empty_is_helpful(self):
-        assert "no status files" in render_status([])
+        assert "no status files" in render_status(None)
 
-    def test_render_shows_each_member(self):
-        frames = [status_snapshot(_stats(member=0), 1.0),
-                  status_snapshot(_stats(member=1), 1.0)]
-        text = render_status(frames)
+    def test_render_shows_the_campaign(self):
+        text = render_status(status_snapshot(_stats(), 1.0))
         assert "btree / PMFuzz" in text
-        assert "m0" in text and "m1" in text
+        assert "execs=    100" in text and "pm=   10" in text
+        assert "[running]" in text
 
     def test_monitor_once_exit_status(self, tmp_path):
         out = io.StringIO()
@@ -173,8 +165,8 @@ class TestWaitForCampaign:
 
     def test_trace_shards_also_count_as_data(self, tmp_path):
         from repro.observe.monitor import wait_for_campaign
-        from repro.observe.sink import shard_name
-        (tmp_path / shard_name(-1)).write_text("")
+        from repro.observe.sink import SHARD_NAME
+        (tmp_path / SHARD_NAME).write_text("")
         assert wait_for_campaign(str(tmp_path), 5.0) is True
 
     def test_monitor_loop_wait_then_frame(self, tmp_path):

@@ -7,20 +7,15 @@ from repro.observe.report import (coverage_curve, event_counts,
 from repro.observe.sink import JsonlTraceSink
 
 
-def _new_path(member, vtime, seq, pm):
-    return TraceEvent(kind="new_path", vtime=vtime, seq=seq, member=member,
+def _new_path(vtime, seq, pm):
+    return TraceEvent(kind="new_path", vtime=vtime, seq=seq,
                       payload={"pm_paths": pm})
 
 
 class TestCoverageCurve:
     def test_solo_curve_is_the_member_series(self):
-        events = [_new_path(-1, 0.5, 0, 3), _new_path(-1, 1.0, 1, 7)]
+        events = [_new_path(0.5, 0, 3), _new_path(1.0, 1, 7)]
         assert coverage_curve(events) == [(0.5, 3), (1.0, 7)]
-
-    def test_fleet_curve_sums_latest_per_member(self):
-        events = [_new_path(0, 0.5, 0, 3), _new_path(1, 0.6, 0, 2),
-                  _new_path(0, 1.0, 1, 5)]
-        assert coverage_curve(events) == [(0.5, 3), (0.6, 5), (1.0, 7)]
 
     def test_non_new_path_and_payloadless_events_ignored(self):
         events = [TraceEvent(kind="exec", vtime=0.1, seq=0),
@@ -64,25 +59,24 @@ class TestRenderedReports:
 
     def test_report_renders_curve_timeline_and_counts(self, tmp_path):
         self._shard(tmp_path, [
-            _new_path(-1, 0.5, 0, 3),
+            _new_path(0.5, 0, 3),
             TraceEvent(kind="checkpoint", vtime=0.7, seq=1),
-            _new_path(-1, 1.0, 2, 7)])
+            _new_path(1.0, 2, 7)])
         text = render_report(str(tmp_path))
         assert "peak=7 final=7" in text
         assert "checkpoint (1)" in text
         assert "new_path=2" in text
 
     def test_report_survives_torn_shard_tail(self, tmp_path):
-        self._shard(tmp_path, [_new_path(-1, 0.5, 0, 3)],
-                    name="trace-m0.jsonl")
-        with open(tmp_path / "trace-m0.jsonl", "a") as fh:
+        self._shard(tmp_path, [_new_path(0.5, 0, 3)])
+        with open(tmp_path / "trace-solo.jsonl", "a") as fh:
             fh.write('{"kind":"new_path","vti')  # SIGKILLed mid-write
         text = render_report(str(tmp_path))
         assert "1 damaged lines skipped" in text
         assert "peak=3" in text
 
     def test_html_report_is_self_contained(self, tmp_path):
-        self._shard(tmp_path, [_new_path(-1, 0.5, 0, 3)])
+        self._shard(tmp_path, [_new_path(0.5, 0, 3)])
         html = render_html_report(str(tmp_path))
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html

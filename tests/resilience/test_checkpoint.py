@@ -240,6 +240,72 @@ class TestResumeDeterminism:
                                resume_from=legacy)
         assert resumed.comparable() == straight.comparable()
 
+    @pytest.mark.parametrize("key, value", [
+        ("sample_interval", 0.25),
+        ("havoc_batch", 12),
+        ("max_ordering_points", 4),
+        ("crash_extra_rate", 0.25),
+    ])
+    def test_resume_accepts_retired_constant_at_its_value(self, tmp_path,
+                                                          key, value):
+        """Options that became engine constants resume from checkpoints
+        that recorded them at the constant's value."""
+        path = str(tmp_path / "plain.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
+                     checkpoint_every=0.1, checkpoint_path=path)
+        payload = read_checkpoint(path)
+        payload["meta"]["engine_kwargs"][key] = value
+        legacy = str(tmp_path / "legacy.ckpt")
+        write_checkpoint(legacy, payload)
+
+        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21)
+        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
+                               resume_from=legacy)
+        assert resumed.comparable() == straight.comparable()
+
+    def test_resume_refuses_retired_constant_off_its_value(self, tmp_path,
+                                                           capsys):
+        """Any other value of such an option cannot be reproduced: the
+        resume is a one-line error."""
+        from repro.cli import main
+
+        path = str(tmp_path / "plain.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.3, seed=21,
+                     checkpoint_every=0.1, checkpoint_path=path)
+        payload = read_checkpoint(path)
+        payload["meta"]["engine_kwargs"]["crash_extra_rate"] = 0.5
+        legacy = str(tmp_path / "legacy.ckpt")
+        write_checkpoint(legacy, payload)
+
+        with pytest.raises(CheckpointError,
+                           match="retired engine options crash_extra_rate"):
+            resume_campaign(legacy)
+        assert main(["fuzz", "--resume", legacy, "--budget", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "crash_extra_rate=0.5" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
+    def test_resume_restores_every_run_option(self, tmp_path):
+        """A checkpoint of a campaign with every RunConfig field off its
+        default resumes with an equal RunConfig."""
+        from repro.core.config import MIB, RUN_OPTIONS, RunConfig
+
+        path = str(tmp_path / "every.ckpt")
+        run = RunConfig(
+            exec_vtime_budget=0.3, max_retries=2, checkpoint_every=0.1,
+            checkpoint_path=path, isolation="fork", isolation_workers=2,
+            batch_execs=4, exec_wall_timeout=9.0,
+            worker_rss_limit=4096 * MIB, worker_max_execs=128,
+            triage_dir=str(tmp_path / "triage"),
+            trace_dir=str(tmp_path / "trace"), trace_sample=2,
+            trace_rotate_bytes=MIB, profile=True, status_every=0.3)
+        assert set(run.options()) == RUN_OPTIONS
+        run_campaign("hashmap_tx", "pmfuzz", 0.3, seed=21, run_config=run)
+        engine = resume_campaign(path)
+        engine.close()
+        assert engine.run_config == run
+
     def test_resume_ignores_retired_fault_site(self, tmp_path):
         """A checkpoint pickles its fault plan, and unpickling skips the
         site check, so a plan expanded when the registry still held a
@@ -394,8 +460,7 @@ class TestResumeDeterminism:
             resume_campaign(path)
 
     def test_checkpoint_every_requires_path(self):
+        from repro.core.config import RunConfig
         from repro.errors import FuzzerError
-        from repro.workloads.registry import get_workload
-        with pytest.raises(FuzzerError):
-            FuzzEngine(lambda: get_workload("hashmap_tx"), PMFUZZ,
-                       checkpoint_every=0.5)
+        with pytest.raises(FuzzerError, match="requires --checkpoint-path"):
+            RunConfig(checkpoint_every=0.5)

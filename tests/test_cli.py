@@ -162,6 +162,35 @@ class TestSecondsFlags:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestQualifierFlags:
+    """A flag that shapes the campaign is checked whether or not the
+    flag it qualifies (``--isolation fork``, ``--trace-dir``) is given:
+    a bad value is one ``error:`` line and exit 2, never a silent run."""
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--isolation", "fork", "--worker-rss-limit", "-5"],
+                     "--worker-rss-limit must be > 0, got -5",
+                     id="worker-rss-limit-negative"),
+        pytest.param(["--workers", "0"], "--workers must be >= 1, got 0",
+                     id="workers-zero-in-process"),
+        pytest.param(["--trace-sample", "0"],
+                     "--trace-sample must be >= 1, got 0",
+                     id="trace-sample-zero-untraced"),
+        pytest.param(["--trace-rotate-mib", "-1"],
+                     "--trace-rotate-mib must be > 0, got -1",
+                     id="trace-rotate-mib-negative-untraced"),
+    ])
+    def test_bad_value_is_clean_error(self, flags, message, tmp_path,
+                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a stray triage dir would land here
+        assert main(["fuzz", "--workload", "btree", "--budget", "0.1",
+                     *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestIsolationFlags:
     def test_isolation_flags_parse(self):
         args = build_parser().parse_args(
