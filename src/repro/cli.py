@@ -57,6 +57,17 @@ def _slug(name: str) -> str:
     return "".join(c if c.isalnum() else "-" for c in name.lower()).strip("-")
 
 
+class _Given(argparse.Action):
+    """``store`` (``store_true`` with ``nargs=0``) for a :class:`RunConfig`
+    flag that also records the flag in ``namespace.given``, so that
+    ``fuzz --resume`` can refuse what it would otherwise ignore."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace.given = getattr(namespace, "given", ()) \
+            + (self.option_strings[0],)
+
+
 def _positive_seconds(flag: str, seconds: float) -> float:
     """Reject a ``--budget`` that is zero, negative, infinite or nan.
 
@@ -129,14 +140,21 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
               "--resume)", file=sys.stderr)
         return 2
     _positive_seconds("--budget", args.budget)
+    given = sorted(set(getattr(args, "given", ())))
+    if args.resume and given:
+        raise FuzzerError(f"--resume runs with the checkpoint's campaign "
+                          f"options; drop {', '.join(given)}")
     # First SIGINT/SIGTERM stops cleanly (final checkpoint + summary
     # with stop_reason=signal), the second hard-exits.  The handlers are removed once the campaign returns,
     # so an embedding process (and anything it forks later) does not
     # keep routing its signals to a finished engine.
     from repro.fuzz.signals import install_graceful_stop
-    stops = []
-    hook = lambda engine: stops.append(  # noqa: E731
-        install_graceful_stop(engine))
+    stops, profiled = [], []
+
+    def hook(engine):
+        stops.append(install_graceful_stop(engine))
+        # A resumed campaign profiles when its checkpoint says so.
+        profiled.append(engine.run_config.profile)
     try:
         if args.resume:
             stats = run_campaign(args.workload, args.config, args.budget,
@@ -167,7 +185,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
               f"({stats.retries} retries, {stats.timeouts} timeouts, "
               f"{stats.quarantined} quarantined)")
     print(f"summary           : {_summary_line(stats)}")
-    if getattr(args, "profile", False):
+    if any(profiled):
         _print_profile(stats)
     return 0
 
@@ -363,54 +381,63 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--fault-plan", default=None, metavar="SPEC",
                       help="environment-fault plan, e.g. 'all:0.01' or "
                            "'storage-load:0.05:3,exec-fault:0.01'")
-    fuzz.add_argument("--checkpoint-every", type=float, default=None,
+    fuzz.add_argument("--checkpoint-every", action=_Given,
+                      type=float, default=None,
                       metavar="VSECONDS",
                       help="snapshot campaign state every N virtual seconds")
-    fuzz.add_argument("--checkpoint-path", default=None,
+    fuzz.add_argument("--checkpoint-path", action=_Given, default=None,
                       help="checkpoint file (default: "
                            "<workload>-<config>.ckpt)")
     fuzz.add_argument("--resume", default=None, metavar="CHECKPOINT",
-                      help="resume a killed campaign from its checkpoint "
-                           "and fuzz to --budget")
-    fuzz.add_argument("--isolation", choices=["fork", "none"],
+                      help="resume a killed or stopped campaign from its "
+                           "checkpoint and fuzz to --budget, with the "
+                           "checkpoint's campaign options (the flags "
+                           "below are refused)")
+    fuzz.add_argument("--isolation", action=_Given, choices=["fork", "none"],
                       default="none",
                       help="execution backend: 'fork' sandboxes every "
                            "test case in a worker subprocess with a "
                            "wall-clock watchdog and RSS ceiling "
                            "(degrades to 'none' where fork is "
                            "unavailable)")
-    fuzz.add_argument("--batch-execs", type=int, default=8, metavar="N",
+    fuzz.add_argument("--batch-execs", action=_Given,
+                      type=int, default=8, metavar="N",
                       help="executions shipped per fork-worker dispatch "
                            "(fork only; 1 disables batching)")
-    fuzz.add_argument("--workers", type=int, default=1,
+    fuzz.add_argument("--workers", action=_Given, type=int, default=1,
                       help="fork-server worker pool size")
-    fuzz.add_argument("--exec-wall-timeout", type=float, default=10.0,
+    fuzz.add_argument("--exec-wall-timeout", action=_Given,
+                      type=float, default=10.0,
                       metavar="SECONDS",
                       help="real-time deadline per execution before the "
                            "watchdog SIGKILLs the worker (fork only)")
-    fuzz.add_argument("--worker-rss-limit", type=int, default=None,
+    fuzz.add_argument("--worker-rss-limit", action=_Given,
+                      type=int, default=None,
                       metavar="MIB",
                       help="address-space ceiling per worker in MiB "
                            "(fork only)")
-    fuzz.add_argument("--triage-dir", default="triage",
+    fuzz.add_argument("--triage-dir", action=_Given, default="triage",
                       help="directory for on-death crash-triage bundles "
                            "(fork only; default: ./triage)")
-    fuzz.add_argument("--trace-dir", default=None, metavar="DIR",
+    fuzz.add_argument("--trace-dir", action=_Given,
+                      default=None, metavar="DIR",
                       help="write structured trace shards (JSONL) and "
                            "live status.json files here; read them back "
                            "with 'monitor' and 'report'")
-    fuzz.add_argument("--trace-sample", type=int, default=1, metavar="N",
+    fuzz.add_argument("--trace-sample", action=_Given,
+                      type=int, default=1, metavar="N",
                       help="keep 1-in-N high-rate exec events "
                            "(other event kinds are never sampled)")
-    fuzz.add_argument("--trace-rotate-mib", type=int, default=None,
+    fuzz.add_argument("--trace-rotate-mib", action=_Given,
+                      type=int, default=None,
                       metavar="MIB",
                       help="rotate a trace shard once it exceeds this "
                            "size (default: never)")
-    fuzz.add_argument("--status-every", type=float, default=0.5,
+    fuzz.add_argument("--status-every", action=_Given, type=float, default=0.5,
                       metavar="VSECONDS",
                       help="status.json publish cadence in virtual "
                            "seconds (needs --trace-dir)")
-    fuzz.add_argument("--profile", action="store_true",
+    fuzz.add_argument("--profile", action=_Given, nargs=0, default=False,
                       help="collect wall-clock per-stage timers and "
                            "print the flame-style breakdown at the end "
                            "(virtual-time attribution is always on)")

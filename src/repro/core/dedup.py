@@ -8,16 +8,18 @@ prior images."
 
 The store also keeps the raw/compressed byte accounting that the
 Section 4.7 storage optimization is about.  Images are stored as
-:meth:`~repro.pmem.image.PMImage.deflated` streams: zlib's deflate with
-the ``Z_RLE`` strategy, which limits LZ77 matches to distance 1.  A PM image
-is a few dozen written cache lines in a sea of zeroes, so run-length
-matches find nearly everything the default strategy does.  On the 139
-new images of a 1-vsec ``hashmap_tx`` campaign, ``Z_RLE`` reaches a
-raw/stored ratio of 537 against 535 for the default strategy at level
-6, in 0.76 ms per image instead of 1.64 ms; on the Section 4.7 benchmark
-campaign it reaches 496 against 502.  The output is a standard zlib
-stream, so blobs written with plain ``zlib.compress`` (older
-checkpoints) still decompress.
+:meth:`~repro.pmem.image.PMImage.deflated` streams: the image's sparse
+record (its non-zero 64-byte cache lines plus their indices, header
+fields and a CRC-32) in one zlib stream.  A PM image is a few dozen
+written cache lines in a sea of zeroes, so finding those lines and
+deflating only them costs a fraction of deflating the 256 KiB payload,
+and stores less: on the Section 4.7 benchmark campaign the raw/stored
+ratio is 969, against 496 for the dense ``Z_RLE`` stream it replaces.
+The SHA-256 dedup key still covers layout + dense payload, so image IDs
+are the same whichever form is stored.  :meth:`ImageStore.get` decodes
+through :meth:`~repro.pmem.image.PMImage.from_bytes`, which also reads
+the dense streams (``Z_RLE`` or plain ``zlib.compress``) that older
+checkpoints hold.
 """
 
 from __future__ import annotations
@@ -144,18 +146,23 @@ class ImageStore:
             f"image {image_id[:12]}... quarantined: {reason}",
             entry=image_id)
 
-    def raw_serialized(self, image_id: str) -> Optional[bytes]:
-        """Serialized (decompressed) bytes of a stored image, or None.
+    def peek(self, image_id: str) -> Optional[PMImage]:
+        """A stored image, or None if it is unknown or unreadable.
 
-        Bypasses the environment-fault sites: the engine reads its own
-        in-memory store here to plan a fork-worker batch ahead of the
-        round's executions, which is not a modeled SSD access, so it
-        must not perturb the deterministic fault stream.
+        Bypasses the environment-fault sites and the quarantine: the
+        engine reads its own in-memory store here to plan a fork-worker
+        batch ahead of the round's executions, which is not a modeled
+        SSD access, so it must not perturb the deterministic fault
+        stream.  Damage is left for the supervised :meth:`get` to find.
         """
         stored = self._by_hash.get(image_id)
         if stored is None:
             return None
-        return zlib.decompress(stored) if self.compress else stored
+        try:
+            return PMImage.from_bytes(zlib.decompress(stored)
+                                      if self.compress else stored)
+        except (zlib.error, InvalidImageError):
+            return None
 
     def contains(self, image_id: str) -> bool:
         return image_id in self._by_hash

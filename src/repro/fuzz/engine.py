@@ -40,7 +40,6 @@ from repro.observe.metrics import MetricsRegistry
 from repro.observe.monitor import STATUS_NAME, StatusWriter
 from repro.observe.profiler import StageProfiler
 from repro.observe.sink import SHARD_NAME, JsonlTraceSink
-from repro.pmem.image import PMImage
 from repro.workloads.base import RunOutcome, Workload
 
 #: Basic seed inputs: "a list of basic commands" (Section 5.1).
@@ -185,6 +184,9 @@ class FuzzEngine:
         #: finishes the in-flight execution and stops cleanly).
         self._stop_requested = False
         self._next_checkpoint = run_config.checkpoint_every or 0.0
+        #: The rest of a round a stop cut short, carried by the final
+        #: checkpoint and run first when a resumed campaign continues.
+        self._pending_round: Optional[tuple] = None
         #: Campaign provenance (workload name, config, options) recorded
         #: by build_engine so checkpoints are self-describing; engines
         #: constructed by hand can still checkpoint by filling this in.
@@ -235,29 +237,37 @@ class FuzzEngine:
         tail bit-for-bit, ending in the same final state as an
         uninterrupted run.
 
-        On a signal-requested stop the complete campaign state is
-        checkpointed one final time (when a checkpoint path is
-        configured), so a Ctrl-C'd campaign can resume without losing
-        its tail.
+        With a checkpoint path configured, every stop (budget, signal
+        or execution cap) checkpoints one final time, at the moment the
+        loop stops and before the cut round's end-of-round work; the
+        rest of that round travels in the checkpoint.  Resuming it with
+        a larger budget therefore continues exactly where an
+        uninterrupted, longer campaign would be, and a Ctrl-C'd or
+        budget-stopped campaign never loses its tail.
         """
         try:
             self.setup()
-            while (self.vclock < budget_vseconds
-                   and self.stats.executions < MAX_EXECUTIONS
-                   and not self._stop_requested):
-                self._maybe_checkpoint()
-                entry = self.queue.select(self.rng)
-                entry.fuzz_rounds += 1
-                children = self._children_of(entry)
+            pending, self._pending_round = self._pending_round, None
+            cut = False
+            while pending is not None or self._may_fuzz(budget_vseconds):
+                if pending is None:
+                    self._maybe_checkpoint()
+                    entry = self.queue.select(self.rng)
+                    entry.fuzz_rounds += 1
+                    children = self._children_of(entry)
+                    ops = self._child_ops
+                else:
+                    entry, children, ops = pending
+                    pending = None
                 self._plan_children(entry, children)
                 for index, data in enumerate(children):
-                    if (self.vclock >= budget_vseconds
-                            or self.stats.executions >= MAX_EXECUTIONS
-                            or self._stop_requested):
+                    if not self._may_fuzz(budget_vseconds):
+                        self._final_checkpoint(
+                            (entry, children[index:], ops[index:]))
+                        cut = True
                         break
                     self._current_ops = (
-                        self._child_ops[index]
-                        if index < len(self._child_ops) else ())
+                        ops[index] if index < len(ops) else ())
                     self._run_one(entry, data)
                 self._current_ops = ()
                 # Speculative batch results the round did not consume
@@ -265,6 +275,8 @@ class FuzzEngine:
                 self.backend.discard_plan()
                 if self.stats.executions % 64 == 0:
                     self.queue.cull()
+            if not cut:
+                self._final_checkpoint(None)
         finally:
             # Reap fork-server workers even on an abrupt exit; the pool
             # respawns lazily if the engine runs again (resume).
@@ -282,15 +294,33 @@ class FuzzEngine:
         # a trace directory — comparable() always carries the metrics.
         self._snapshot_metrics()
         self.trace.close()
-        if self._stop_requested and self.run_config.checkpoint_path:
-            self.checkpoint()
         return self.stats
+
+    def _may_fuzz(self, budget_vseconds: float) -> bool:
+        """Whether the loop may run another execution."""
+        return (self.vclock < budget_vseconds
+                and self.stats.executions < MAX_EXECUTIONS
+                and not self._stop_requested)
+
+    def _final_checkpoint(self, pending_round: Optional[tuple]) -> None:
+        """The stop-time checkpoint, when a checkpoint path is set.
+
+        ``pending_round`` is ``(entry, children, ops)`` for the
+        executions the cut round has left, or None at a round boundary.
+        """
+        if not self.run_config.checkpoint_path:
+            return
+        self._pending_round = pending_round
+        try:
+            self.checkpoint()
+        finally:
+            self._pending_round = None
 
     def request_stop(self) -> None:
         """Ask the loop to stop cleanly after the in-flight execution.
 
         Safe to call from a signal handler: it only sets a flag; the
-        fuzzing loop observes it at the next round boundary and
+        fuzzing loop observes it before the next execution and
         :meth:`run` records ``stop_reason="signal"`` plus a final
         checkpoint.
         """
@@ -392,8 +422,8 @@ class FuzzEngine:
         ``run`` job carries the input :class:`~repro.pmem.image.PMImage`
         itself: the staged image when the PM staging tier holds it
         (the very object the supervised load will return), else one
-        deserialized from the fault-free store read
-        (:meth:`~repro.core.dedup.ImageStore.raw_serialized`) — never
+        decoded by the fault-free store read
+        (:meth:`~repro.core.dedup.ImageStore.peek`) — never
         the supervised load, because planning must not perturb the
         deterministic fault stream.  An image that cannot be resolved
         simply goes unplanned (its execution falls back to a single
@@ -409,10 +439,9 @@ class FuzzEngine:
         image_id = entry.image_id or self._seed_image_id
         image = self.storage.staged(image_id)
         if image is None:
-            image_bytes = self.storage.store.raw_serialized(image_id)
-            if image_bytes is None:
+            image = self.storage.store.peek(image_id)
+            if image is None:
                 return
-            image = PMImage.from_bytes(image_bytes)
         self.backend.plan([("run", image, bytes(data),
                             {"image_key": image_id})
                            for data in children])

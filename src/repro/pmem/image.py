@@ -24,7 +24,18 @@ Two paper requirements shape this module:
 Images serialize with ``zlib`` (an LZ77 implementation), reproducing the
 test-case storage optimization of Section 4.7.  :meth:`PMImage.deflated`
 is the one definition of the compressed form; ``to_bytes(compress=True)``
-and the image store (:mod:`repro.core.dedup`) both go through it.
+and the image store (:mod:`repro.core.dedup`) both go through it.  It
+is a *sparse record* — layout, uuid, payload size, the sorted indices
+of the payload's non-zero 64-byte cache lines, those lines' bytes and a
+CRC-32 of the record — deflated as one zlib stream.  A stored image
+holds a few dozen written lines out of 4,096, so the record is about
+1.5 KiB before compression and the compressor never reads the zero
+runs.  Pickling an image (fork-server job frames, checkpoints) ships the
+same record.  :meth:`PMImage.from_bytes` reads the sparse record and
+the dense ``to_bytes()`` form, compressed or not, so blobs written
+before the sparse record still load.  :meth:`PMImage.content_hash`
+still hashes layout + dense payload: image IDs do not depend on the
+stored form.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro._util import stable_hash32
 from repro.errors import InvalidImageError
@@ -46,6 +57,14 @@ _LAYOUT_BYTES = 24
 _HEADER_FMT = "<8s%dsI16sI8x" % _LAYOUT_BYTES  # magic, layout, size, uuid, cksum, pad
 assert struct.calcsize(_HEADER_FMT) == IMAGE_HEADER_SIZE
 
+#: Cache-line granularity of the sparse record.
+_LINE = 64
+_SPARSE_MAGIC = b"PMLINES1"
+# magic, layout, payload size, uuid, line count, CRC-32 of the rest.
+_SPARSE_FMT = "<8s%dsI16sII" % _LAYOUT_BYTES
+_SPARSE_HEAD = struct.calcsize(_SPARSE_FMT)
+_ZEROS = bytes(4096)
+
 
 def derive_uuid(layout: str) -> bytes:
     """Derive the constant, layout-specific 16-byte pool UUID.
@@ -56,6 +75,105 @@ def derive_uuid(layout: str) -> bytes:
     """
     seed = stable_hash32("pmfuzz-uuid:" + layout)
     return struct.pack("<IIII", seed, seed ^ 0xA5A5A5A5, ~seed & 0xFFFFFFFF, 0x504D465A)
+
+
+def _nonzero_lines(payload: bytearray) -> Tuple[List[int], List[bytes]]:
+    """Indices and bytes of the payload's non-zero 64-byte lines.
+
+    Narrows 4 KiB → 512 B → 64 B, each level a slice compared against a
+    zero buffer, so an all-zero page costs one ``memcmp``.  A last line
+    shorter than 64 bytes is returned zero-padded to full length.
+    """
+    indices: List[int] = []
+    lines: List[bytes] = []
+    for page in range(0, len(payload), 4096):
+        chunk = payload[page:page + 4096]
+        if chunk == _ZEROS[:len(chunk)]:
+            continue
+        for block in range(0, len(chunk), 512):
+            sub = chunk[block:block + 512]
+            if sub == _ZEROS[:len(sub)]:
+                continue
+            for off in range(block, block + len(sub), _LINE):
+                line = chunk[off:off + _LINE]
+                if line != _ZEROS[:len(line)]:
+                    indices.append((page + off) // _LINE)
+                    lines.append(line)
+    if lines and len(lines[-1]) < _LINE:
+        lines[-1] = lines[-1].ljust(_LINE, b"\0")
+    return indices, lines
+
+
+def _from_record(record: bytes) -> "PMImage":
+    """Unpickle an image from its sparse record (see ``__reduce__``)."""
+    return PMImage(*_parse_record(record))
+
+
+def _parse_record(record: bytes) -> Tuple[str, bytearray, bytes]:
+    """``(layout, payload, uuid)`` of a sparse record.
+
+    Raises:
+        InvalidImageError: on a truncated record or line table, a CRC
+            mismatch, line indices that are out of range, unsorted or
+            repeated, or non-zero bytes past the payload size.
+    """
+    if len(record) < _SPARSE_HEAD:
+        raise InvalidImageError(f"sparse image truncated: {len(record)} bytes")
+    _, layout_raw, size, uuid, count, checksum = struct.unpack(
+        _SPARSE_FMT, record[:_SPARSE_HEAD])
+    if zlib.crc32(record[_SPARSE_HEAD:],
+                  zlib.crc32(record[:_SPARSE_HEAD - 4])) != checksum:
+        raise InvalidImageError("sparse image checksum mismatch")
+    body = len(record) - _SPARSE_HEAD
+    if body < 4 * count:
+        raise InvalidImageError(
+            f"line table truncated: {count} lines need {4 * count} "
+            f"bytes, got {body}")
+    if body != (4 + _LINE) * count:
+        raise InvalidImageError(
+            f"line data size mismatch: {count} lines need "
+            f"{_LINE * count} bytes, got {body - 4 * count}")
+    table_end = _SPARSE_HEAD + 4 * count
+    indices = struct.unpack("<%dI" % count, record[_SPARSE_HEAD:table_end])
+    total = -(-size // _LINE)
+    if count and indices[-1] >= total:
+        raise InvalidImageError(
+            f"line index {indices[-1]} out of range for a {size}-byte "
+            f"payload")
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise InvalidImageError("line indices not strictly increasing")
+    payload = bytearray(total * _LINE)
+    at = table_end
+    for index in indices:
+        start = index * _LINE
+        payload[start:start + _LINE] = record[at:at + _LINE]
+        at += _LINE
+    if payload[size:] != _ZEROS[:len(payload) - size]:
+        raise InvalidImageError(
+            f"payload size mismatch: non-zero bytes past size {size}")
+    del payload[size:]
+    layout = layout_raw.rstrip(b"\0").decode("utf-8", errors="replace")
+    return layout, payload, uuid
+
+
+def _parse_dense(data: bytes) -> Tuple[str, bytearray, bytes]:
+    """``(layout, payload, uuid)`` of the dense ``to_bytes()`` form."""
+    if len(data) < IMAGE_HEADER_SIZE:
+        raise InvalidImageError(f"image truncated: {len(data)} bytes")
+    magic, layout_raw, size, uuid, checksum = struct.unpack(
+        _HEADER_FMT, data[:IMAGE_HEADER_SIZE]
+    )
+    if magic != _MAGIC:
+        raise InvalidImageError(f"bad magic {magic!r}")
+    payload = data[IMAGE_HEADER_SIZE:]
+    if len(payload) != size:
+        raise InvalidImageError(
+            f"payload size mismatch: header says {size}, got {len(payload)}"
+        )
+    if zlib.crc32(payload) != checksum:
+        raise InvalidImageError("payload checksum mismatch")
+    layout = layout_raw.rstrip(b"\0").decode("utf-8", errors="replace")
+    return layout, bytearray(payload), uuid
 
 
 @dataclass
@@ -123,56 +241,67 @@ class PMImage:
         return self._header() + self.payload
 
     def deflated(self) -> bytes:
-        """``to_bytes()`` LZ77-compressed as one standard zlib stream.
+        """The sparse record of this image as one zlib stream.
 
-        The header and then the payload buffer are fed to a single
-        compressor, so the serialized copy is never built.  ``Z_RLE``
-        restricts deflate's LZ77 matches to distance 1: a PM image is
-        mostly zero runs, so it compresses within about 1% of the
-        default strategy at half the cost (see :mod:`repro.core.dedup`).
-        :func:`zlib.decompress` reads the result.
+        The record is the header fields, the sorted table of non-zero
+        line indices, those lines and a CRC-32 of the record; the zero
+        lines are implicit, so neither the scan's output nor the
+        compressor ever touches them.  :meth:`from_bytes` reads the
+        stream back after ``b"PMFZ"`` or, through
+        :func:`zlib.decompress`, without it.
         """
-        compressor = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
-        head = compressor.compress(self._header())
-        body = compressor.compress(self.payload)
-        return head + body + compressor.flush()
+        return zlib.compress(self._record(), 6)
+
+    def _record(self) -> bytes:
+        """The uncompressed sparse record (see the module docstring)."""
+        indices, lines = _nonzero_lines(self.payload)
+        head = struct.pack(
+            _SPARSE_FMT[:-1],  # every field but the trailing CRC
+            _SPARSE_MAGIC,
+            self.layout.encode("utf-8").ljust(_LAYOUT_BYTES, b"\0"),
+            len(self.payload),
+            self.uuid,
+            len(indices),
+        )
+        body = struct.pack("<%dI" % len(indices), *indices) + b"".join(lines)
+        return head + struct.pack("<I", zlib.crc32(body, zlib.crc32(head))) \
+            + body
+
+    def __reduce__(self):
+        # Pickle (fork job frames, checkpoints) ships the sparse record,
+        # not the dense payload.  Pickles of the default form, written
+        # before this method existed, still load through the default
+        # protocol.
+        return _from_record, (self._record(),)
 
     @classmethod
     def from_bytes(cls, data: bytes, expected_layout: Optional[str] = None) -> "PMImage":
         """Deserialize and validate an image.
 
+        Reads the sparse record and the dense header + payload form,
+        each either bare or ``b"PMFZ"``-prefixed and zlib-compressed.
+
         Raises:
             InvalidImageError: on bad magic, truncated data, checksum
-                mismatch, or (when ``expected_layout`` is given) a layout
-                name mismatch — the simulated equivalent of the program
-                aborting on an invalid pool file.
+                mismatch, a malformed sparse record, or (when
+                ``expected_layout`` is given) a layout name mismatch —
+                the simulated equivalent of the program aborting on an
+                invalid pool file.
         """
         if data[:4] == b"PMFZ" and data[4:8] != _MAGIC[4:8]:
             try:
                 data = zlib.decompress(data[4:])
             except zlib.error as exc:
                 raise InvalidImageError(f"corrupt compressed image: {exc}") from exc
-        if len(data) < IMAGE_HEADER_SIZE:
-            raise InvalidImageError(f"image truncated: {len(data)} bytes")
-        magic, layout_raw, size, uuid, checksum = struct.unpack(
-            _HEADER_FMT, data[:IMAGE_HEADER_SIZE]
-        )
-        if magic != _MAGIC:
-            raise InvalidImageError(f"bad magic {magic!r}")
-        payload = data[IMAGE_HEADER_SIZE:]
-        if len(payload) != size:
-            raise InvalidImageError(
-                f"payload size mismatch: header says {size}, got {len(payload)}"
-            )
-        if zlib.crc32(payload) != checksum:
-            raise InvalidImageError("payload checksum mismatch")
-        layout = layout_raw.rstrip(b"\0").decode("utf-8", errors="replace")
+        if data[:8] == _SPARSE_MAGIC:
+            layout, payload, uuid = _parse_record(data)
+        else:
+            layout, payload, uuid = _parse_dense(data)
         if expected_layout is not None and layout != expected_layout:
             raise InvalidImageError(
                 f"layout mismatch: image is {layout!r}, expected {expected_layout!r}"
             )
-        image = cls(layout=layout, payload=bytearray(payload), uuid=uuid)
-        return image
+        return cls(layout=layout, payload=payload, uuid=uuid)
 
     def validate(self, expected_layout: Optional[str] = None) -> None:
         """Validity check used by the pool-open path.

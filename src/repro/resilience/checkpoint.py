@@ -151,6 +151,7 @@ def capture_state(engine) -> dict:
         "next_sample": engine._next_sample,
         "next_checkpoint": engine._next_checkpoint,
         "set_up": engine._set_up,
+        "pending_round": engine._pending_round,
         "seed_image_id": engine._seed_image_id,
         "seed_image_bytes": engine._seed_image_bytes,
         "rng": engine.rng.getstate(),
@@ -202,6 +203,8 @@ def restore_state(engine, state: dict) -> None:
     engine._next_sample = state["next_sample"]
     engine._next_checkpoint = state["next_checkpoint"]
     engine._set_up = state["set_up"]
+    # Absent from checkpoints written before stops checkpointed.
+    engine._pending_round = state.get("pending_round")
     engine._seed_image_id = state["seed_image_id"]
     engine._seed_image_bytes = state["seed_image_bytes"]
     engine.rng.setstate(state["rng"])

@@ -171,6 +171,22 @@ class TestResumeDeterminism:
         straight = run_campaign("hashmap_tx", "pmfuzz", 0.9, seed=21)
         assert longer == straight
 
+    def test_budget_stop_checkpoints_the_cut_round(self, tmp_path):
+        """The first round outlasts a 0.3 s budget, so no periodic
+        checkpoint lands; the budget stop writes one, mid-round, that
+        changes nothing about the campaign and resumes exactly."""
+        path = str(tmp_path / "stop.ckpt")
+        stopped = run_campaign("hashmap_tx", "pmfuzz", 0.3, seed=21,
+                               checkpoint_every=0.1, checkpoint_path=path)
+        straight = run_campaign("hashmap_tx", "pmfuzz", 0.3, seed=21)
+        assert stopped.comparable() == straight.comparable()
+        assert read_checkpoint(path)["state"]["pending_round"] is not None
+        again = run_campaign("hashmap_tx", "pmfuzz", 0.3, resume_from=path)
+        assert again == straight
+        longer = run_campaign("hashmap_tx", "pmfuzz", 0.9,
+                              resume_from=path)
+        assert longer == run_campaign("hashmap_tx", "pmfuzz", 0.9, seed=21)
+
     def test_resume_ignores_retired_exec_core_kwarg(self, tmp_path):
         """Checkpoints taken with the retired ``--exec-core`` flag carry
         the core name in their engine kwargs; they resume exactly as if
@@ -381,25 +397,43 @@ class TestResumeDeterminism:
         assert err.startswith("error:") and "retired" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_resume_reads_old_image_store_state(self, tmp_path):
-        """Older checkpoints carry the store's retired ``layouts`` index
-        and level-6 ``zlib.compress`` blobs; they resume exactly like a
-        current one."""
+    def test_resume_reads_old_image_store_state(self, tmp_path, monkeypatch):
+        """Older checkpoints carry the store's retired ``layouts`` index,
+        dense level-6 ``zlib.compress`` or ``Z_RLE`` blobs instead of
+        sparse records, and staging images pickled field by field; they
+        resume exactly like a current one."""
         import zlib
+
+        from repro.pmem.image import PMImage
+
+        def dense(blob, level6):
+            raw = PMImage.from_bytes(zlib.decompress(blob)).to_bytes()
+            if level6:
+                return zlib.compress(raw, 6)
+            compressor = zlib.compressobj(6, zlib.DEFLATED, 15, 8,
+                                          zlib.Z_RLE)
+            return compressor.compress(raw) + compressor.flush()
 
         path = str(tmp_path / "plain.ckpt")
         run_campaign("hashmap_tx", "pmfuzz", 0.5, seed=21,
                      checkpoint_every=0.1, checkpoint_path=path)
+        with open(path, "rb") as fh:
+            assert b"_from_record" in fh.read()
         payload = read_checkpoint(path)
+        assert payload["state"]["staging"]
         store = payload["state"]["store"]
         assert "layouts" not in store
         store["layouts"] = {image_id: "hashmap_tx"
                             for image_id in store["by_hash"]}
         store["by_hash"] = {
-            image_id: zlib.compress(zlib.decompress(blob), 6)
-            for image_id, blob in store["by_hash"].items()}
+            image_id: dense(blob, n % 2)
+            for n, (image_id, blob) in enumerate(store["by_hash"].items())}
         legacy = str(tmp_path / "legacy.ckpt")
+        monkeypatch.delattr(PMImage, "__reduce__")
         write_checkpoint(legacy, payload)
+        monkeypatch.undo()
+        with open(legacy, "rb") as fh:
+            assert b"_from_record" not in fh.read()
 
         plain = run_campaign("hashmap_tx", "pmfuzz", 0.9, resume_from=path)
         resumed = run_campaign("hashmap_tx", "pmfuzz", 0.9,

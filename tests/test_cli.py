@@ -104,6 +104,55 @@ class TestResilienceFlags:
         resumed_out = capsys.readouterr().out
         assert "stopped           : budget" in resumed_out
 
+    def test_resume_refuses_run_config_flags(self, tmp_path, capsys):
+        """Flags a resumed campaign would silently drop are refused by
+        name, before the checkpoint is read or anything is created."""
+        trace = tmp_path / "tr"
+        assert main(["fuzz", "--resume", str(tmp_path / "r.ckpt"),
+                     "--budget", "1.5", "--workers", "0",
+                     "--batch-execs", "-3", "--trace-dir", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--resume" in err
+        assert len(err.strip().splitlines()) == 1
+        for flag in ("--workers", "--batch-execs", "--trace-dir"):
+            assert flag in err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--workers", "1"], ["--isolation", "none"], ["--profile"],
+        ["--checkpoint-every", "0.1"], ["--triage-dir", "triage"],
+        ["--worker-rss-limit", "0"], ["--status-every", "0.5"]])
+    def test_resume_refuses_each_run_config_flag(self, tmp_path, capsys,
+                                                 extra):
+        path = str(tmp_path / "r.ckpt")
+        assert main(["fuzz", "--workload", "hashmap_tx", "--budget", "0.3",
+                     "--checkpoint-path", path]) == 0
+        capsys.readouterr()
+        assert main(["fuzz", "--resume", path] + extra) == 2
+        err = capsys.readouterr().err
+        assert extra[0] in err and len(err.strip().splitlines()) == 1
+
+    def test_resumed_profiled_campaign_prints_profile(self, tmp_path,
+                                                       capsys):
+        path = str(tmp_path / "p.ckpt")
+        assert main(["fuzz", "--workload", "hashmap_tx", "--budget", "0.3",
+                     "--checkpoint-path", path, "--profile"]) == 0
+        assert "per-stage breakdown" in capsys.readouterr().out
+        assert main(["fuzz", "--resume", path, "--budget", "0.5"]) == 0
+        assert "per-stage breakdown" in capsys.readouterr().out
+
+    def test_budget_stop_writes_resumable_checkpoint(self, tmp_path, capsys):
+        """A campaign whose first round outlasts the budget reaches no
+        periodic checkpoint; the budget stop writes one."""
+        path = tmp_path / "p.ckpt"
+        assert main(["fuzz", "--workload", "hashmap_tx", "--budget", "0.3",
+                     "--checkpoint-every", "0.1",
+                     "--checkpoint-path", str(path)]) == 0
+        assert path.exists()
+        capsys.readouterr()
+        assert main(["fuzz", "--resume", str(path)]) == 0
+        assert "stopped           : budget" in capsys.readouterr().out
+
     def test_compare_accepts_fault_plan(self):
         args = build_parser().parse_args(
             ["compare", "--workload", "btree", "--fault-plan", "all:0.01",

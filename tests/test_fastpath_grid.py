@@ -75,7 +75,7 @@ def run_solo(backend, warm, isolation, tmp_path, name):
         engine.executor.warm_cache = None
     stats = engine.run(0.4)
     queue = sorted((e.data, e.image_id) for e in engine.queue.entries)
-    images = {image_id: engine.storage.store.raw_serialized(image_id)
+    images = {image_id: engine.storage.store.peek(image_id)
               for _, image_id in queue if image_id}
     return stats, queue, images
 
