@@ -9,6 +9,12 @@ The reproduction's equivalent of the artifact's driver scripts
 
         python -m repro fuzz --workload btree --config pmfuzz --budget 3
 
+``resume``
+    Continue a killed or stopped campaign from its checkpoint, with the
+    checkpoint's campaign options, to a new ``--budget``::
+
+        python -m repro resume btree-pmfuzz.ckpt --budget 6
+
 ``compare``
     Run all five comparison points on one workload and render the
     Figure-13 panel.
@@ -55,17 +61,6 @@ from repro.workloads.realbugs import ALL_REAL_BUGS, bug_by_number, \
 def _slug(name: str) -> str:
     """Filesystem-safe short form of a configuration display name."""
     return "".join(c if c.isalnum() else "-" for c in name.lower()).strip("-")
-
-
-class _Given(argparse.Action):
-    """``store`` (``store_true`` with ``nargs=0``) for a :class:`RunConfig`
-    flag that also records the flag in ``namespace.given``, so that
-    ``fuzz --resume`` can refuse what it would otherwise ignore."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, True if self.nargs == 0 else values)
-        namespace.given = getattr(namespace, "given", ()) \
-            + (self.option_strings[0],)
 
 
 def _positive_seconds(flag: str, seconds: float) -> float:
@@ -134,21 +129,20 @@ def _summary_line(stats) -> str:
     return " ".join(parts)
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if not args.resume and not args.workload:
-        print("error: fuzz: --workload is required (unless resuming with "
-              "--resume)", file=sys.stderr)
-        return 2
-    _positive_seconds("--budget", args.budget)
-    given = sorted(set(getattr(args, "given", ())))
-    if args.resume and given:
-        raise FuzzerError(f"--resume runs with the checkpoint's campaign "
-                          f"options; drop {', '.join(given)}")
-    # First SIGINT/SIGTERM stops cleanly (final checkpoint + summary
-    # with stop_reason=signal), the second hard-exits.  The handlers are removed once the campaign returns,
-    # so an embedding process (and anything it forks later) does not
-    # keep routing its signals to a finished engine.
+def _run_reported(budget: float, start) -> int:
+    """Run one campaign and print its summary: ``fuzz`` and ``resume``.
+
+    ``start(hook)`` runs the campaign to ``budget``, calling
+    ``hook(engine)`` before the first round.  The hook wires the
+    two-stage stop: the first SIGINT/SIGTERM stops cleanly (final
+    checkpoint and a summary with stop_reason=signal), the second
+    hard-exits.  The handlers are removed once the campaign returns, so
+    an embedding process (and anything it forks later) does not keep
+    routing its signals to a finished engine.
+    """
     from repro.fuzz.signals import install_graceful_stop
+
+    _positive_seconds("--budget", budget)
     stops, profiled = [], []
 
     def hook(engine):
@@ -156,14 +150,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         # A resumed campaign profiles when its checkpoint says so.
         profiled.append(engine.run_config.profile)
     try:
-        if args.resume:
-            stats = run_campaign(args.workload, args.config, args.budget,
-                                 resume_from=args.resume, engine_hook=hook)
-        else:
-            stats = run_campaign(args.workload, args.config, args.budget,
-                                 seed=args.seed, fault_plan=args.fault_plan,
-                                 engine_hook=hook,
-                                 run_config=_run_config(args, args.config))
+        stats = start(hook)
     finally:
         for stop in stops:
             stop.uninstall()
@@ -188,6 +175,23 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if any(profiled):
         _print_profile(stats)
     return 0
+
+
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    return _run_reported(args.budget, lambda hook: run_campaign(
+        args.workload, args.config, args.budget, seed=args.seed,
+        fault_plan=args.fault_plan, engine_hook=hook,
+        run_config=_run_config(args, args.config)))
+
+
+def _cmd_resume(args: argparse.Namespace) -> int:
+    from repro.resilience.checkpoint import resume_campaign
+
+    def start(hook):
+        engine = resume_campaign(args.checkpoint)
+        hook(engine)
+        return engine.run(args.budget)
+    return _run_reported(args.budget, start)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -372,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fuzz = sub.add_parser("fuzz", help="run one fuzzing campaign")
-    fuzz.add_argument("--workload", choices=workload_names(),
-                      help="required unless --resume is given")
+    fuzz.add_argument("--workload", required=True,
+                      choices=workload_names())
     fuzz.add_argument("--config", default="pmfuzz")
     fuzz.add_argument("--budget", type=float, default=2.0,
                       help="virtual seconds (campaign length)")
@@ -381,67 +385,68 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--fault-plan", default=None, metavar="SPEC",
                       help="environment-fault plan, e.g. 'all:0.01' or "
                            "'storage-load:0.05:3,exec-fault:0.01'")
-    fuzz.add_argument("--checkpoint-every", action=_Given,
-                      type=float, default=None,
+    fuzz.add_argument("--checkpoint-every", type=float, default=None,
                       metavar="VSECONDS",
                       help="snapshot campaign state every N virtual seconds")
-    fuzz.add_argument("--checkpoint-path", action=_Given, default=None,
+    fuzz.add_argument("--checkpoint-path", default=None,
                       help="checkpoint file (default: "
                            "<workload>-<config>.ckpt)")
-    fuzz.add_argument("--resume", default=None, metavar="CHECKPOINT",
-                      help="resume a killed or stopped campaign from its "
-                           "checkpoint and fuzz to --budget, with the "
-                           "checkpoint's campaign options (the flags "
-                           "below are refused)")
-    fuzz.add_argument("--isolation", action=_Given, choices=["fork", "none"],
+    fuzz.add_argument("--isolation", choices=["fork", "none"],
                       default="none",
                       help="execution backend: 'fork' sandboxes every "
                            "test case in a worker subprocess with a "
                            "wall-clock watchdog and RSS ceiling "
                            "(degrades to 'none' where fork is "
                            "unavailable)")
-    fuzz.add_argument("--batch-execs", action=_Given,
-                      type=int, default=8, metavar="N",
+    fuzz.add_argument("--batch-execs", type=int, default=8, metavar="N",
                       help="executions shipped per fork-worker dispatch "
                            "(fork only; 1 disables batching)")
-    fuzz.add_argument("--workers", action=_Given, type=int, default=1,
+    fuzz.add_argument("--workers", type=int, default=1,
                       help="fork-server worker pool size")
-    fuzz.add_argument("--exec-wall-timeout", action=_Given,
-                      type=float, default=10.0,
+    fuzz.add_argument("--exec-wall-timeout", type=float, default=10.0,
                       metavar="SECONDS",
                       help="real-time deadline per execution before the "
                            "watchdog SIGKILLs the worker (fork only)")
-    fuzz.add_argument("--worker-rss-limit", action=_Given,
-                      type=int, default=None,
+    fuzz.add_argument("--worker-rss-limit", type=int, default=None,
                       metavar="MIB",
                       help="address-space ceiling per worker in MiB "
                            "(fork only)")
-    fuzz.add_argument("--triage-dir", action=_Given, default="triage",
+    fuzz.add_argument("--triage-dir", default="triage",
                       help="directory for on-death crash-triage bundles "
                            "(fork only; default: ./triage)")
-    fuzz.add_argument("--trace-dir", action=_Given,
-                      default=None, metavar="DIR",
+    fuzz.add_argument("--trace-dir", default=None, metavar="DIR",
                       help="write structured trace shards (JSONL) and "
                            "live status.json files here; read them back "
                            "with 'monitor' and 'report'")
-    fuzz.add_argument("--trace-sample", action=_Given,
-                      type=int, default=1, metavar="N",
+    fuzz.add_argument("--trace-sample", type=int, default=1, metavar="N",
                       help="keep 1-in-N high-rate exec events "
                            "(other event kinds are never sampled)")
-    fuzz.add_argument("--trace-rotate-mib", action=_Given,
-                      type=int, default=None,
+    fuzz.add_argument("--trace-rotate-mib", type=int, default=None,
                       metavar="MIB",
                       help="rotate a trace shard once it exceeds this "
                            "size (default: never)")
-    fuzz.add_argument("--status-every", action=_Given, type=float, default=0.5,
+    fuzz.add_argument("--status-every", type=float, default=0.5,
                       metavar="VSECONDS",
                       help="status.json publish cadence in virtual "
                            "seconds (needs --trace-dir)")
-    fuzz.add_argument("--profile", action=_Given, nargs=0, default=False,
+    fuzz.add_argument("--profile", action="store_true",
                       help="collect wall-clock per-stage timers and "
                            "print the flame-style breakdown at the end "
                            "(virtual-time attribution is always on)")
     fuzz.set_defaults(func=_cmd_fuzz)
+
+    resume = sub.add_parser(
+        "resume", help="continue a campaign from its checkpoint",
+        description="Continue a killed or stopped campaign from its "
+                    "checkpoint, with the campaign options the checkpoint "
+                    "records; campaign flags are not accepted.")
+    resume.add_argument("checkpoint", metavar="CHECKPOINT",
+                        help="a checkpoint written by 'fuzz "
+                             "--checkpoint-path' or --checkpoint-every")
+    resume.add_argument("--budget", type=float, default=2.0,
+                        help="virtual seconds, counted from the "
+                             "campaign's start, not from the checkpoint")
+    resume.set_defaults(func=_cmd_resume)
 
     compare = sub.add_parser("compare",
                              help="all five configs on one workload")
@@ -549,9 +554,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except ReproError as exc:
-        # Bad fault plans, damaged/missing or retired checkpoints: user
-        # input or environment errors get one clean line
-        # and the documented status, never a traceback.
+        # Bad fault plans, damaged, missing or older-format checkpoints:
+        # user input or environment errors get one clean line and the
+        # documented status, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

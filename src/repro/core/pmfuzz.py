@@ -25,7 +25,7 @@ from dataclasses import replace
 from functools import cached_property
 from typing import FrozenSet, Optional, Sequence
 
-from repro.core.config import (CONFIGS, RUN_OPTIONS, FuzzConfig, ImgFuzzMode,
+from repro.core.config import (RUN_OPTIONS, FuzzConfig, ImgFuzzMode,
                                RunConfig, config_by_name)
 from repro.core.crashgen import CrashImageGenerator
 from repro.core.priority import pm_path_priority
@@ -211,7 +211,6 @@ def run_campaign(
     seed: int = 0x504D465A,
     injector=None,
     fault_plan=None,
-    resume_from: Optional[str] = None,
     engine_hook=None,
     **options,
 ) -> FuzzStats:
@@ -222,20 +221,13 @@ def run_campaign(
     ``options`` go to :func:`build_engine` (a ``run_config`` and/or
     :class:`RunConfig` fields).
 
-    With ``resume_from`` set, the campaign is restored from that
-    checkpoint instead of starting fresh (the other campaign-shaping
-    arguments are taken from the checkpoint) and fuzzes until the total
-    ``budget_vseconds`` is exhausted.
+    A checkpointed campaign continues through
+    :func:`~repro.resilience.checkpoint.resume_campaign` instead.
 
     ``engine_hook(engine)`` runs after construction and before the
-    campaign starts, on both the fresh and resume paths — the CLI uses
-    it to wire graceful SIGINT/SIGTERM handling to the live engine.
+    campaign starts — the CLI uses it to wire graceful SIGINT/SIGTERM
+    handling to the live engine.
     """
-    if resume_from is not None:
-        engine = FuzzEngine.resume(resume_from, injector=injector)
-        if engine_hook is not None:
-            engine_hook(engine)
-        return engine.run(budget_vseconds)
     config = config_by_name(config_name)
     rng = DeterministicRandom(seed).fork(f"{workload_name}/{config.name}")
     engine = build_engine(workload_name, config, rng=rng, bugs=bugs,
@@ -245,12 +237,3 @@ def run_campaign(
         engine_hook(engine)
     return engine.run(budget_vseconds)
 
-
-def run_all_configs(workload_name: str, budget_vseconds: float,
-                    seed: int = 0x504D465A):
-    """Run all five Table-2 configurations on one workload."""
-    return {
-        config.name: run_campaign(workload_name, config.name,
-                                  budget_vseconds, seed=seed)
-        for config in CONFIGS
-    }

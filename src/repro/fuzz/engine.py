@@ -232,10 +232,10 @@ class FuzzEngine:
         state is snapshotted to ``run_config.checkpoint_path`` at
         fuzzing-round boundaries;
         a campaign killed at *any* point resumes from its last
-        checkpoint (:meth:`resume`) and — because every random decision
-        flows through the snapshotted RNG — replays the interrupted
-        tail bit-for-bit, ending in the same final state as an
-        uninterrupted run.
+        checkpoint (:func:`~repro.resilience.checkpoint.resume_campaign`)
+        and — because every random decision flows through the
+        snapshotted RNG — replays the interrupted tail bit-for-bit,
+        ending in the same final state as an uninterrupted run.
 
         With a checkpoint path configured, every stop (budget, signal
         or execution cap) checkpoints one final time, at the moment the
@@ -378,21 +378,6 @@ class FuzzEngine:
             write_engine_checkpoint(target, self)
             self.trace.flush()
         return target
-
-    @classmethod
-    def resume(cls, path: str, injector=None) -> "FuzzEngine":
-        """Rebuild a campaign from its last checkpoint.
-
-        The engine class is chosen from the checkpointed configuration
-        (a PMFuzz config resumes as a
-        :class:`~repro.core.pmfuzz.PMFuzzEngine`), so calling this on
-        either class returns the right engine.  ``injector`` re-attaches
-        a workload-level :class:`BugInjector`, which is process state
-        and cannot be checkpointed.
-        """
-        from repro.resilience.checkpoint import resume_campaign
-
-        return resume_campaign(path, injector=injector)
 
     def _children_of(self, entry: QueueEntry) -> List[bytes]:
         """Mutated inputs for one fuzzing round of ``entry``."""

@@ -24,7 +24,7 @@ from repro.instrument.context import current_context, pm_call_site
 from repro.pmem.image import PMImage
 from repro.pmem.persistence import PersistenceDomain, TraceEventKind
 from repro.pmdk import libpmem
-from repro.pmdk.heap import ALLOC_HEADER_SIZE, PersistentHeap
+from repro.pmdk.heap import PersistentHeap
 from repro.pmdk.tx import Transaction, TransactionLog, TxStage, recover_pool
 
 #: NULL persistent pointer.
@@ -328,7 +328,3 @@ class PmemObjPool:
     def heap_base(self) -> int:
         """First heap offset (everything below is pool metadata + log)."""
         return self.heap.heap_base
-
-    def first_object_oid(self) -> int:
-        """OID of the first heap allocation (useful for tests)."""
-        return self.heap.heap_base + ALLOC_HEADER_SIZE

@@ -43,7 +43,10 @@ from repro._vfs import current_vfs
 from repro.errors import CheckpointError
 
 _MAGIC = b"PMFZCKPT1\n"
-FORMAT_VERSION = 1
+#: Version 2 checkpoints record only current RunConfig fields in their
+#: ``engine_kwargs`` and only current state keys; older checkpoints are
+#: refused by the version check in :func:`read_checkpoint`.
+FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -203,8 +206,7 @@ def restore_state(engine, state: dict) -> None:
     engine._next_sample = state["next_sample"]
     engine._next_checkpoint = state["next_checkpoint"]
     engine._set_up = state["set_up"]
-    # Absent from checkpoints written before stops checkpointed.
-    engine._pending_round = state.get("pending_round")
+    engine._pending_round = state["pending_round"]
     engine._seed_image_id = state["seed_image_id"]
     engine._seed_image_bytes = state["seed_image_bytes"]
     engine.rng.setstate(state["rng"])
@@ -234,26 +236,20 @@ def restore_state(engine, state: dict) -> None:
         engine.tree = None
     store = engine.storage.store
     store._by_hash = dict(state["store"]["by_hash"])
-    # Checkpoints written before the store dropped its never-read
-    # layout index also carry a "layouts" key; it is ignored.
     store.raw_bytes = state["store"]["raw_bytes"]
     store.stored_bytes = state["store"]["stored_bytes"]
     store.duplicates_rejected = state["store"]["duplicates_rejected"]
-    store._quarantined = dict(state["store"].get("quarantined", {}))
-    store.corrupt_quarantined = state["store"].get("corrupt_quarantined", 0)
+    store._quarantined = dict(state["store"]["quarantined"])
+    store.corrupt_quarantined = state["store"]["corrupt_quarantined"]
     engine.storage._staging = OrderedDict(state["staging"])
     (engine.storage._staged_bytes, engine.storage.decompressions,
      engine.storage.evictions, engine.storage.load_faults) = \
         state["staging_meta"]
     if engine.env_faults is not None and state["env_faults"] is not None:
         engine.env_faults.setstate(state["env_faults"])
-    # Observability state ("observe" key is absent from pre-layer
-    # checkpoints; those resume with fresh metrics and a fresh bus).
-    observe = state.get("observe")
-    if observe is not None:
-        engine.metrics.restore(observe.get("metrics"),
-                               observe.get("metrics_host"))
-        engine.trace.setstate(observe["bus"])
+    observe = state["observe"]
+    engine.metrics.restore(observe["metrics"], observe["metrics_host"])
+    engine.trace.setstate(observe["bus"])
 
 
 def write_engine_checkpoint(path: str, engine) -> None:
@@ -271,24 +267,6 @@ def write_engine_checkpoint(path: str, engine) -> None:
     })
 
 
-#: Retired path selectors: the execution core, the fork transport, the
-#: coverage backend, the warm-open cache and the crash-generation mode.
-#: Every setting of each produced identical campaigns.
-_RETIRED_SELECTORS = frozenset({"exec_core", "transport", "cov_backend",
-                                "warm_open", "crashgen"})
-
-
-def _retired_constants() -> dict:
-    """Retired engine options that became constants, with their values."""
-    from repro.core import crashgen
-    from repro.fuzz import engine
-
-    return {"sample_interval": engine.SAMPLE_INTERVAL,
-            "havoc_batch": engine.HAVOC_BATCH,
-            "max_ordering_points": crashgen.MAX_ORDERING_POINTS,
-            "crash_extra_rate": crashgen.EXTRA_RATE}
-
-
 def resume_campaign(path: str, injector=None, allow_previous: bool = True):
     """Rebuild the checkpointed campaign, ready to continue running.
 
@@ -303,7 +281,7 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
     the ``.prev`` rotation when ``allow_previous`` is set; only when
     both are unusable does :class:`CheckpointError` propagate.
     """
-    from repro.core.config import RUN_OPTIONS, config_by_name
+    from repro.core.config import config_by_name
     from repro.core.pmfuzz import build_engine
 
     payload = read_checkpoint_with_fallback(path,
@@ -313,36 +291,6 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
         raise CheckpointError(
             f"checkpoint {path!r} carries no campaign metadata; it was "
             "taken from a hand-built engine and cannot self-resume")
-    # Older checkpoints may name options the engine no longer takes.  A
-    # retired path selector is dropped whatever its value, and an option
-    # that became a constant is dropped when it held that constant's
-    # value: either way the campaign resumes exactly.  Any other value,
-    # or any other option, cannot be reproduced and is refused.
-    constants = _retired_constants()
-    options, retired = {}, []
-    for key, value in meta["engine_kwargs"].items():
-        if key in RUN_OPTIONS:
-            options[key] = value
-        elif not (key in _RETIRED_SELECTORS
-                  or key in constants and constants[key] == value):
-            retired.append(f"{key}={value!r}")
-    if retired:
-        raise CheckpointError(
-            f"checkpoint {path!r} uses retired engine options "
-            f"{', '.join(sorted(retired))}; it cannot be resumed")
-    # A fleet member or a corpus-database campaign imported entries that
-    # a solo resume cannot reproduce, so it is refused, not resumed as
-    # something else.  Older solo checkpoints carry both state keys as
-    # None and resume exactly.
-    state = payload["state"]
-    if state.get("fleet") is not None:
-        raise CheckpointError(
-            f"checkpoint {path!r} is from a fleet member, and the fleet "
-            "was retired; it cannot be resumed")
-    if state.get("corpusdb") is not None:
-        raise CheckpointError(
-            f"checkpoint {path!r} is from a campaign with a corpus "
-            "database, which was retired; it cannot be resumed")
     engine = build_engine(
         meta["workload"],
         config_by_name(meta["config"]),
@@ -350,7 +298,7 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
         seed_inputs=[bytes(s) for s in meta["seed_inputs"]],
         injector=injector,
         fault_plan=meta["fault_plan"],
-        **options,
+        **meta["engine_kwargs"],
     )
-    restore_state(engine, state)
+    restore_state(engine, payload["state"])
     return engine

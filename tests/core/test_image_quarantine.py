@@ -15,8 +15,8 @@ from repro.core.dedup import ImageStore
 from repro.core.pmfuzz import build_engine
 from repro.core.storage import TestCaseStorage
 from repro.errors import CorpusCorruptionError, InvalidImageError
-from repro.fuzz.engine import FuzzEngine
 from repro.pmem.image import PMImage, derive_uuid
+from repro.resilience.checkpoint import resume_campaign
 from repro.workloads.registry import get_workload
 
 
@@ -82,7 +82,7 @@ class TestImageStoreQuarantine:
             engine.storage.load(image_id)
         assert store.corrupt_quarantined == 1
         engine.checkpoint()
-        resumed = FuzzEngine.resume(ckpt)
+        resumed = resume_campaign(ckpt)
         assert resumed.storage.store.corrupt_quarantined == 1
         assert image_id in resumed.storage.store._quarantined
         with pytest.raises(CorpusCorruptionError, match="quarantined"):

@@ -12,6 +12,7 @@ import pytest
 from repro.core.pmfuzz import run_campaign
 from repro.fuzz.engine import FuzzEngine
 from repro.fuzz.signals import GracefulStop, install_graceful_stop
+from repro.resilience.checkpoint import resume_campaign
 
 
 class TestGracefulStop:
@@ -98,8 +99,7 @@ class TestEngineSignalStop:
                                    engine_hook=_stop_after,
                                    checkpoint_path=ckpt)
         assert interrupted.stop_reason == "signal"
-        resumed_stats = run_campaign("btree", "pmfuzz", 1.0,
-                                     resume_from=ckpt)
+        resumed_stats = resume_campaign(ckpt).run(1.0)
         assert resumed_stats.stop_reason == "budget"
         assert resumed_stats.executions > interrupted.executions
 

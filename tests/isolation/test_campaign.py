@@ -25,6 +25,7 @@ from repro.core.storage import TriageStore
 from repro.fuzz.engine import FuzzEngine
 from repro.fuzz.rng import DeterministicRandom
 from repro.pmem.image import PMImage
+from repro.resilience.checkpoint import resume_campaign
 from repro.workloads import get_workload
 from repro.workloads.base import RunOutcome
 
@@ -88,8 +89,7 @@ class TestBackendEquivalence:
                                triage_dir=str(tmp_path / "t2"),
                                checkpoint_every=0.2, checkpoint_path=path)
         assert partial == baseline
-        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.6,
-                               resume_from=path)
+        resumed = resume_campaign(path).run(0.6)
         # The checkpoint carries the backend config; the resumed engine
         # re-resolved it (fork is available here, so it stays fork).
         assert resumed.isolation_backend == "fork"

@@ -12,10 +12,10 @@ import pytest
 
 from repro.core.config import PMFUZZ
 from repro.core.pmfuzz import build_engine
-from repro.fuzz.engine import FuzzEngine
 from repro.fuzz.rng import DeterministicRandom
 from repro.observe.report import render_report
 from repro.observe.sink import merge_shards
+from repro.resilience.checkpoint import resume_campaign
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="requires os.fork")
@@ -117,7 +117,7 @@ class TestKilledCampaignTrace:
         monkeypatch.setattr(victim, "_run_one", killing_run_one)
         with pytest.raises(RuntimeError):
             victim.run(0.4)
-        engine = FuzzEngine.resume(str(tmp_path / "killed" / "c.ckpt"))
+        engine = resume_campaign(str(tmp_path / "killed" / "c.ckpt"))
         assert engine.stats.executions < 40  # rolled back
         resumed = engine.run(0.4)
         assert resumed.comparable() == reference.comparable()

@@ -15,26 +15,27 @@ from repro.core.pmfuzz import run_campaign
 from repro.errors import CheckpointError
 from repro.fuzz.engine import FuzzEngine
 from repro.fuzz.rng import DeterministicRandom
-from repro.resilience.checkpoint import (read_checkpoint, resume_campaign,
-                                         write_checkpoint)
+from repro.resilience.checkpoint import (FORMAT_VERSION, read_checkpoint,
+                                         resume_campaign, write_checkpoint)
 
 
 class TestCheckpointFile:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
-        payload = {"version": 1, "data": [1, 2, 3], "blob": b"\x00\xff"}
+        payload = {"version": FORMAT_VERSION, "data": [1, 2, 3],
+                   "blob": b"\x00\xff"}
         write_checkpoint(path, payload)
         assert read_checkpoint(path) == payload
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
-        write_checkpoint(path, {"version": 1})
+        write_checkpoint(path, {"version": FORMAT_VERSION})
         assert os.listdir(tmp_path) == ["c.ckpt"]
 
     def test_overwrite_is_atomic_replacement(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
-        write_checkpoint(path, {"version": 1, "gen": 1})
-        write_checkpoint(path, {"version": 1, "gen": 2})
+        write_checkpoint(path, {"version": FORMAT_VERSION, "gen": 1})
+        write_checkpoint(path, {"version": FORMAT_VERSION, "gen": 2})
         assert read_checkpoint(path)["gen"] == 2
 
     def test_missing_file_raises(self, tmp_path):
@@ -49,7 +50,8 @@ class TestCheckpointFile:
 
     def test_corruption_is_detected(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
-        write_checkpoint(path, {"version": 1, "data": list(range(100))})
+        write_checkpoint(path, {"version": FORMAT_VERSION,
+                                "data": list(range(100))})
         blob = bytearray(open(path, "rb").read())
         blob[len(blob) // 2] ^= 0x40  # flip one bit mid-payload
         with open(path, "wb") as fh:
@@ -59,7 +61,8 @@ class TestCheckpointFile:
 
     def test_truncation_is_detected(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
-        write_checkpoint(path, {"version": 1, "data": list(range(100))})
+        write_checkpoint(path, {"version": FORMAT_VERSION,
+                                "data": list(range(100))})
         blob = open(path, "rb").read()
         with open(path, "wb") as fh:
             fh.write(blob[:-7])
@@ -75,7 +78,8 @@ class TestCheckpointFile:
     def test_unserializable_payload_raises(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         with pytest.raises(CheckpointError):
-            write_checkpoint(path, {"version": 1, "bad": lambda: None})
+            write_checkpoint(path, {"version": FORMAT_VERSION,
+                                    "bad": lambda: None})
         assert not os.path.exists(path)
 
 
@@ -114,7 +118,7 @@ class TestResumeDeterminism:
             victim.run(budget)
         assert os.path.exists(path)
 
-        resumed_engine = FuzzEngine.resume(path)
+        resumed_engine = resume_campaign(path)
         assert resumed_engine.stats.executions < 70  # rolled back
         resumed = resumed_engine.run(budget)
 
@@ -138,7 +142,7 @@ class TestResumeDeterminism:
 
         interrupted = fresh()
         interrupted.run(0.8)  # writes checkpoints along the way
-        resumed = FuzzEngine.resume(path)
+        resumed = resume_campaign(path)
         resumed.run(0.8)
 
         assert resumed.stats == baseline.stats
@@ -158,16 +162,14 @@ class TestResumeDeterminism:
                                fault_plan="all:0.02",
                                checkpoint_every=0.2, checkpoint_path=path)
         assert partial == baseline
-        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.8,
-                               resume_from=path)
+        resumed = resume_campaign(path).run(0.8)
         assert resumed == baseline
 
-    def test_resume_via_run_campaign_extends_budget(self, tmp_path):
+    def test_resume_campaign_extends_budget(self, tmp_path):
         path = str(tmp_path / "extend.ckpt")
         run_campaign("hashmap_tx", "pmfuzz", 0.5, seed=21,
                      checkpoint_every=0.1, checkpoint_path=path)
-        longer = run_campaign("hashmap_tx", "pmfuzz", 0.9,
-                              resume_from=path)
+        longer = resume_campaign(path).run(0.9)
         straight = run_campaign("hashmap_tx", "pmfuzz", 0.9, seed=21)
         assert longer == straight
 
@@ -181,125 +183,10 @@ class TestResumeDeterminism:
         straight = run_campaign("hashmap_tx", "pmfuzz", 0.3, seed=21)
         assert stopped.comparable() == straight.comparable()
         assert read_checkpoint(path)["state"]["pending_round"] is not None
-        again = run_campaign("hashmap_tx", "pmfuzz", 0.3, resume_from=path)
+        again = resume_campaign(path).run(0.3)
         assert again == straight
-        longer = run_campaign("hashmap_tx", "pmfuzz", 0.9,
-                              resume_from=path)
+        longer = resume_campaign(path).run(0.9)
         assert longer == run_campaign("hashmap_tx", "pmfuzz", 0.9, seed=21)
-
-    def test_resume_ignores_retired_exec_core_kwarg(self, tmp_path):
-        """Checkpoints taken with the retired ``--exec-core`` flag carry
-        the core name in their engine kwargs; they resume exactly as if
-        it were absent."""
-        path = str(tmp_path / "plain.ckpt")
-        run_campaign("hashmap_tx", "pmfuzz", 0.5, seed=21,
-                     checkpoint_every=0.1, checkpoint_path=path)
-        payload = read_checkpoint(path)
-        assert "exec_core" not in payload["meta"]["engine_kwargs"]
-        payload["meta"]["engine_kwargs"]["exec_core"] = "vector"
-        legacy = str(tmp_path / "legacy.ckpt")
-        write_checkpoint(legacy, payload)
-
-        plain = run_campaign("hashmap_tx", "pmfuzz", 0.9, resume_from=path)
-        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.9,
-                               resume_from=legacy)
-        assert resumed.comparable() == plain.comparable()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
-    @pytest.mark.parametrize("transport", ["ring", "pipe"])
-    def test_resume_ignores_retired_transport_kwarg(self, tmp_path,
-                                                    transport):
-        """Fork campaigns checkpointed with an explicit transport (a
-        retired flag) carry it in their engine kwargs; they resume to
-        the uninterrupted campaign."""
-        fork = {"isolation": "fork", "isolation_workers": 1,
-                "triage_dir": str(tmp_path / "triage")}
-        path = str(tmp_path / "fork.ckpt")
-        run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
-                     checkpoint_every=0.1, checkpoint_path=path, **fork)
-        payload = read_checkpoint(path)
-        assert "transport" not in payload["meta"]["engine_kwargs"]
-        payload["meta"]["engine_kwargs"]["transport"] = transport
-        legacy = str(tmp_path / "legacy.ckpt")
-        write_checkpoint(legacy, payload)
-
-        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21,
-                                **fork)
-        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
-                               resume_from=legacy)
-        assert resumed.comparable() == straight.comparable()
-
-    @pytest.mark.parametrize("key, value", [
-        ("cov_backend", "settrace"),
-        ("cov_backend", "monitoring"),
-        ("warm_open", False),
-        ("crashgen", "reexec"),
-    ], ids=["cov-backend-settrace", "cov-backend-monitoring",
-            "warm-open-off", "crashgen-reexec"])
-    def test_resume_ignores_retired_path_selector(self, tmp_path, key,
-                                                  value):
-        """Checkpoints taken with a retired path-selector flag carry the
-        choice in their engine kwargs.  Every setting produced identical
-        campaigns, so they resume to the uninterrupted campaign, even
-        where the named backend does not exist."""
-        path = str(tmp_path / "plain.ckpt")
-        run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
-                     checkpoint_every=0.1, checkpoint_path=path)
-        payload = read_checkpoint(path)
-        assert key not in payload["meta"]["engine_kwargs"]
-        payload["meta"]["engine_kwargs"][key] = value
-        legacy = str(tmp_path / "legacy.ckpt")
-        write_checkpoint(legacy, payload)
-
-        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21)
-        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
-                               resume_from=legacy)
-        assert resumed.comparable() == straight.comparable()
-
-    @pytest.mark.parametrize("key, value", [
-        ("sample_interval", 0.25),
-        ("havoc_batch", 12),
-        ("max_ordering_points", 4),
-        ("crash_extra_rate", 0.25),
-    ])
-    def test_resume_accepts_retired_constant_at_its_value(self, tmp_path,
-                                                          key, value):
-        """Options that became engine constants resume from checkpoints
-        that recorded them at the constant's value."""
-        path = str(tmp_path / "plain.ckpt")
-        run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
-                     checkpoint_every=0.1, checkpoint_path=path)
-        payload = read_checkpoint(path)
-        payload["meta"]["engine_kwargs"][key] = value
-        legacy = str(tmp_path / "legacy.ckpt")
-        write_checkpoint(legacy, payload)
-
-        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21)
-        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
-                               resume_from=legacy)
-        assert resumed.comparable() == straight.comparable()
-
-    def test_resume_refuses_retired_constant_off_its_value(self, tmp_path,
-                                                           capsys):
-        """Any other value of such an option cannot be reproduced: the
-        resume is a one-line error."""
-        from repro.cli import main
-
-        path = str(tmp_path / "plain.ckpt")
-        run_campaign("hashmap_tx", "pmfuzz", 0.3, seed=21,
-                     checkpoint_every=0.1, checkpoint_path=path)
-        payload = read_checkpoint(path)
-        payload["meta"]["engine_kwargs"]["crash_extra_rate"] = 0.5
-        legacy = str(tmp_path / "legacy.ckpt")
-        write_checkpoint(legacy, payload)
-
-        with pytest.raises(CheckpointError,
-                           match="retired engine options crash_extra_rate"):
-            resume_campaign(legacy)
-        assert main(["fuzz", "--resume", legacy, "--budget", "0.5"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "crash_extra_rate=0.5" in err
-        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
     def test_resume_restores_every_run_option(self, tmp_path):
@@ -322,130 +209,34 @@ class TestResumeDeterminism:
         engine.close()
         assert engine.run_config == run
 
-    def test_resume_ignores_retired_fault_site(self, tmp_path):
-        """A checkpoint pickles its fault plan, and unpickling skips the
-        site check, so a plan expanded when the registry still held a
-        retired site (the serve daemon's, the corpus database's) resumes
-        to the uninterrupted campaign."""
-        from repro.resilience.faults import FaultPlan, FaultSpec
-
-        path = str(tmp_path / "faulted.ckpt")
-        run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
-                     fault_plan="all:0.02",
-                     checkpoint_every=0.1, checkpoint_path=path)
-        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21,
-                                fault_plan="all:0.02")
-        for site in ("serve-journal", "corpusdb-publish"):
-            payload = read_checkpoint(path)
-            plan = payload["meta"]["fault_plan"]
-            retired = object.__new__(FaultSpec)
-            for name, value in (("site", site), ("rate", 0.02),
-                                ("burst", 1)):
-                object.__setattr__(retired, name, value)
-            payload["meta"]["fault_plan"] = FaultPlan(
-                plan.specs + (retired,), seed=plan.seed)
-            legacy = str(tmp_path / f"legacy-{site}.ckpt")
-            write_checkpoint(legacy, payload)
-
-            resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
-                                   resume_from=legacy)
-            assert resumed.comparable() == straight.comparable(), site
-
-    def test_resume_accepts_empty_retired_state_keys(self, tmp_path):
-        """Solo checkpoints from before the fleet and the corpus database
-        were retired carry both state keys as None; they resume to the
-        uninterrupted campaign."""
-        path = str(tmp_path / "solo.ckpt")
-        run_campaign("hashmap_tx", "pmfuzz", 0.4, seed=21,
-                     checkpoint_every=0.1, checkpoint_path=path)
-        payload = read_checkpoint(path)
-        assert "fleet" not in payload["state"]
-        payload["state"].update(fleet=None, corpusdb=None)
-        legacy = str(tmp_path / "legacy.ckpt")
-        write_checkpoint(legacy, payload)
-
-        straight = run_campaign("hashmap_tx", "pmfuzz", 0.7, seed=21)
-        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.7,
-                               resume_from=legacy)
-        assert resumed.comparable() == straight.comparable()
-
-    @pytest.mark.parametrize("where,key,value,feature", [
-        ("kwargs", "corpus_db", "/srv/db", "retired engine options"),
-        ("state", "corpusdb", {"seen": []}, "corpus database"),
-        ("state", "fleet", {"epoch": 3}, "fleet"),
-    ], ids=["corpus-db-kwarg", "corpusdb-state", "fleet-state"])
-    def test_resume_refuses_retired_feature(self, tmp_path, capsys, where,
-                                            key, value, feature):
-        """A fleet member or corpus-database campaign imported entries a
-        solo resume cannot reproduce: resuming it is a one-line error."""
+    def test_older_format_is_refused(self, tmp_path, capsys):
+        """A checkpoint of an older format is refused by its version
+        alone: one CheckpointError line, exit 2 from the CLI."""
         from repro.cli import main
 
-        path = str(tmp_path / "solo.ckpt")
+        path = str(tmp_path / "current.ckpt")
         run_campaign("hashmap_tx", "pmfuzz", 0.3, seed=21,
-                     checkpoint_every=0.1, checkpoint_path=path)
+                     checkpoint_path=path)
         payload = read_checkpoint(path)
-        target = (payload["meta"]["engine_kwargs"] if where == "kwargs"
-                  else payload["state"])
-        target[key] = value
-        legacy = str(tmp_path / "legacy.ckpt")
-        write_checkpoint(legacy, payload)
+        payload["version"] = 1
+        older = str(tmp_path / "older.ckpt")
+        write_checkpoint(older, payload)
 
-        with pytest.raises(CheckpointError, match=feature):
-            resume_campaign(legacy)
-        assert main(["fuzz", "--resume", legacy, "--budget", "0.5"]) == 2
+        with pytest.raises(CheckpointError,
+                           match="format version 1") as exc:
+            resume_campaign(older)
+        assert len(str(exc.value).splitlines()) == 1
+        assert main(["resume", older, "--budget", "0.5"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "retired" in err
+        assert err.startswith("error:") and "format version 1" in err
         assert len(err.strip().splitlines()) == 1
-
-    def test_resume_reads_old_image_store_state(self, tmp_path, monkeypatch):
-        """Older checkpoints carry the store's retired ``layouts`` index,
-        dense level-6 ``zlib.compress`` or ``Z_RLE`` blobs instead of
-        sparse records, and staging images pickled field by field; they
-        resume exactly like a current one."""
-        import zlib
-
-        from repro.pmem.image import PMImage
-
-        def dense(blob, level6):
-            raw = PMImage.from_bytes(zlib.decompress(blob)).to_bytes()
-            if level6:
-                return zlib.compress(raw, 6)
-            compressor = zlib.compressobj(6, zlib.DEFLATED, 15, 8,
-                                          zlib.Z_RLE)
-            return compressor.compress(raw) + compressor.flush()
-
-        path = str(tmp_path / "plain.ckpt")
-        run_campaign("hashmap_tx", "pmfuzz", 0.5, seed=21,
-                     checkpoint_every=0.1, checkpoint_path=path)
-        with open(path, "rb") as fh:
-            assert b"_from_record" in fh.read()
-        payload = read_checkpoint(path)
-        assert payload["state"]["staging"]
-        store = payload["state"]["store"]
-        assert "layouts" not in store
-        store["layouts"] = {image_id: "hashmap_tx"
-                            for image_id in store["by_hash"]}
-        store["by_hash"] = {
-            image_id: dense(blob, n % 2)
-            for n, (image_id, blob) in enumerate(store["by_hash"].items())}
-        legacy = str(tmp_path / "legacy.ckpt")
-        monkeypatch.delattr(PMImage, "__reduce__")
-        write_checkpoint(legacy, payload)
-        monkeypatch.undo()
-        with open(legacy, "rb") as fh:
-            assert b"_from_record" not in fh.read()
-
-        plain = run_campaign("hashmap_tx", "pmfuzz", 0.9, resume_from=path)
-        resumed = run_campaign("hashmap_tx", "pmfuzz", 0.9,
-                               resume_from=legacy)
-        assert resumed.comparable() == plain.comparable()
 
     def test_resume_rebuilds_pmfuzz_engine_class(self, tmp_path):
         from repro.core.pmfuzz import PMFuzzEngine
         path = str(tmp_path / "cls.ckpt")
         run_campaign("hashmap_tx", "pmfuzz", 0.6, seed=3,
                      checkpoint_every=0.1, checkpoint_path=path)
-        assert isinstance(FuzzEngine.resume(path), PMFuzzEngine)
+        assert isinstance(resume_campaign(path), PMFuzzEngine)
 
     def test_quarantine_state_survives_resume(self, tmp_path):
         """Strikes and quarantined inputs are part of the checkpoint: a
@@ -466,7 +257,7 @@ class TestResumeDeterminism:
         engine.stats.quarantined += 1
         engine.checkpoint(path)
 
-        resumed = FuzzEngine.resume(path)
+        resumed = resume_campaign(path)
         assert resumed.supervisor.is_quarantined(*poison)
         assert resumed.supervisor._strikes[("img-weak", b"two strikes")] == 2
         assert resumed.stats.quarantined == 1

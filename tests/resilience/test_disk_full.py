@@ -80,8 +80,8 @@ class TestCheckpointSurface:
         engine.env_faults = EnvFaultInjector(
             FaultPlan.parse("disk-full:1.0"))
         assert engine.checkpoint() == ""
-        from repro.fuzz.engine import FuzzEngine
-        resumed = FuzzEngine.resume(ckpt)  # prior snapshot still loads
+        from repro.resilience.checkpoint import resume_campaign
+        resumed = resume_campaign(ckpt)  # prior snapshot still loads
         assert resumed.stats.workload_name == "btree"
 
 

@@ -21,9 +21,11 @@ class TestFaultAbsorption:
         assert faulted.stop_reason == "budget"
         assert faulted.harness_faults > 0
         assert faulted.retries > 0
-        # Recovered faults never touch the campaign RNG, so coverage
-        # stays within noise of the fault-free campaign (here: exact,
-        # because every injected fault was absorbed).
+        # Recovered faults never touch the campaign RNG, but their
+        # virtual time costs executions, so coverage only stays within
+        # noise of the fault-free campaign. It is not exact: the two
+        # read 98 and 98 from one checkout directory and 91 and 106
+        # from another, since branch IDs hash the source path.
         assert faulted.final_pm_paths >= 0.9 * clean.final_pm_paths
 
     def test_faults_cost_virtual_time(self):

@@ -11,9 +11,9 @@ import pytest
 from repro.core.config import config_by_name
 from repro.core.pmfuzz import build_engine
 from repro.errors import WorkerCrashError
-from repro.fuzz.engine import FuzzEngine
 from repro.fuzz.executor import Executor
 from repro.fuzz.stats import FuzzStats
+from repro.resilience.checkpoint import resume_campaign
 from repro.resilience.supervisor import SupervisedExecutor
 from repro.workloads.base import RunOutcome
 from repro.workloads.registry import get_workload
@@ -96,7 +96,7 @@ class TestQuarantineSurvivesCheckpoint:
         assert engine.stats.quarantined == 1
         engine.checkpoint()
 
-        resumed = FuzzEngine.resume(ckpt)
+        resumed = resume_campaign(ckpt)
         assert resumed.supervisor.is_quarantined(engine._seed_image_id,
                                                  b"i 9 9\n")
         assert resumed.stats.quarantined == 1

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line driver."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -65,6 +67,16 @@ class TestExecution:
         assert "detected" in out
 
 
+@pytest.fixture(scope="module")
+def resumable(tmp_path_factory):
+    """A working directory holding one budget-stopped checkpoint."""
+    workdir = tmp_path_factory.mktemp("resumable")
+    path = str(workdir / "r.ckpt")
+    assert main(["fuzz", "--workload", "hashmap_tx", "--budget", "0.3",
+                 "--checkpoint-path", path]) == 0
+    return workdir, path
+
+
 class TestResilienceFlags:
     def test_fuzz_reports_stop_reason(self, capsys):
         assert main(["fuzz", "--workload", "skiplist", "--config",
@@ -87,12 +99,24 @@ class TestResilienceFlags:
     def test_damaged_checkpoint_is_clean_error(self, tmp_path, capsys):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")
-        assert main(["fuzz", "--resume", str(path), "--budget", "1"]) == 2
+        assert main(["resume", str(path), "--budget", "1"]) == 2
         assert "not a campaign checkpoint" in capsys.readouterr().err
 
     def test_fuzz_requires_workload_unless_resuming(self, capsys):
-        assert main(["fuzz", "--budget", "0.3"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--budget", "0.3"])
+        assert excinfo.value.code == 2
         assert "--workload" in capsys.readouterr().err
+
+    def test_fuzz_resume_is_a_usage_error(self, capsys):
+        """Resuming is the ``resume`` subcommand; ``fuzz`` has no
+        ``--resume`` option."""
+        for argv in (["fuzz", "--resume", "x"],
+                     ["fuzz", "--workload", "btree", "--resume", "x"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
 
     def test_checkpoint_and_resume_roundtrip(self, tmp_path, capsys):
         path = str(tmp_path / "cli.ckpt")
@@ -100,37 +124,66 @@ class TestResilienceFlags:
                      "--seed", "21", "--checkpoint-every", "0.1",
                      "--checkpoint-path", path]) == 0
         capsys.readouterr()
-        assert main(["fuzz", "--resume", path, "--budget", "0.9"]) == 0
+        assert main(["resume", path, "--budget", "0.9"]) == 0
         resumed_out = capsys.readouterr().out
         assert "stopped           : budget" in resumed_out
 
+    @pytest.mark.parametrize("backend", [
+        [],
+        pytest.param(["--isolation", "fork", "--batch-execs", "4"],
+                     marks=pytest.mark.skipif(not hasattr(os, "fork"),
+                                              reason="requires os.fork")),
+    ], ids=["in-process", "fork"])
+    def test_resume_report_equals_straight_run(self, tmp_path, capsys,
+                                               backend):
+        """A budget-stopped campaign continued by ``resume`` prints the
+        report of a straight run to the longer budget."""
+        flags = ["--workload", "hashmap_tx", "--seed", "21",
+                 "--triage-dir", str(tmp_path / "triage")] + backend
+        path = str(tmp_path / "stop.ckpt")
+        assert main(["fuzz", "--budget", "0.3", "--checkpoint-path", path]
+                    + flags) == 0
+        capsys.readouterr()
+        assert main(["resume", path, "--budget", "0.6"]) == 0
+        resumed = capsys.readouterr().out
+        assert main(["fuzz", "--budget", "0.6"] + flags) == 0
+        assert resumed == capsys.readouterr().out
+
     def test_resume_refuses_run_config_flags(self, tmp_path, capsys):
-        """Flags a resumed campaign would silently drop are refused by
-        name, before the checkpoint is read or anything is created."""
+        """``resume`` runs with the checkpoint's campaign options, so
+        argparse refuses campaign flags by name, before the checkpoint is
+        read or anything is created."""
         trace = tmp_path / "tr"
-        assert main(["fuzz", "--resume", str(tmp_path / "r.ckpt"),
-                     "--budget", "1.5", "--workers", "0",
-                     "--batch-execs", "-3", "--trace-dir", str(trace)]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resume", str(tmp_path / "r.ckpt"), "--budget", "1.5",
+                  "--workers", "0", "--batch-execs", "-3",
+                  "--trace-dir", str(trace)])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "--resume" in err
-        assert len(err.strip().splitlines()) == 1
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "unrecognized arguments" in errors[0]
         for flag in ("--workers", "--batch-execs", "--trace-dir"):
-            assert flag in err
+            assert flag in errors[0]
         assert not trace.exists()
 
     @pytest.mark.parametrize("extra", [
-        ["--workers", "1"], ["--isolation", "none"], ["--profile"],
+        ["--workload", "btree"], ["--config", "aflpp"], ["--seed", "7"],
+        ["--fault-plan", "all:0.5"], ["--workers", "2"],
+        ["--trace-dir", "d"], ["--isolation", "none"], ["--profile"],
         ["--checkpoint-every", "0.1"], ["--triage-dir", "triage"],
         ["--worker-rss-limit", "0"], ["--status-every", "0.5"]])
-    def test_resume_refuses_each_run_config_flag(self, tmp_path, capsys,
-                                                 extra):
-        path = str(tmp_path / "r.ckpt")
-        assert main(["fuzz", "--workload", "hashmap_tx", "--budget", "0.3",
-                     "--checkpoint-path", path]) == 0
-        capsys.readouterr()
-        assert main(["fuzz", "--resume", path] + extra) == 2
-        err = capsys.readouterr().err
-        assert extra[0] in err and len(err.strip().splitlines()) == 1
+    def test_resume_refuses_each_run_config_flag(self, resumable, capsys,
+                                                 monkeypatch, extra):
+        workdir, path = resumable
+        monkeypatch.chdir(workdir)
+        before = sorted(os.listdir(workdir))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resume", path, "--budget", "0.5"] + extra)
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and extra[0] in errors[0]
+        assert sorted(os.listdir(workdir)) == before
 
     def test_resumed_profiled_campaign_prints_profile(self, tmp_path,
                                                        capsys):
@@ -138,7 +191,7 @@ class TestResilienceFlags:
         assert main(["fuzz", "--workload", "hashmap_tx", "--budget", "0.3",
                      "--checkpoint-path", path, "--profile"]) == 0
         assert "per-stage breakdown" in capsys.readouterr().out
-        assert main(["fuzz", "--resume", path, "--budget", "0.5"]) == 0
+        assert main(["resume", path, "--budget", "0.5"]) == 0
         assert "per-stage breakdown" in capsys.readouterr().out
 
     def test_budget_stop_writes_resumable_checkpoint(self, tmp_path, capsys):
@@ -150,7 +203,7 @@ class TestResilienceFlags:
                      "--checkpoint-path", str(path)]) == 0
         assert path.exists()
         capsys.readouterr()
-        assert main(["fuzz", "--resume", str(path)]) == 0
+        assert main(["resume", str(path)]) == 0
         assert "stopped           : budget" in capsys.readouterr().out
 
     def test_compare_accepts_fault_plan(self):
@@ -439,8 +492,10 @@ class TestRetiredServe:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
-        pytest.param(["fuzz", "--fleet", "2"], id="fuzz-fleet"),
-        pytest.param(["fuzz", "--corpus-db", "d"], id="fuzz-corpus-db"),
+        pytest.param(["fuzz", "--workload", "btree", "--fleet", "2"],
+                     id="fuzz-fleet"),
+        pytest.param(["fuzz", "--workload", "btree", "--corpus-db", "d"],
+                     id="fuzz-corpus-db"),
         pytest.param(["corpusdb", "info", "d"], id="corpusdb"),
         pytest.param(["audit", "--component", "corpusdb"],
                      id="audit-corpusdb"),
