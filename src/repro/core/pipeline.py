@@ -13,6 +13,12 @@ build on it:
   fixed workload, intersect the covered PM-operation sites with each
   configuration's synthetic bug sites, and *confirm* every covered bug
   by replaying its witness test case with the injection active.
+
+Both flows settle each verdict at the first battery stage that decides
+it: the traced run (the main stage) always runs, and the crash-state
+replay (the crash stage) runs only when the main stage leaves the
+verdict open.  That is exact, because crash-stage findings only add to
+a report and never match a main-stage finding.
 """
 
 from __future__ import annotations
@@ -159,8 +165,16 @@ class FuzzAndDetectPipeline:
                     break
                 image = engine.storage.load(entry.image_id or
                                             engine._seed_image_id)
-                report = tool.test(image, parse_commands(entry.data))
+                commands = parse_commands(entry.data)
+                report = tool.test(image, commands, with_crash_images=False)
                 result.test_cases_checked += 1
+                # Only bugs 1-6 read crash findings; the performance
+                # bugs read trace violations alone.
+                if any(not r.detected
+                       and r.bug.number not in PERF_BUG_SIGNATURES
+                       and not report_detects_real_bug(report, r.bug)
+                       for r in target_results.values()):
+                    tool.check_crash_states(report, image, commands)
                 for bug_result in target_results.values():
                     if bug_result.detected:
                         continue
@@ -199,16 +213,32 @@ def _confirm_commands(witness_data: bytes) -> list:
     ]
 
 
+def _clean_tool(workload_name: str) -> TestingTool:
+    return TestingTool(lambda: get_workload(workload_name))
+
+
 def clean_witness_report(workload_name: str, witness_image,
                          witness_data: bytes) -> BugReport:
-    """The battery's report on a witness replayed with no bug injected.
+    """The main stage's report on a witness replayed with no bug injected.
 
     It depends only on the workload, the witness image and its commands,
     so :func:`evaluate_synthetic_bugs` computes it once per distinct
     witness and shares it across every bug that witness is replayed for.
+    Its crash stage is left to :func:`confirm_synthetic_bug`, which runs
+    it the first time a confirmation needs it; the report remembers
+    that, so the clean crash stage runs at most once per witness.
     """
-    clean_tool = TestingTool(lambda: get_workload(workload_name))
-    return clean_tool.test(witness_image, _confirm_commands(witness_data))
+    return _clean_tool(workload_name).test(
+        witness_image, _confirm_commands(witness_data),
+        with_crash_images=False)
+
+
+def _differs(buggy: BugReport, clean: BugReport) -> bool:
+    """The confirmation verdict for a triggered bug: new crash-consistency
+    findings, or changed program output."""
+    new_findings = (set(buggy.crash_consistency_findings)
+                    - set(clean.crash_consistency_findings))
+    return bool(new_findings) or buggy.outputs != clean.outputs
 
 
 def confirm_synthetic_bug(
@@ -227,6 +257,13 @@ def confirm_synthetic_bug(
     differential signal a test harness observes.  ``clean_report`` is the
     witness's :func:`clean_witness_report` when the caller already has
     it; otherwise it is computed here.
+
+    The verdict is the full battery's, settled at the first stage that
+    decides it.  A triggered bug whose traced run already differs from
+    the clean one is confirmed without a crash-state replay: crash-stage
+    findings never match main-stage ones, and the injector's triggered
+    set only grows.  Otherwise the injected run's crash stage runs, and,
+    if the bug was triggered, the clean report's.
     """
     clean = clean_report
     if clean is None:
@@ -235,12 +272,16 @@ def confirm_synthetic_bug(
     injector = BugInjector([bug])
     buggy_tool = TestingTool(lambda: get_workload(workload_name),
                              injector=injector)
-    buggy = buggy_tool.test(witness_image, _confirm_commands(witness_data))
+    commands = _confirm_commands(witness_data)
+    buggy = buggy_tool.test(witness_image, commands, with_crash_images=False)
+    if bug.bug_id in injector.triggered and _differs(buggy, clean):
+        return True
+    buggy_tool.check_crash_states(buggy, witness_image, commands)
     if bug.bug_id not in injector.triggered:
         return False
-    clean_cc = set(clean.crash_consistency_findings)
-    buggy_cc = set(buggy.crash_consistency_findings)
-    return bool(buggy_cc - clean_cc) or buggy.outputs != clean.outputs
+    _clean_tool(workload_name).check_crash_states(clean, witness_image,
+                                                  commands)
+    return _differs(buggy, clean)
 
 
 def evaluate_synthetic_bugs(

@@ -2,12 +2,21 @@
 
 This is step ➎ of the paper's Figure 9: PMFuzz hands each saved test
 case (input commands + PM image) to the back-end testing tools.  The
-:class:`TestingTool` runs the full battery:
+:class:`TestingTool` runs the battery in two stages:
 
-* execute the test case with tracing, feed the trace to Pmemcheck;
-* check the resulting normal image against the workload's oracle;
-* generate the test case's crash images at a sample of its ordering
-  points and feed each to the XFDetector-style cross-failure check.
+* **main** — execute the test case with tracing, feed the trace to
+  Pmemcheck, and check the resulting normal image against the
+  workload's oracle;
+* **crash** — generate the test case's crash images at a sample of its
+  ordering points and feed each to the XFDetector-style cross-failure
+  check.
+
+:meth:`TestingTool.test` runs both by default.  A caller whose verdict
+the main stage can already decide asks for the main stage alone and
+completes the crash stage with :meth:`TestingTool.check_crash_states`
+only when the verdict is still open.  Crash-stage findings render as
+``crash@fence…``, a prefix no main-stage finding has, so adding them
+never removes a difference between two reports' main-stage findings.
 
 Crash images are harvested in one pass, the way the fuzz side's
 single-pass crash generation does it (:mod:`repro.core.crashgen`): a
@@ -50,6 +59,11 @@ class BugReport:
     sites_hit: frozenset = frozenset()
     outputs: List[str] = field(default_factory=list)
     error: str = ""
+    #: Ordering points the traced execution passed (the crash stage
+    #: samples its crash states from them).
+    fence_count: int = 0
+    #: Whether the crash stage has run; it runs at most once per report.
+    crash_checked: bool = False
 
     @property
     def crash_consistency_findings(self) -> List[str]:
@@ -91,6 +105,13 @@ def sample_fences(fence_count: int, max_crash_images: int) -> List[int]:
 class TestingTool:
     """Runs the Pmemcheck + XFDetector battery on one test case.
 
+    The battery has two stages: :meth:`test` runs the main stage (the
+    traced execution, Pmemcheck and the oracle) and, unless asked not
+    to, the crash stage; :meth:`check_crash_states` runs the crash stage
+    (snapshot pass plus XFDetector) on a report whose main stage ran
+    alone.  The tool keeps no per-test state, so any tool with the same
+    workload factory and injector completes a report's crash stage.
+
     Args:
         workload_factory: zero-argument callable returning a fresh
             workload instance.
@@ -117,7 +138,12 @@ class TestingTool:
 
     def test(self, image: PMImage, commands: Sequence[Command],
              with_crash_images: bool = True) -> BugReport:
-        """Execute (image, commands) and run the full detection battery."""
+        """Execute (image, commands) and run the detection battery.
+
+        With ``with_crash_images=False`` only the main stage runs; the
+        report's crash stage can be completed later with
+        :meth:`check_crash_states` on the same image and commands.
+        """
         workload: Workload = self.workload_factory()
         ctx = ExecutionContext(injector=self.injector)
         with push_context(ctx):
@@ -127,17 +153,32 @@ class TestingTool:
         report = BugReport(outcome=result.outcome,
                            sites_hit=frozenset(ctx.sites_hit),
                            outputs=list(result.outputs),
-                           error=result.error)
+                           error=result.error,
+                           fence_count=result.fence_count)
         report.trace_violations = pmemcheck.analyze(
             ctx.trace, clean_shutdown=result.outcome is RunOutcome.OK
         )
         if result.outcome is RunOutcome.OK and result.final_image is not None:
             report.oracle_violations = self._oracle(result.final_image)
-        if with_crash_images and result.outcome is RunOutcome.OK:
-            report.crash_findings = self._cross_failure(
-                image, commands, result.fence_count
-            )
+        if with_crash_images:
+            self.check_crash_states(report, image, commands)
         return report
+
+    def check_crash_states(self, report: BugReport, image: PMImage,
+                           commands: Sequence[Command]) -> None:
+        """Run the crash stage for ``report`` unless it already ran.
+
+        ``image`` and ``commands`` must be the ones the report's main
+        stage executed.  A test case whose traced run did not end
+        cleanly has no crash states to judge.
+        """
+        if report.crash_checked:
+            return
+        report.crash_checked = True
+        if report.outcome is RunOutcome.OK:
+            report.crash_findings = self._cross_failure(
+                image, commands, report.fence_count
+            )
 
     # ------------------------------------------------------------------
     def _heap_base(self, image: PMImage) -> int:

@@ -169,6 +169,14 @@ class CheckpointError(ReproError):
     """A campaign checkpoint could not be written, read, or verified."""
 
 
+class CheckpointVersionError(CheckpointError):
+    """An intact checkpoint of another format version.
+
+    Not damage: the ``.prev`` rotation cannot repair it, so resume
+    refuses it by name instead of falling back.
+    """
+
+
 import struct as _struct  # noqa: E402  (kept local to the tuple below)
 
 #: Exceptions that model memory corruption in a C program: a corrupted

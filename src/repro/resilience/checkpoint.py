@@ -40,7 +40,7 @@ from typing import Optional
 from repro._util import (atomic_write_bytes, pack_checksummed,
                          replace_durable, unpack_checksummed)
 from repro._vfs import current_vfs
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CheckpointVersionError
 
 _MAGIC = b"PMFZCKPT1\n"
 #: Version 2 checkpoints record only current RunConfig fields in their
@@ -98,11 +98,15 @@ def read_checkpoint_with_fallback(path: str,
     This is the checkpoint store's *recovery entry point*: a torn or
     bit-rotted primary falls back to the rotation written just before
     it; only when both are unusable does :class:`CheckpointError`
-    propagate.  :func:`resume_campaign` builds on this, and the
+    propagate.  A primary of another format version is not damage and
+    is refused as it stands (:class:`CheckpointVersionError`), whatever
+    ``.prev`` holds.  :func:`resume_campaign` builds on this, and the
     durability auditor drives it against every enumerated crash state.
     """
     try:
         return read_checkpoint(path)
+    except CheckpointVersionError:
+        raise
     except CheckpointError:
         prev = path + ".prev"
         if not allow_previous or not os.path.exists(prev):
@@ -131,7 +135,7 @@ def read_checkpoint(path: str) -> dict:
         raise CheckpointError(f"checkpoint {path!r} does not deserialize: "
                               f"{exc}") from exc
     if payload.get("version") != FORMAT_VERSION:
-        raise CheckpointError(
+        raise CheckpointVersionError(
             f"checkpoint {path!r} has format version "
             f"{payload.get('version')!r}, expected {FORMAT_VERSION}")
     return payload
@@ -279,7 +283,8 @@ def resume_campaign(path: str, injector=None, allow_previous: bool = True):
 
     A damaged primary checkpoint (torn write, bit rot) falls back to
     the ``.prev`` rotation when ``allow_previous`` is set; only when
-    both are unusable does :class:`CheckpointError` propagate.
+    both are unusable does :class:`CheckpointError` propagate.  A
+    primary of another format version is refused without a fallback.
     """
     from repro.core.config import config_by_name
     from repro.core.pmfuzz import build_engine

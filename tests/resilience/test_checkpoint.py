@@ -231,6 +231,30 @@ class TestResumeDeterminism:
         assert err.startswith("error:") and "format version 1" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("prev_version", [1, FORMAT_VERSION])
+    def test_version_mismatch_never_falls_back(self, tmp_path, capsys,
+                                               prev_version):
+        """A primary of another format version is refused by its own
+        name, whatever ``.prev`` holds: rotation cannot repair it, and a
+        current ``.prev`` must not be resumed in its place."""
+        from repro.cli import main
+
+        current = str(tmp_path / "current.ckpt")
+        run_campaign("hashmap_tx", "pmfuzz", 0.3, seed=21,
+                     checkpoint_path=current)
+        payload = read_checkpoint(current)
+        path = str(tmp_path / "p.ckpt")
+        write_checkpoint(path + ".prev", dict(payload, version=prev_version))
+        write_checkpoint(path, dict(payload, version=1))
+
+        with pytest.raises(CheckpointError) as exc:
+            resume_campaign(path)
+        assert str(exc.value) == (f"checkpoint {path!r} has format version "
+                                  f"1, expected {FORMAT_VERSION}")
+        assert main(["resume", path, "--budget", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert repr(path) in err and ".prev" not in err
+
     def test_resume_rebuilds_pmfuzz_engine_class(self, tmp_path):
         from repro.core.pmfuzz import PMFuzzEngine
         path = str(tmp_path / "cls.ckpt")
