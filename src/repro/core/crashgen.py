@@ -22,13 +22,17 @@ Because re-executions are deterministic replays of the same (image,
 commands) pair, all K crash images can instead be harvested from **one**
 instrumented execution: a :class:`~repro.pmem.crash.SnapshotPlan` arms
 copy-on-write media captures at every selected fence/store index, and
-each capture materializes to the byte-identical image the dedicated
-re-execution would have produced.  The *virtual-time* cost model is
-still charged per harvested image exactly as if the re-execution had
-happened — the captured ``fences_done`` at each point reconstructs the
-fence count that re-execution would have reported — so Figure-13
-curves and ``FuzzStats.comparable()`` are bit-identical to the
-paper's loop.  That loop (:meth:`CrashImageGenerator._generate_reexec`)
+each capture builds the byte-identical image the dedicated
+re-execution would have produced.  The images are built one at a time:
+:meth:`CrashImageGenerator.generate` returns a list whose
+:attr:`CrashImage.image` is built from its snapshot only when the
+caller reads it, so a campaign holds one crash image at a time rather
+than every image of the test case at once.  The *virtual-time* cost
+model is still charged per harvested image exactly as if the
+re-execution had happened — the captured ``fences_done`` at each point
+reconstructs the fence count that re-execution would have reported —
+so Figure-13 curves and ``FuzzStats.comparable()`` are bit-identical to
+the paper's loop.  That loop (:meth:`CrashImageGenerator._generate_reexec`)
 is kept for two reasons: it is the graceful-degradation path when the
 single pass itself dies to an environment fault, and it is the oracle
 the equivalence tests compare the single pass against.
@@ -36,13 +40,13 @@ the equivalence tests compare the single pass against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Union
 
 from repro.fuzz.executor import Executor
 from repro.fuzz.rng import DeterministicRandom
-from repro.pmem.crash import SnapshotPlan
+from repro.pmem.crash import CrashSnapshot, SnapshotPlan
 from repro.pmem.image import PMImage
+from repro.pmem.persistence import MediaSnapshot
 from repro.workloads.base import RunOutcome
 from repro.workloads.mapcli import parse_commands
 
@@ -53,14 +57,44 @@ MAX_ORDERING_POINTS = 4
 EXTRA_RATE = 0.25
 
 
-@dataclass
 class CrashImage:
-    """One generated crash image with its provenance."""
+    """One generated crash image with its provenance.
 
-    image: PMImage
-    fence_index: int  #: ordering point, or -1 for store-point failures
-    probabilistic: bool  #: True when from an extra (store-point) failure
-    cost: float  #: virtual-time cost of the (modeled) generating re-execution
+    Args:
+        source: the crash image itself (re-execution), or the single
+            pass's snapshot to build it from.
+        template: the parent image whose layout and uuid a built image
+            takes (required with a snapshot source).
+    """
+
+    __slots__ = ("fence_index", "probabilistic", "cost", "_source",
+                 "_template")
+
+    def __init__(self, source: Union[PMImage, MediaSnapshot, CrashSnapshot],
+                 fence_index: int, probabilistic: bool, cost: float,
+                 template: Optional[PMImage] = None) -> None:
+        #: ordering point, or -1 for store-point failures
+        self.fence_index = fence_index
+        #: True when from an extra (store-point) failure
+        self.probabilistic = probabilistic
+        #: virtual-time cost of the (modeled) generating re-execution
+        self.cost = cost
+        self._source = source
+        self._template = template
+
+    @property
+    def image(self) -> PMImage:
+        """The crash image.
+
+        Built from the snapshot on every read (a new image each time),
+        so read it once; nothing holds it after the caller drops it.
+        """
+        source = self._source
+        if isinstance(source, PMImage):
+            return source
+        template = self._template
+        return PMImage(layout=template.layout, payload=source.image,
+                       uuid=template.uuid)
 
 
 class CrashImageGenerator:
@@ -129,7 +163,7 @@ class CrashImageGenerator:
             if (result.outcome is RunOutcome.CRASHED
                     and result.crash_image is not None):
                 crash_images.append(CrashImage(
-                    image=result.crash_image, fence_index=fence,
+                    result.crash_image, fence_index=fence,
                     probabilistic=False, cost=result.cost,
                 ))
         for store in stores:
@@ -137,7 +171,7 @@ class CrashImageGenerator:
             if (result.outcome is RunOutcome.CRASHED
                     and result.crash_image is not None):
                 crash_images.append(CrashImage(
-                    image=result.crash_image, fence_index=-1,
+                    result.crash_image, fence_index=-1,
                     probabilistic=True, cost=result.cost,
                 ))
         return crash_images
@@ -150,7 +184,9 @@ class CrashImageGenerator:
         The single pass replays the test case with a snapshot plan; the
         domain captures a copy-on-write media snapshot the instant each
         planned fence/store completes — the very bytes a dedicated
-        re-execution crashing there would have left on media.
+        re-execution crashing there would have left on media.  Each
+        returned :class:`CrashImage` keeps its snapshot and builds the
+        image when read.
 
         Virtual time is charged per harvested image as
         ``cost_model.execution(n_commands, fences_done_at_point,
@@ -185,25 +221,21 @@ class CrashImageGenerator:
             if snap is None:
                 continue  # execution ended before this ordering point
             crash_images.append(CrashImage(
-                image=PMImage(layout=image.layout,
-                              payload=bytearray(snap.image),
-                              uuid=image.uuid),
-                fence_index=fence, probabilistic=False,
+                snap, fence_index=fence, probabilistic=False,
                 cost=cost_model.execution(
                     n_commands=n_commands, n_fences=snap.fences_done,
                     image_bytes=image_bytes),
+                template=image,
             ))
         for store in stores:
             snap = by_point.get(("store", store))
             if snap is None:
                 continue
             crash_images.append(CrashImage(
-                image=PMImage(layout=image.layout,
-                              payload=bytearray(snap.image),
-                              uuid=image.uuid),
-                fence_index=-1, probabilistic=True,
+                snap, fence_index=-1, probabilistic=True,
                 cost=cost_model.execution(
                     n_commands=n_commands, n_fences=snap.fences_done,
                     image_bytes=image_bytes),
+                template=image,
             ))
         return crash_images

@@ -23,9 +23,11 @@ single-pass crash generation does it (:mod:`repro.core.crashgen`): a
 second execution of the test case runs under a
 :class:`~repro.pmem.crash.SnapshotPlan` that captures the media at every
 sampled fence, so the test case executes twice in total, however many
-fences are sampled.  With ``weak_states`` the same pass also records the
-lines still pending at each sampled fence, and the eviction states come
-from :func:`repro.pmem.crash.eviction_states` — the images a crashing
+fences are sampled.  Each fence's image is built only when its turn to
+be checked comes, so the crash stage holds one at a time.  With
+``weak_states`` the same pass also records the lines still pending at
+each sampled fence, and the eviction states come from
+:func:`repro.pmem.crash.eviction_states` — the images a crashing
 re-execution per fence would have produced, in the same order.
 
 The report separates crash-consistency findings from performance
@@ -221,13 +223,14 @@ class TestingTool:
             snap = by_fence.get(fence)
             if snap is None:
                 continue  # the execution ended before this ordering point
-            finding = xfd.check_image(self._crash_image(image, snap.image),
+            strict = snap.image  # built here, one fence at a time
+            finding = xfd.check_image(self._crash_image(image, strict),
                                       fence_index=fence)
             if finding.is_bug:
                 findings.append(finding)
             if not self.weak_states:
                 continue
-            weak_states = islice(eviction_states(snap.image, snap.pending),
+            weak_states = islice(eviction_states(strict, snap.pending),
                                  MAX_WEAK_STATES)
             for payload in weak_states:
                 weak_finding = xfd.check_image(
@@ -238,6 +241,8 @@ class TestingTool:
         return findings
 
     @staticmethod
-    def _crash_image(image: PMImage, payload: bytes) -> PMImage:
-        return PMImage(layout=image.layout, payload=bytearray(payload),
+    def _crash_image(image: PMImage, payload: bytearray) -> PMImage:
+        # ``payload`` is a new buffer each time (a snapshot's image, an
+        # eviction state), and opening the image copies it: no copy here.
+        return PMImage(layout=image.layout, payload=payload,
                        uuid=image.uuid)

@@ -19,9 +19,10 @@ fuzzing and the cost model (SysOpt).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import os
+import weakref
 
 from repro.core.config import FuzzConfig, ImgFuzzMode, RunConfig
 from repro.core.dedup import ImageStore
@@ -59,6 +60,16 @@ SAMPLE_INTERVAL = 0.25
 
 #: Havoc/splice children per fuzzing round.
 HAVOC_BATCH = 12
+
+
+def _weak_getter(ref: "weakref.ref", attr: str,
+                 default) -> Callable[[], object]:
+    """``lambda: engine.<attr>`` through a weak reference to the engine
+    (``default`` once the engine is gone)."""
+    def get():
+        engine = ref()
+        return default if engine is None else getattr(engine, attr)
+    return get
 
 
 class FuzzEngine:
@@ -152,9 +163,15 @@ class FuzzEngine:
         #: (real wall-clock watchdogs + RSS ceilings + crash triage).
         #: Falls back to in-process where fork is unavailable, recording
         #: why, so a checkpointed fork campaign still resumes anywhere.
+        # The supervisor and the backend call back into the engine
+        # through a weak reference: a closure over ``self`` would close
+        # a cycle (engine -> backend -> closure -> engine) that keeps a
+        # finished campaign, with its warm cache and image store, alive
+        # until the cyclic collector runs.
+        this = weakref.ref(self)
         self.backend, self._isolation_fallback = create_backend(
             self.executor, run_config, stats=self.stats,
-            campaign_info=lambda: self.campaign_meta)
+            campaign_info=_weak_getter(this, "campaign_meta", None))
         self.stats.isolation_backend = self.backend.name
         self.stats.isolation_fallback = self._isolation_fallback
         #: Resilience layer: retries transient harness faults, enforces
@@ -170,10 +187,11 @@ class FuzzEngine:
             backend=self.backend)
         # Fault and worker-kill events flow onto this campaign's bus at
         # the engine's current virtual time.
+        vclock_fn = _weak_getter(this, "vclock", 0.0)
         self.supervisor.trace = self.trace
-        self.supervisor.vclock_fn = lambda: self.vclock
+        self.supervisor.vclock_fn = vclock_fn
         self.backend.trace = self.trace
-        self.backend.vclock_fn = lambda: self.vclock
+        self.backend.vclock_fn = vclock_fn
         self.vclock = 0.0
         self.tree: Optional[TestCaseTree] = None
         self._seed_image_id = ""

@@ -56,7 +56,10 @@ def run_workload(
     cache-eviction semantics; with a ``snapshot_plan`` the persistence
     domain captures the strict crash image at every planned fence /
     store index (single-pass crash generation, see
-    ``RunResult.snapshots``).
+    ``RunResult.snapshots``).  The snapshots come back unbuilt: each
+    :class:`~repro.pmem.persistence.MediaSnapshot` builds its image when
+    its ``image`` is read (and pickles with it built), so a caller that
+    takes the images one at a time never holds them all at once.
 
     ``warm`` is an optional :class:`~repro.fuzz.warmcache.WarmContext`:
     when its lookup hits, the open/recovery/creation prefix is replaced
@@ -125,13 +128,6 @@ def run_workload(
             pool.domain.crash_at_fence = None
             pool.domain.crash_at_store = None
             if snapshot_plan is not None and snapshot_plan:
-                from repro.pmem.crash import CrashSnapshot
-
-                result.snapshots = [
-                    CrashSnapshot(kind=s.kind, index=s.index,
-                                  fences_done=s.fences_done,
-                                  image=s.materialize(),
-                                  pending=s.pending)
-                    for s in pool.domain.take_snapshots()
-                ]
+                # Lazy: each snapshot builds its image when read.
+                result.snapshots = pool.domain.take_snapshots()
     return result

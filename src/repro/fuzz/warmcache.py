@@ -14,18 +14,20 @@ A cache entry captures the complete post-prefix state:
 
 * the domain — a copy-on-write :class:`~repro.pmem.persistence.
   MediaSnapshot` of the media (maintained by ``drain`` exactly like a
-  crash-plan snapshot) plus the pending volatile lines and the
-  seq/fence/store counters;
+  crash-plan snapshot, and built into one buffer when the entry is
+  frozen) plus the pending volatile lines and the seq/fence/store
+  counters;
 * the prefix's recorded side effects — the branch-coverage and PM
   counter-map sparse deltas (with their edge-chain state) and the
   PM sites hit.
 
-On a hit the executor rebuilds the domain from the frozen media,
-overlays the pending lines, remounts the pool (the pool constructor
-never touches the domain) and replays the recorded deltas — so sparse
-maps, ``comparable()`` stats, crash images and the Figure-13 virtual
-time are byte-identical to a cold open (``tests/test_fastpath_grid.py``
-proves this across backends × cache × isolation).
+On a hit the executor rebuilds the domain from the frozen media (one
+copy: the domain's only buffer), overlays the pending lines, remounts
+the pool (the pool constructor never touches the domain) and replays
+the recorded deltas — so sparse maps, ``comparable()`` stats, crash
+images and the Figure-13 virtual time are byte-identical to a cold open
+(``tests/test_fastpath_grid.py`` proves this across backends × cache ×
+isolation).
 
 Bypass rules (correctness over speed):
 
@@ -72,7 +74,8 @@ class WarmEntry:
         #: Live CoW snapshot while the capturing execution may still
         #: fence; frozen into :attr:`media` on the next cache call.
         self.snapshot = snapshot
-        self.media: Optional[bytes] = None
+        #: The frozen media; never written (each restore copies it).
+        self.media: Optional[bytearray] = None
         self.pending = pending
         self.seq = seq
         self.fence_count = fence_count
@@ -84,7 +87,7 @@ class WarmEntry:
         self.sites = sites
 
     def freeze(self) -> None:
-        """Materialize the CoW snapshot into immutable media bytes."""
+        """Build the CoW snapshot's media and drop the snapshot."""
         if self.media is None:
             self.media = self.snapshot.materialize()
             self.snapshot = None

@@ -83,7 +83,7 @@ class PmemObjPool:
     def create(cls, layout: str, size: int = DEFAULT_POOL_SIZE) -> "PmemObjPool":
         """``pmemobj_create``: build a fresh pool on an empty image."""
         image = PMImage.create(layout, size)
-        domain = PersistenceDomain(size, bytes(image.payload))
+        domain = PersistenceDomain(size)  # the new image is all zeroes
         pool = cls(image, domain)
         site = "pool:create"
         domain.store(
@@ -148,10 +148,12 @@ class PmemObjPool:
         A clean shutdown gives the cache time to write back every dirty
         line, so the resulting *normal image* reflects the full volatile
         state.  (Crash images, by contrast, are taken from the media view
-        at the failure point.)
+        at the failure point.)  The image takes the domain's volatile
+        buffer itself rather than a copy; a later write to the domain
+        copies the buffer first, so the image never changes.
         """
         self.domain.emit(TraceEventKind.POOL_CLOSE, 0, 0, "pool:close")
-        self.image.payload = self.domain.volatile_copy()
+        self.image.payload = self.domain.share_volatile()
         self.closed = True
         return self.image
 

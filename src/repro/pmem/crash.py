@@ -55,7 +55,12 @@ class SnapshotPlan:
 
 @dataclass(frozen=True)
 class CrashSnapshot:
-    """A materialized strict crash image harvested from a single pass.
+    """A strict crash image harvested from a single pass, already built.
+
+    In-process, ``RunResult.snapshots`` holds lazy
+    :class:`~repro.pmem.persistence.MediaSnapshot` objects, which build
+    their image when read; one pickles as this record (a fork-server
+    reply), with the same attributes and its image built.
 
     Attributes:
         kind: ``"fence"`` or ``"store"``.
@@ -73,7 +78,7 @@ class CrashSnapshot:
     kind: str
     index: int
     fences_done: int
-    image: bytes = field(repr=False)
+    image: bytearray = field(repr=False)
     pending: Tuple[Tuple[int, bytes], ...] = field(default=(), repr=False)
 
 
@@ -91,7 +96,7 @@ def strict_snapshot(domain: PersistenceDomain) -> bytes:
 
 def snapshot_with_lines(domain: PersistenceDomain, lines: Sequence[int]) -> bytes:
     """Return a crash state where the given pending lines also persisted."""
-    media = bytearray(domain.persisted_view())
+    media = domain.persisted_copy()
     volatile = domain.volatile_view()
     for line in lines:
         start = line * CACHE_LINE
@@ -100,17 +105,20 @@ def snapshot_with_lines(domain: PersistenceDomain, lines: Sequence[int]) -> byte
     return bytes(media)
 
 
-def _overlay(media: bytes, overlays: Sequence[Tuple[int, bytes]]) -> bytes:
+def _overlay(media: bytes,
+             overlays: Sequence[Tuple[int, bytes]]) -> bytearray:
     state = bytearray(media)
     for line, data in overlays:
         start = line * CACHE_LINE
         state[start:start + len(data)] = data
-    return bytes(state)
+    return state
 
 
-def eviction_states(media: bytes,
-                    overlays: Sequence[Tuple[int, bytes]]) -> Iterator[bytes]:
+def eviction_states(media: bytes, overlays: Sequence[Tuple[int, bytes]]
+                    ) -> Iterator[bytearray]:
     """Yield the ALL_PENDING eviction sample for one crash instant.
+
+    Each state is a new buffer the caller owns.
 
     ``media`` is the strict crash state and ``overlays`` lists ``(line,
     volatile bytes)`` for every line pending at that instant, in line

@@ -12,12 +12,26 @@ granularity:
 * ``store`` updates the volatile view and marks the touched lines DIRTY;
 * ``flush`` (CLWB analogue) marks lines FLUSHED — queued for persistence
   but not yet ordered;
-* ``drain`` (SFENCE analogue) writes every FLUSHED line to the media array.
+* ``drain`` (SFENCE analogue) persists every FLUSHED line.
 
-A *strict crash snapshot* at any point is the media array: the bytes that
-are guaranteed persistent.  Because real caches may evict dirty lines at
+A *strict crash snapshot* at any point is the media: the bytes that are
+guaranteed persistent.  Because real caches may evict dirty lines at
 any time, a crash may additionally persist any subset of pending lines;
 :mod:`repro.pmem.crash` enumerates those weaker states for the detectors.
+
+One buffer, plus pre-images
+---------------------------
+The domain keeps a single dense buffer, the volatile view.  The media
+is not a second buffer: it differs from the volatile view only at
+pending lines, so the domain records, for every pending line, its
+*pre-image* — the line's media bytes, copied by the store that dirtied
+the CLEAN line.  The media is the volatile view with the pending
+pre-images laid over it; a fence persists a line by dropping its
+pre-image.  Only a store writes the buffer, and :meth:`share_volatile`
+hands it to the caller at pool close; a store after that copies it
+first, so a handed-over buffer never changes.  This is the write-set
+model of Chipmunk (arxiv 2204.06066): a crash state is built from the
+logged lines, not kept as a full copy.
 
 Every operation emits a :class:`TraceEvent` to registered observers.  The
 detection tools (:mod:`repro.detect`) and the PM-path instrumentation
@@ -32,33 +46,29 @@ Single-pass crash harvesting
 ----------------------------
 :meth:`plan_snapshots` arms the domain with a set of fence indices and
 store indices at which to capture the media state.  A captured
-:class:`MediaSnapshot` is cheap: it holds a reference to the live media
-array plus a dict of lines overwritten *since* the capture point
-(maintained copy-on-write by :meth:`drain`), and materializes the full
-byte image lazily.  This is what lets the crash-image generator harvest
-every strict crash image from one instrumented execution instead of one
-re-execution per failure point (see :mod:`repro.core.crashgen`).  When
-the plan asks for pending lines, each fence capture also copies the
-volatile bytes of every line still pending at that instant
-(:meth:`pending_overlays`), enough to rebuild its eviction states; the
-detection battery (:mod:`repro.detect.report`) harvests its crash images
-this way.
+:class:`MediaSnapshot` is cheap: it references the domain plus a dict
+of the lines a fence has persisted *since* the capture point — each
+one's pre-image, handed over by :meth:`drain` before it drops it — and
+builds the full byte image only when read.  This is what lets the
+crash-image generator harvest every strict crash image from one
+instrumented execution instead of one re-execution per failure point
+(see :mod:`repro.core.crashgen`).  When the plan asks for pending
+lines, each fence capture also copies the volatile bytes of every line
+still pending at that instant (:meth:`pending_overlays`), enough to
+rebuild its eviction states; the detection battery
+(:mod:`repro.detect.report`) harvests its crash images this way.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
+                    Tuple)
 
 from repro.errors import PMemError
 
 #: Cache-line size in bytes, matching x86.
 CACHE_LINE = 64
-
-#: Window size for the chunked volatile-vs-media comparison.
-_RANGE_CHUNK = 4096
 
 
 class LineState(enum.Enum):
@@ -67,6 +77,10 @@ class LineState(enum.Enum):
     CLEAN = "clean"  #: volatile view matches media
     DIRTY = "dirty"  #: stored to, not yet flushed
     FLUSHED = "flushed"  #: flushed (CLWB), awaiting a fence
+
+
+_DIRTY = LineState.DIRTY
+_FLUSHED = LineState.FLUSHED
 
 
 class TraceEventKind(enum.Enum):
@@ -90,9 +104,14 @@ class TraceEventKind(enum.Enum):
     FLUSH_REDUNDANT = "flush_redundant"
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One entry in the PM operation trace.
+    """One entry in the PM operation trace (immutable).
+
+    A slotted class rather than a frozen dataclass: a traced detection
+    replay builds one per PM operation, and a frozen dataclass's
+    generated ``__init__`` (one ``object.__setattr__`` per field) costs
+    about three times as much.  Assignment raises, events compare and
+    hash by value, and they pickle.
 
     Attributes:
         kind: what happened.
@@ -103,61 +122,132 @@ class TraceEvent:
             that invoked the PM library), used for bug attribution.
     """
 
+    __slots__ = ("kind", "addr", "size", "seq", "site")
+
     kind: TraceEventKind
     addr: int
     size: int
     seq: int
-    site: str = ""
+    site: str
+
+    def __init__(self, kind: TraceEventKind, addr: int, size: int, seq: int,
+                 site: str = "") -> None:
+        _set_kind(self, kind)
+        _set_addr(self, addr)
+        _set_size(self, size)
+        _set_seq(self, seq)
+        _set_site(self, site)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: "
+                             f"TraceEvent is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: "
+                             f"TraceEvent is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.addr, self.size, self.seq, self.site)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(kind={self.kind!r}, "
+                f"addr={self.addr!r}, size={self.size!r}, seq={self.seq!r}, "
+                f"site={self.site!r})")
+
+
+# The slot descriptors' setters: ``__init__`` fills the slots through
+# them because the class's own ``__setattr__`` refuses every assignment.
+_set_kind = TraceEvent.__dict__["kind"].__set__
+_set_addr = TraceEvent.__dict__["addr"].__set__
+_set_size = TraceEvent.__dict__["size"].__set__
+_set_seq = TraceEvent.__dict__["seq"].__set__
+_set_site = TraceEvent.__dict__["site"].__set__
 
 
 Observer = Callable[[TraceEvent], None]
 
 
 class MediaSnapshot:
-    """A lazy copy-on-write capture of the media array at one instant.
+    """A lazy copy-on-write capture of the media at one instant.
 
-    The snapshot holds a *reference* to the domain's live media bytearray
-    plus a dict of the original contents of every line overwritten since
-    the capture point; :meth:`drain` maintains the dict.  Materializing
-    costs one media copy plus one overlay write per saved line, and the
-    capture itself costs O(1) — which is what makes harvesting ~8 crash
-    images from a single execution cheaper than 8 re-executions.
+    The snapshot references its domain plus a dict of the media bytes of
+    every line a fence has persisted since the capture point (the
+    line's pre-image, which :meth:`PersistenceDomain.drain` hands over
+    before it drops it).  The capture costs O(1); :attr:`image` builds
+    the full media contents when read, as the domain's media with the
+    saved lines laid over it — which is what makes harvesting ~8 crash
+    images from a single execution cheaper than 8 re-executions, and
+    lets a caller build one image at a time.
+
+    The domain keeps only the saved dicts, never the snapshot, so a
+    snapshot keeps its domain alive but not the other way round.  A
+    snapshot pickles as a :class:`~repro.pmem.crash.CrashSnapshot`
+    with its image built, so it crosses a fork-server reply without
+    its domain (or the domain's observers).
 
     Attributes:
-        kind: ``"fence"`` or ``"store"`` — which crash-point family.
+        kind: ``"fence"``, ``"store"`` or ``"warm"`` — which crash-point
+            family (``"warm"`` is the warm-open cache's prefix capture).
         index: the fence index / store index of the capture point.
         fences_done: fences completed when the capture was taken.  For a
             fence snapshot this is ``index + 1`` (the capture happens
             after the fence's writeback), matching the fence count a
             legacy re-execution crashing at this point would report.
+        pending: ``(line, volatile bytes)`` of every line still pending
+            at the capture instant — recorded only at fence captures,
+            when the plan asks for weak states (see
+            :meth:`PersistenceDomain.pending_overlays`).
     """
 
-    __slots__ = ("kind", "index", "fences_done", "pending", "_media_ref",
+    __slots__ = ("kind", "index", "fences_done", "pending", "_domain",
                  "_saved")
 
     def __init__(self, kind: str, index: int, fences_done: int,
-                 media_ref: bytearray,
+                 domain: "PersistenceDomain", saved: Dict[int, bytearray],
                  pending: Tuple[Tuple[int, bytes], ...] = ()) -> None:
         self.kind = kind
         self.index = index
         self.fences_done = fences_done
-        #: ``(line, volatile bytes)`` of every line still pending at the
-        #: capture instant — recorded only at fence captures, when the
-        #: plan asks for weak states (see
-        #: :meth:`PersistenceDomain.pending_overlays`).
         self.pending = pending
-        self._media_ref = media_ref
+        self._domain = domain
         #: line index -> the line's media bytes at capture time, recorded
-        #: only when a later fence overwrites the line (copy-on-write).
-        self._saved: Dict[int, bytes] = {}
+        #: only when a later fence persists the line (copy-on-write).
+        self._saved = saved
 
-    def materialize(self) -> bytes:
-        """Reconstruct the full media contents at the capture instant."""
-        buf = bytearray(self._media_ref)
+    def materialize(self) -> bytearray:
+        """Build the full media contents at the capture instant.
+
+        Returns a new buffer the caller owns: one copy of the domain's
+        volatile view, with the domain's pending pre-images and then
+        this snapshot's saved lines written over it.
+        """
+        buf = self._domain.persisted_copy()
         for line, original in self._saved.items():
             start = line * CACHE_LINE
             buf[start:start + len(original)] = original
-        return bytes(buf)
+        return buf
+
+    @property
+    def image(self) -> bytearray:
+        """:meth:`materialize`: built on every read, so read it once."""
+        return self.materialize()
+
+    def __reduce__(self):
+        from repro.pmem.crash import CrashSnapshot
+
+        return CrashSnapshot, (self.kind, self.index, self.fences_done,
+                               self.materialize(), self.pending)
 
 
 class PersistenceDomain:
@@ -166,7 +256,7 @@ class PersistenceDomain:
     Args:
         size: capacity in bytes.
         initial: optional initial *persistent* contents (e.g. from a PM
-            image file); defaults to zeroes.
+            image file); defaults to zeroes.  The domain copies it.
 
     The domain deliberately has no notion of virtual addresses: all
     addresses are pool-relative offsets, which is the reproduction of the
@@ -182,10 +272,17 @@ class PersistenceDomain:
                 f"initial contents are {len(initial)} bytes, expected {size}"
             )
         self.size = size
-        self._media = bytearray(initial) if initial is not None else bytearray(size)
-        self._volatile = bytearray(self._media)
+        #: The one dense buffer: the program-visible (volatile) view.
+        self._volatile = (bytearray(initial) if initial is not None
+                          else bytearray(size))
+        #: Whether :meth:`share_volatile` handed the buffer out; the next
+        #: store copies it first.
+        self._shared = False
         #: line index -> state (absent means CLEAN)
         self._lines: Dict[int, LineState] = {}
+        #: line index -> media bytes of the line, for every pending line
+        #: (same keys as ``_lines``); never written once recorded.
+        self._pre: Dict[int, bytearray] = {}
         #: dedicated index of FLUSHED lines, so a fence is O(flushed)
         #: instead of a scan over every tracked (mostly DIRTY) line.
         self._flushed: Set[int] = set()
@@ -205,7 +302,14 @@ class PersistenceDomain:
         self._snap_fences: FrozenSet[int] = frozenset()
         self._snap_stores: FrozenSet[int] = frozenset()
         self._snap_pending = False
-        self._snapshots: List[MediaSnapshot] = []
+        #: ``(kind, index, fences_done, pending, saved)`` per capture,
+        #: in execution order.  Plain records, not snapshots: a
+        #: snapshot references its domain, and the domain must not
+        #: reference it back.
+        self._captures: List[tuple] = []
+        #: The ``saved`` dict of every capture: a fence hands each one
+        #: the pre-image of every line it persists.
+        self._cow: List[Dict[int, bytearray]] = []
 
     # ------------------------------------------------------------------
     # Observer plumbing
@@ -236,7 +340,7 @@ class PersistenceDomain:
         self._seq = seq + 1
         if not self._observers:
             return None
-        event = TraceEvent(kind=kind, addr=addr, size=size, seq=seq, site=site)
+        event = TraceEvent(kind, addr, size, seq, site)
         for observer in self._observers:
             observer(event)
         return event
@@ -260,14 +364,23 @@ class PersistenceDomain:
         self._snap_stores = frozenset(stores)
         self._snap_pending = pending
 
+    def _capture(self, kind: str, index: int, fences_done: int,
+                 pending: Tuple[Tuple[int, bytes], ...] = ()) -> None:
+        saved: Dict[int, bytearray] = {}
+        self._captures.append((kind, index, fences_done, pending, saved))
+        self._cow.append(saved)
+
     def take_snapshots(self) -> List[MediaSnapshot]:
         """Return the snapshots captured so far, in execution order.
 
-        Warm-open prefix captures (kind ``"warm"``) are internal to the
-        executor's pool cache and never part of a crash-harvest plan, so
-        they are excluded.
+        Each one builds its image only when read.  Warm-open prefix
+        captures (kind ``"warm"``) are internal to the executor's pool
+        cache and never part of a crash-harvest plan, so they are
+        excluded.
         """
-        return [s for s in self._snapshots if s.kind != "warm"]
+        return [MediaSnapshot(kind, index, fences_done, self, saved, pending)
+                for kind, index, fences_done, pending, saved
+                in self._captures if kind != "warm"]
 
     # ------------------------------------------------------------------
     # Warm-open prefix capture / restore (executor pool cache)
@@ -284,18 +397,15 @@ class PersistenceDomain:
         determine the domain; counters make the reconstruction
         observably identical (fence/store indexing, trace seq).
         """
-        snapshot = MediaSnapshot("warm", -1, self._fence_count, self._media)
-        self._snapshots.append(snapshot)
+        self._capture("warm", -1, self._fence_count)
+        snapshot = MediaSnapshot("warm", -1, self._fence_count, self,
+                                 self._cow[-1])
         pending: Dict[int, Tuple[bool, bytes]] = {}
         volatile = self._volatile
-        size = self.size
-        for line, state in self.pending_lines().items():
+        for line, state in self._lines.items():
             start = line * CACHE_LINE
-            end = start + CACHE_LINE
-            if end > size:
-                end = size
             pending[line] = (state is LineState.FLUSHED,
-                             bytes(volatile[start:end]))
+                             bytes(volatile[start:start + CACHE_LINE]))
         return snapshot, pending, self._seq, self._fence_count, \
             self._store_count
 
@@ -304,17 +414,21 @@ class PersistenceDomain:
         """Rebuild the state captured by :meth:`capture_warm_state`.
 
         ``self`` must be freshly constructed from the captured media
-        (``initial=`` the materialized snapshot); this overlays the
+        (``initial=`` the materialized snapshot); this records each
+        pending line's media bytes as its pre-image, overlays the
         pending volatile lines and restores the line states and
-        counters.  Mutation is strictly in place — subclasses keep
-        aliasing views of the byte buffers.
+        counters.
         """
+        self._unshare()
         volatile = self._volatile
         lines = self._lines
+        pre = self._pre
         flushed = self._flushed
         for line, (is_flushed, data) in pending.items():
             start = line * CACHE_LINE
-            volatile[start:start + len(data)] = data
+            end = start + len(data)
+            pre[line] = volatile[start:end]
+            volatile[start:end] = data
             if is_flushed:
                 lines[line] = LineState.FLUSHED
                 flushed.add(line)
@@ -333,6 +447,12 @@ class PersistenceDomain:
                 f"access [{addr}, {addr + size}) outside domain of size {self.size}"
             )
 
+    def _unshare(self) -> None:
+        """Copy the buffer :meth:`share_volatile` handed out, if it did."""
+        if self._shared:
+            self._volatile = bytearray(self._volatile)
+            self._shared = False
+
     def load(self, addr: int, size: int, site: str = "") -> bytes:
         """Read ``size`` bytes from the volatile view (a PM read)."""
         self._check_range(addr, size)
@@ -340,25 +460,34 @@ class PersistenceDomain:
         return bytes(self._volatile[addr : addr + size])
 
     def store(self, addr: int, data: bytes, site: str = "") -> None:
-        """Write ``data`` at ``addr`` (a PM store; volatile until persisted)."""
+        """Write ``data`` at ``addr`` (a PM store; volatile until persisted).
+
+        A line that was CLEAN first records its current bytes — its
+        media bytes — as its pre-image.
+        """
         size = len(data)
         self._check_range(addr, size)
-        self._volatile[addr : addr + size] = data
+        if self._shared:
+            self._unshare()
+        volatile = self._volatile
         if size:
             lines = self._lines
-            flushed = self._flushed
-            first = addr // CACHE_LINE
-            last = (addr + size - 1) // CACHE_LINE
-            for line in range(first, last + 1):
-                lines[line] = LineState.DIRTY
-                if flushed:
-                    flushed.discard(line)
+            for line in range(addr // CACHE_LINE,
+                              (addr + size - 1) // CACHE_LINE + 1):
+                state = lines.get(line)
+                if state is None:
+                    start = line * CACHE_LINE
+                    self._pre[line] = volatile[start:start + CACHE_LINE]
+                    lines[line] = _DIRTY
+                elif state is _FLUSHED:
+                    lines[line] = _DIRTY
+                    self._flushed.discard(line)
+        volatile[addr : addr + size] = data
         store_index = self._store_count
         self._store_count += 1
         self.emit(TraceEventKind.STORE, addr, size, site)
         if store_index in self._snap_stores:
-            self._snapshots.append(MediaSnapshot(
-                "store", store_index, self._fence_count, self._media))
+            self._capture("store", store_index, self._fence_count)
         if self.crash_at_store is not None and store_index == self.crash_at_store:
             from repro.errors import SimulatedCrash
 
@@ -388,7 +517,11 @@ class PersistenceDomain:
             self.emit(TraceEventKind.FLUSH_REDUNDANT, addr, size, site)
 
     def drain(self, site: Optional[str] = None) -> None:
-        """Order all flushed lines into the media (SFENCE).
+        """Persist all flushed lines (SFENCE).
+
+        Each flushed line's pre-image goes to every capture that has not
+        saved the line yet (copy-on-write), and is then dropped: the
+        line's media bytes are now its volatile bytes.
 
         If :attr:`crash_at_fence` equals the index of this fence, a
         :class:`~repro.errors.SimulatedCrash` is raised *after* the fence
@@ -398,32 +531,23 @@ class PersistenceDomain:
         """
         flushed = self._flushed
         if flushed:
-            media = self._media
-            volatile = self._volatile
             lines = self._lines
-            snapshots = self._snapshots
-            size = self.size
+            pre = self._pre
+            cow = self._cow
             for line in flushed:
-                start = line * CACHE_LINE
-                end = start + CACHE_LINE
-                if end > size:
-                    end = size
-                if snapshots:
-                    # Copy-on-write: preserve the pre-fence contents for
-                    # every live snapshot that has not seen this line yet.
-                    for snap in snapshots:
-                        if line not in snap._saved:
-                            snap._saved[line] = bytes(media[start:end])
-                media[start:end] = volatile[start:end]
+                original = pre.pop(line)
+                for saved in cow:
+                    if line not in saved:
+                        saved[line] = original
                 del lines[line]
             flushed.clear()
         fence_index = self._fence_count
         self._fence_count += 1
         self.emit(TraceEventKind.FENCE, 0, 0, site or "")
         if fence_index in self._snap_fences:
-            self._snapshots.append(MediaSnapshot(
-                "fence", fence_index, fence_index + 1, self._media,
-                self.pending_overlays() if self._snap_pending else ()))
+            self._capture("fence", fence_index, fence_index + 1,
+                          self.pending_overlays() if self._snap_pending
+                          else ())
         if self.crash_at_fence is not None and fence_index == self.crash_at_fence:
             from repro.errors import SimulatedCrash
 
@@ -466,12 +590,10 @@ class PersistenceDomain:
         line order: what each line would write to the media if the
         cache evicted it now."""
         volatile = self._volatile
-        size = self.size
         overlays = []
         for line in sorted(self._lines):
             start = line * CACHE_LINE
-            overlays.append((line, bytes(volatile[start:min(start + CACHE_LINE,
-                                                            size)])))
+            overlays.append((line, bytes(volatile[start:start + CACHE_LINE])))
         return tuple(overlays)
 
     def volatile_view(self) -> bytes:
@@ -480,15 +602,27 @@ class PersistenceDomain:
 
     def persisted_view(self) -> bytes:
         """Return the strict crash snapshot: only fenced data."""
-        return bytes(self._media)
+        if not self._pre:
+            return bytes(self._volatile)
+        return bytes(self.persisted_copy())
 
-    def volatile_copy(self) -> bytearray:
-        """:meth:`volatile_view` as a new, caller-owned ``bytearray``."""
-        return bytearray(self._volatile)
+    def share_volatile(self) -> bytearray:
+        """Hand the volatile buffer itself to the caller, without a copy.
+
+        The caller must not write to it.  The domain stays usable: its
+        next store copies the buffer first, so the handed-over bytes
+        never change.
+        """
+        self._shared = True
+        return self._volatile
 
     def persisted_copy(self) -> bytearray:
         """:meth:`persisted_view` as a new, caller-owned ``bytearray``."""
-        return bytearray(self._media)
+        buf = bytearray(self._volatile)
+        for line, original in self._pre.items():
+            start = line * CACHE_LINE
+            buf[start:start + len(original)] = original
+        return buf
 
     def inconsistent_ranges(self) -> List[Tuple[int, int]]:
         """Return ``(addr, size)`` ranges where volatile and media differ.
@@ -496,41 +630,43 @@ class PersistenceDomain:
         These are exactly the bytes at risk if a failure happened *now*:
         the persistent state would not reflect the program's view of them.
 
-        Compares 4 KiB windows first and only byte-scans the windows that
-        differ, so the common all-persisted case costs a handful of
-        memcmp-speed slice comparisons instead of a Python loop over
-        every byte.
+        Volatile and media can differ only at pending lines, so this
+        compares each pending line with its pre-image and byte-scans
+        only the lines that differ; runs of differing bytes merge across
+        line boundaries.
         """
         ranges: List[Tuple[int, int]] = []
         volatile = self._volatile
-        media = self._media
-        size = self.size
-        start: Optional[int] = None
-        for chunk_start in range(0, size, _RANGE_CHUNK):
-            chunk_end = min(chunk_start + _RANGE_CHUNK, size)
-            if volatile[chunk_start:chunk_end] == media[chunk_start:chunk_end]:
-                if start is not None:
-                    ranges.append((start, chunk_start - start))
-                    start = None
+        pre = self._pre
+        start = end = -1
+        for line in sorted(pre):
+            original = pre[line]
+            base = line * CACHE_LINE
+            current = volatile[base:base + len(original)]
+            if current == original:
                 continue
-            for i in range(chunk_start, chunk_end):
-                if volatile[i] != media[i]:
-                    if start is None:
-                        start = i
-                elif start is not None:
-                    ranges.append((start, i - start))
-                    start = None
-        if start is not None:
-            ranges.append((start, size - start))
+            for offset, (now, then) in enumerate(zip(current, original)):
+                if now == then:
+                    continue
+                addr = base + offset
+                if addr != end:
+                    if start >= 0:
+                        ranges.append((start, end - start))
+                    start = addr
+                end = addr + 1
+        if start >= 0:
+            ranges.append((start, end - start))
         return ranges
 
     def _inconsistent_ranges_naive(self) -> List[Tuple[int, int]]:
-        """Reference byte-at-a-time implementation (kept as the oracle
-        for the property tests)."""
+        """Reference byte-at-a-time implementation over the full views
+        (kept as the oracle for the property tests)."""
         ranges: List[Tuple[int, int]] = []
+        volatile = self._volatile
+        media = self.persisted_copy()
         start = None
         for i in range(self.size):
-            if self._volatile[i] != self._media[i]:
+            if volatile[i] != media[i]:
                 if start is None:
                     start = i
             elif start is not None:
@@ -539,10 +675,3 @@ class PersistenceDomain:
         if start is not None:
             ranges.append((start, self.size - start))
         return ranges
-
-    def _lines_of(self, addr: int, size: int) -> Iterator[int]:
-        if size == 0:
-            return iter(())
-        first = addr // CACHE_LINE
-        last = (addr + size - 1) // CACHE_LINE
-        return iter(range(first, last + 1))

@@ -75,8 +75,8 @@ class RunResult:
     commands_run: int = 0
     outputs: List[str] = field(default_factory=list)
     error: str = ""
-    #: Materialized strict crash images harvested by a snapshot plan
-    #: (single-pass crash generation); empty when no plan was armed.
+    #: Strict crash snapshots of a snapshot plan, lazy ``MediaSnapshot``s
+    #: that build their image when read; empty when no plan was armed.
     snapshots: List["CrashSnapshot"] = field(default_factory=list)
 
 
@@ -221,8 +221,8 @@ class Workload(abc.ABC):
 
         With a ``snapshot_plan`` the persistence domain additionally
         captures the strict crash image at every planned fence / store
-        index during this single execution; the materialized images come
-        back in ``RunResult.snapshots`` (single-pass crash generation).
+        index during this single execution (single-pass crash generation);
+        ``RunResult.snapshots`` holds them, each built when read.
         The orchestration (open, arm, classify the outcome) lives in
         :func:`repro.fuzz.harness.run_workload` — deliberately outside
         the instrumented workloads package, so that fuzzer-configuration
@@ -282,8 +282,8 @@ class Workload(abc.ABC):
         from repro.pmem.crash import eviction_states
 
         domain = pool.domain
-        states = eviction_states(domain.persisted_view(),
+        states = eviction_states(domain.persisted_copy(),
                                  domain.pending_overlays())
-        return [PMImage(layout=pool.image.layout, payload=bytearray(payload),
+        return [PMImage(layout=pool.image.layout, payload=payload,
                         uuid=pool.image.uuid)
                 for payload in islice(states, limit)]

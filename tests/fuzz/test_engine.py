@@ -1,5 +1,9 @@
 """Tests for the fuzzing engines (AFL++ baseline and PMFuzz)."""
 
+import gc
+import os
+import weakref
+
 import pytest
 
 from repro.core.config import (
@@ -91,3 +95,30 @@ class TestPMFuzzBehaviour:
         fast = run_campaign("hashmap_tx", "aflpp_sysopt", 1.0, seed=5)
         slow = run_campaign("hashmap_tx", "aflpp", 1.0, seed=5)
         assert fast.executions > slow.executions
+
+
+class TestEngineLifetime:
+    """A closed campaign is freed when its last reference goes, without
+    waiting for the cyclic collector: nothing the engine hands out (the
+    supervisor's and the backend's callbacks) refers back to it."""
+
+    @pytest.mark.parametrize("isolation", [
+        "none",
+        pytest.param("fork", marks=pytest.mark.skipif(
+            not hasattr(os, "fork"), reason="requires os.fork")),
+    ])
+    def test_closed_engine_freed_on_del(self, isolation):
+        gc.collect()
+        gc.disable()
+        try:
+            engine = build_engine("hashmap_tx", PMFUZZ,
+                                  rng=DeterministicRandom(1),
+                                  isolation=isolation)
+            engine.run(0.3)
+            engine.close()
+            assert engine.stats.isolation_backend == isolation
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()

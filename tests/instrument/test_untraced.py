@@ -345,7 +345,8 @@ def _digest(image):
     """Hash of a PMImage, or of a snapshot's raw payload bytes."""
     if image is None:
         return None
-    raw = image if isinstance(image, bytes) else image.to_bytes()
+    raw = (image if isinstance(image, (bytes, bytearray))
+           else image.to_bytes())
     return hashlib.sha256(raw).hexdigest()
 
 

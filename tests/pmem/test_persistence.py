@@ -1,5 +1,7 @@
 """Tests for the persistence-domain simulation."""
 
+import pickle
+
 import pytest
 
 from repro.errors import PMemError, SimulatedCrash
@@ -7,6 +9,7 @@ from repro.pmem.persistence import (
     CACHE_LINE,
     LineState,
     PersistenceDomain,
+    TraceEvent,
     TraceEventKind,
 )
 
@@ -225,3 +228,68 @@ class TestTraceEvents:
         d.remove_observer(events.append)
         d.store(0, b"x")
         assert events == []
+
+
+class TestTraceEventValue:
+    """TraceEvent is a slotted class, not a frozen dataclass; it keeps
+    the dataclass's value semantics."""
+
+    def _event(self, **overrides):
+        fields = dict(kind=TraceEventKind.STORE, addr=64, size=8, seq=3,
+                      site="w.py:10")
+        fields.update(overrides)
+        return TraceEvent(**fields)
+
+    def test_keyword_and_positional_construction_agree(self):
+        event = self._event()
+        assert (event.kind, event.addr, event.size, event.seq, event.site) \
+            == (TraceEventKind.STORE, 64, 8, 3, "w.py:10")
+        assert TraceEvent(TraceEventKind.STORE, 64, 8, 3, "w.py:10") == event
+
+    def test_site_defaults_to_empty(self):
+        event = TraceEvent(kind=TraceEventKind.FENCE, addr=0, size=0, seq=1)
+        assert event.site == ""
+
+    def test_missing_field_rejected(self):
+        with pytest.raises(TypeError):
+            TraceEvent(kind=TraceEventKind.FENCE, addr=0, size=0)
+
+    @pytest.mark.parametrize("name", ["kind", "addr", "size", "seq", "site",
+                                      "extra"])
+    def test_assignment_raises(self, name):
+        event = self._event()
+        with pytest.raises(AttributeError):
+            setattr(event, name, 1)
+        assert event == self._event()
+
+    def test_deletion_raises(self):
+        event = self._event()
+        with pytest.raises(AttributeError):
+            del event.addr
+        assert event.addr == 64
+
+    def test_equality_is_by_value(self):
+        assert self._event() == self._event()
+        for change in (dict(kind=TraceEventKind.LOAD), dict(addr=65),
+                       dict(size=9), dict(seq=4), dict(site="other")):
+            assert self._event() != self._event(**change)
+        assert self._event() != (TraceEventKind.STORE, 64, 8, 3, "w.py:10")
+
+    def test_hash_is_by_value(self):
+        assert hash(self._event()) == hash(self._event())
+        assert len({self._event(), self._event(), self._event(seq=4)}) == 2
+
+    def test_pickle_round_trip(self):
+        event = self._event()
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(event, protocol))
+            assert restored == event
+            assert type(restored) is TraceEvent
+            with pytest.raises(AttributeError):
+                restored.seq = 0
+
+    def test_repr_names_every_field(self):
+        text = repr(self._event())
+        for part in ("kind=", "addr=64", "size=8", "seq=3",
+                     "site='w.py:10'"):
+            assert part in text

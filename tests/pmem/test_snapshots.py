@@ -7,8 +7,9 @@ Covers the PR-5 performance layer at its lowest level:
 * the dedicated FLUSHED set keeps fences O(flushed) without changing
   any observable line-state semantics;
 * the no-observer fast path allocates no TraceEvent at all;
-* the chunked ``inconsistent_ranges`` is equivalent to the naive
-  byte-at-a-time oracle (hypothesis property).
+* ``inconsistent_ranges``, which scans only pending lines, is
+  equivalent to the naive byte-at-a-time oracle over the full views
+  (hypothesis property).
 """
 
 from __future__ import annotations
@@ -190,26 +191,31 @@ class TestNoObserverFastPath:
 
 
 # ----------------------------------------------------------------------
-# Chunked inconsistent_ranges ≡ naive oracle
+# Pending-line inconsistent_ranges ≡ naive oracle
 # ----------------------------------------------------------------------
+_ORACLE_SIZE = 3 * 4096 + 17
+
+
 @given(
-    size=st.integers(1, 3 * persistence._RANGE_CHUNK + 17),
-    diffs=st.lists(st.tuples(st.integers(0, 3 * persistence._RANGE_CHUNK + 16),
-                             st.integers(1, 200)),
+    size=st.integers(1, _ORACLE_SIZE),
+    diffs=st.lists(st.tuples(st.integers(0, _ORACLE_SIZE - 1),
+                             st.integers(1, 200),
+                             st.sampled_from([0x00, 0x5A])),
                    max_size=12),
 )
 @settings(max_examples=80, deadline=None)
 def test_inconsistent_ranges_matches_naive(size, diffs):
     domain = PersistenceDomain(size)
-    # Perturb the volatile view directly: inconsistent_ranges is a pure
-    # function of (volatile, media), and writing raw bytes reaches diff
-    # shapes (chunk-boundary-spanning runs, full-buffer diffs) that the
-    # store/flush API alone would take long command sequences to hit.
-    for start, length in diffs:
+    # Raw stores, never flushed: every touched line stays pending, and
+    # runs of 0x5A over zero media reach the diff shapes that matter
+    # (runs spanning lines and pages, the whole buffer).  Stores of
+    # 0x00 write the media value back, leaving equal bytes inside
+    # pending lines.
+    for start, length, value in diffs:
         if start >= size:
             continue
         end = min(start + length, size)
-        domain._volatile[start:end] = b"\x5A" * (end - start)
+        domain.store(start, bytes([value]) * (end - start))
     assert domain.inconsistent_ranges() == domain._inconsistent_ranges_naive()
 
 

@@ -7,6 +7,14 @@ deliberately naive restatement of the rules (a store dirties every line
 it spans, a flush moves dirty lines to flushed, a fence copies flushed
 lines to the media) — and every observable must agree: views, pending
 lines, inconsistent ranges, counters and trace events.
+
+The model keeps two full buffers, volatile and media, and takes every
+snapshot as a full copy of the media; the domain keeps one buffer plus
+the pre-images of its pending lines and builds snapshots when read.
+:class:`TestOneBufferEquivalence` runs random sequences with planned
+snapshots, armed crash points and a warm-state capture and restore on
+both, and compares every view, every snapshot image, the pending
+overlays and the inconsistent ranges.
 """
 
 from __future__ import annotations
@@ -44,11 +52,17 @@ class RefModel:
             if size else range(0)
 
     def store(self, addr, data, site=""):
+        index = self.stores
         self.volatile[addr:addr + len(data)] = data
         for line in self._span(addr, len(data)):
             self.lines[line] = LineState.DIRTY
         self.stores += 1
         self.events.append((TraceEventKind.STORE, addr, len(data), site))
+        if index in self.snap_stores:
+            self.snapshots.append(("store", index, self.fences, (),
+                                   bytes(self.media)))
+        if index == self.crash_at_store:
+            raise SimulatedCrash(index, kind="store")
 
     def flush(self, addr, size, site=""):
         redundant = True
@@ -62,6 +76,7 @@ class RefModel:
                 (TraceEventKind.FLUSH_REDUNDANT, addr, size, site))
 
     def drain(self, site=None):
+        index = self.fences
         for line, state in list(self.lines.items()):
             if state is LineState.FLUSHED:
                 start = line * CACHE_LINE
@@ -70,10 +85,41 @@ class RefModel:
                 del self.lines[line]
         self.fences += 1
         self.events.append((TraceEventKind.FENCE, 0, 0, site or ""))
+        if index in self.snap_fences:
+            self.snapshots.append((
+                "fence", index, index + 1,
+                self.pending_overlays() if self.snap_pending else (),
+                bytes(self.media)))
+        if index == self.crash_at_fence:
+            raise SimulatedCrash(index)
 
     def persist(self, addr, size, site=""):
         self.flush(addr, size, site)
         self.drain(site)
+
+    # Snapshots, crash points and warm state: full copies throughout.
+    snap_fences = snap_stores = frozenset()
+    snap_pending = False
+    crash_at_fence = crash_at_store = None
+
+    def plan_snapshots(self, fences=(), stores=(), pending=False):
+        self.snap_fences = frozenset(fences)
+        self.snap_stores = frozenset(stores)
+        self.snap_pending = pending
+        self.snapshots = []
+
+    def pending_overlays(self):
+        return tuple((line, bytes(self.volatile[line * CACHE_LINE:
+                                                (line + 1) * CACHE_LINE]))
+                     for line in sorted(self.lines))
+
+    def clone(self):
+        twin = RefModel(len(self.media), self.media)
+        twin.volatile = bytearray(self.volatile)
+        twin.lines = dict(self.lines)
+        twin.stores, twin.fences = self.stores, self.fences
+        twin.events = list(self.events)
+        return twin
 
     def inconsistent_ranges(self):
         ranges, start = [], None
@@ -341,3 +387,116 @@ class TestDrainSignatureParity:
         """Every drain in the tree accepts the same optional site."""
         reference = inspect.signature(PersistenceDomain.drain)
         assert inspect.signature(PmemObjPool.drain) == reference
+
+
+def random_ops(rng, size, count):
+    ops = []
+    for _ in range(count):
+        roll = rng.random()
+        addr = rng.randrange(0, size - 1)
+        if roll < 0.5:
+            length = rng.randrange(0, min(160, size - addr))
+            # Small alphabet: stores often write a line's media bytes
+            # back, so pending lines also hold bytes equal to the media.
+            ops.append(("store", addr,
+                        bytes(rng.choice(b"\0\1Z") for _ in range(length))))
+        elif roll < 0.8:
+            ops.append(("flush", addr,
+                        rng.randrange(0, min(200, size - addr))))
+        else:
+            ops.append(("drain",))
+    return ops
+
+
+def apply_op(target, op):
+    """One op on the domain or the model; True when it crashed."""
+    try:
+        if op[0] == "store":
+            target.store(op[1], op[2])
+        elif op[0] == "flush":
+            target.flush(op[1], op[2])
+        else:
+            target.drain()
+    except SimulatedCrash:
+        return True
+    return False
+
+
+def assert_same_media(domain, model):
+    assert domain.volatile_view() == bytes(model.volatile)
+    assert domain.persisted_view() == bytes(model.media)
+    assert domain.persisted_copy() == model.media
+    assert domain.pending_lines() == model.lines
+    assert domain.pending_overlays() == model.pending_overlays()
+    assert domain.inconsistent_ranges() == model.inconsistent_ranges()
+    assert domain.store_count == model.stores
+    assert domain.fence_count == model.fences
+    assert domain.seq == len(model.events)
+
+
+class TestOneBufferEquivalence:
+    """The one-buffer domain against the two-buffer model."""
+
+    @pytest.mark.parametrize("trial", range(24))
+    def test_random_sequences_with_snapshots_crashes_and_warm_state(
+            self, trial):
+        rng = random.Random(0x5EED + trial)
+        size = rng.choice([SIZE, SIZE - 37, 3 * CACHE_LINE + 5])
+        domain = PersistenceDomain(size)
+        model = RefModel(size)
+        observed(domain)  # events exercise the traced path too
+        fences = sorted(rng.sample(range(16), 5))
+        stores = sorted(rng.sample(range(40), 5))
+        pending = trial % 2 == 0
+        domain.plan_snapshots(fences=fences, stores=stores, pending=pending)
+        model.plan_snapshots(fences, stores, pending)
+        if trial % 3 == 1:
+            domain.crash_at_fence = model.crash_at_fence = rng.randrange(12)
+        elif trial % 3 == 2:
+            domain.crash_at_store = model.crash_at_store = rng.randrange(40)
+        ops = random_ops(rng, size, 90)
+        warm_at = rng.randrange(len(ops))
+        warm = None
+        for index, op in enumerate(ops):
+            if index == warm_at:
+                warm = domain.capture_warm_state(), model.clone()
+            crashed = apply_op(domain, op)
+            assert apply_op(model, op) is crashed
+            assert_same_media(domain, model)
+            if crashed:
+                break
+        snapshots = domain.take_snapshots()
+        assert [(s.kind, s.index, s.fences_done, s.pending, s.image)
+                for s in snapshots] == model.snapshots
+        assert all(snap.kind != "warm" for snap in snapshots)
+        if warm is None:
+            return
+        (snapshot, lines, seq, fence_count, store_count), at_capture = warm
+        assert snapshot.image == at_capture.media
+        restored = PersistenceDomain(size, snapshot.materialize())
+        restored.warm_restore(lines, seq, fence_count, store_count)
+        assert_same_media(restored, at_capture)
+        for op in random_ops(rng, size, 40):
+            apply_op(restored, op)
+            apply_op(at_capture, op)
+            assert_same_media(restored, at_capture)
+
+    def test_snapshot_survives_later_fences_and_shared_buffer_writes(self):
+        domain, model = PersistenceDomain(SIZE), RefModel()
+        domain.plan_snapshots(fences=[0], stores=[1])
+        model.plan_snapshots([0], [1])
+        for target in (domain, model):
+            apply_op(target, ("store", 0, b"a" * 100))
+            apply_op(target, ("flush", 0, 100))
+            apply_op(target, ("drain",))
+            apply_op(target, ("store", 10, b"b" * 80))
+        shared = domain.share_volatile()
+        handed_over = bytes(shared)
+        for target in (domain, model):
+            apply_op(target, ("flush", 0, 128))
+            apply_op(target, ("drain",))
+            apply_op(target, ("store", 5, b"c" * 200))
+        assert bytes(shared) == handed_over
+        assert_same_media(domain, model)
+        assert [(s.kind, s.index, s.fences_done, s.pending, s.image)
+                for s in domain.take_snapshots()] == model.snapshots
