@@ -19,7 +19,7 @@ probabilistic extras), and it dominated campaign wall time here exactly
 as image I/O dominated the paper's un-optimized runs.
 
 Because re-executions are deterministic replays of the same (image,
-commands) pair, all K crash images can instead be harvested from **one**
+commands) pair, all K crash images are instead harvested from **one**
 instrumented execution: a :class:`~repro.pmem.crash.SnapshotPlan` arms
 copy-on-write media captures at every selected fence/store index, and
 each capture builds the byte-identical image the dedicated
@@ -32,15 +32,17 @@ model is still charged per harvested image exactly as if the
 re-execution had happened — the captured ``fences_done`` at each point
 reconstructs the fence count that re-execution would have reported —
 so Figure-13 curves and ``FuzzStats.comparable()`` are bit-identical to
-the paper's loop.  That loop (:meth:`CrashImageGenerator._generate_reexec`)
-is kept for two reasons: it is the graceful-degradation path when the
-single pass itself dies to an environment fault, and it is the oracle
-the equivalence tests compare the single pass against.
+the paper's loop.
+
+The single pass is the only crash path.  When it fails after the
+supervisor's retries, the test case yields no crash images, just as a
+failed execution yields no coverage; what the supervisor spent on it is
+still charged (:attr:`CrashImages.overhead`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 from repro.fuzz.executor import Executor
 from repro.fuzz.rng import DeterministicRandom
@@ -61,25 +63,24 @@ class CrashImage:
     """One generated crash image with its provenance.
 
     Args:
-        source: the crash image itself (re-execution), or the single
-            pass's snapshot to build it from.
-        template: the parent image whose layout and uuid a built image
-            takes (required with a snapshot source).
+        snapshot: the single pass's capture to build the image from.
+        template: the parent image whose layout and uuid the built
+            image takes.
     """
 
-    __slots__ = ("fence_index", "probabilistic", "cost", "_source",
+    __slots__ = ("fence_index", "probabilistic", "cost", "_snapshot",
                  "_template")
 
-    def __init__(self, source: Union[PMImage, MediaSnapshot, CrashSnapshot],
-                 fence_index: int, probabilistic: bool, cost: float,
-                 template: Optional[PMImage] = None) -> None:
+    def __init__(self, snapshot: Union[MediaSnapshot, CrashSnapshot],
+                 template: PMImage, fence_index: int, probabilistic: bool,
+                 cost: float) -> None:
         #: ordering point, or -1 for store-point failures
         self.fence_index = fence_index
         #: True when from an extra (store-point) failure
         self.probabilistic = probabilistic
         #: virtual-time cost of the (modeled) generating re-execution
         self.cost = cost
-        self._source = source
+        self._snapshot = snapshot
         self._template = template
 
     @property
@@ -89,12 +90,19 @@ class CrashImage:
         Built from the snapshot on every read (a new image each time),
         so read it once; nothing holds it after the caller drops it.
         """
-        source = self._source
-        if isinstance(source, PMImage):
-            return source
         template = self._template
-        return PMImage(layout=template.layout, payload=source.image,
+        return PMImage(layout=template.layout, payload=self._snapshot.image,
                        uuid=template.uuid)
+
+
+class CrashImages(list):
+    """The crash images of one test case, plus what producing them cost
+    beyond their modeled re-executions."""
+
+    #: Virtual time the supervisor spent on the single pass itself:
+    #: retries and backoff of a pass that then succeeded, or everything
+    #: a pass that failed was charged.  Zero for a fault-free pass.
+    overhead: float = 0.0
 
 
 class CrashImageGenerator:
@@ -104,9 +112,9 @@ class CrashImageGenerator:
         executor: the campaign executor (carries the cost model) — a raw
             :class:`Executor` or a
             :class:`~repro.resilience.supervisor.SupervisedExecutor`;
-            with the latter, environment faults during generation are
-            retried/absorbed and surface as non-CRASHED outcomes that
-            are simply skipped.
+            with the latter, environment faults during the single pass
+            are retried or absorbed, and a pass that still fails yields
+            no crash images.
         max_ordering_points: cap on sampled ordering points per test
             case (the paper bounds per-test-case work to ~150 ms).
         extra_rate: probability of adding one probabilistic store-point
@@ -140,45 +148,21 @@ class CrashImageGenerator:
         return sorted(set(extras))
 
     def generate(self, image: PMImage, data: bytes, fence_count: int,
-                 store_count: int = 0) -> List[CrashImage]:
+                 store_count: int = 0) -> CrashImages:
         """Produce the crash images for one (image, commands) test case.
 
         Point selection — including the RNG draws for probabilistic
-        store points — happens before either generation path runs, so
-        the single pass and its re-execution fallback consume the same
-        deterministic RNG stream.
+        store points — happens before the single pass runs, so the RNG
+        stream does not depend on how the pass ends.
         """
         fences = self.select_fences(fence_count)
         stores = self.select_stores(store_count)
         return self._generate_singlepass(image, data, fences, stores)
 
     # ------------------------------------------------------------------
-    def _generate_reexec(self, image: PMImage, data: bytes,
-                         fences: List[int],
-                         stores: List[int]) -> List[CrashImage]:
-        """Re-execute the test case once per selected failure point."""
-        crash_images: List[CrashImage] = []
-        for fence in fences:
-            result = self.executor.run(image, data, crash_at_fence=fence)
-            if (result.outcome is RunOutcome.CRASHED
-                    and result.crash_image is not None):
-                crash_images.append(CrashImage(
-                    result.crash_image, fence_index=fence,
-                    probabilistic=False, cost=result.cost,
-                ))
-        for store in stores:
-            result = self.executor.run(image, data, crash_at_store=store)
-            if (result.outcome is RunOutcome.CRASHED
-                    and result.crash_image is not None):
-                crash_images.append(CrashImage(
-                    result.crash_image, fence_index=-1,
-                    probabilistic=True, cost=result.cost,
-                ))
-        return crash_images
-
     def _generate_singlepass(self, image: PMImage, data: bytes,
                              fences: List[int],
-                             stores: List[int]) -> List[CrashImage]:
+                             stores: List[int]) -> CrashImages:
         """Harvest every selected crash image from one execution.
 
         The single pass replays the test case with a snapshot plan; the
@@ -194,48 +178,38 @@ class CrashImageGenerator:
         would have reported (a crash at fence *f* counts ``f + 1``
         fences because the fence takes effect before the failure; a
         crash at a store counts the fences completed before it).  The
-        real cost of the one extra execution is *not* charged — that is
-        the speedup, and it keeps the virtual-time ledger identical to
-        the re-execution loop's.
-
-        If the single pass itself dies to an environment fault that the
-        supervisor could not absorb (``HARNESS_FAULT``), generation
-        degrades gracefully to the legacy per-point re-execution loop,
-        which goes back through the supervised retry path one point at
-        a time.
+        modeled cost of the one extra execution is *not* charged — that
+        is the speedup, and it keeps the virtual-time ledger identical
+        to the re-execution loop's.  Recovery the supervisor spent on
+        the pass is charged, as :attr:`CrashImages.overhead`.
         """
+        crash_images = CrashImages()
         if not fences and not stores:
-            return []
+            return crash_images
         plan = SnapshotPlan(fences=tuple(fences), stores=tuple(stores))
         result = self.executor.run(image, data, snapshot_plan=plan)
         if result.outcome is RunOutcome.HARNESS_FAULT:
-            return self._generate_reexec(image, data, fences, stores)
+            crash_images.overhead = result.cost
+            return crash_images
         cost_model = self.executor.cost_model
         raw = getattr(self.executor, "executor", self.executor)
         n_commands = len(parse_commands(data, max_commands=raw.max_commands))
         image_bytes = len(image)
+        crash_images.overhead = result.cost - cost_model.execution(
+            n_commands=n_commands, n_fences=result.fence_count,
+            image_bytes=image_bytes)
         by_point = {(s.kind, s.index): s for s in result.snapshots}
-        crash_images: List[CrashImage] = []
-        for fence in fences:
-            snap = by_point.get(("fence", fence))
+        points = ([("fence", fence, fence) for fence in fences]
+                  + [("store", store, -1) for store in stores])
+        for kind, index, fence_index in points:
+            snap = by_point.get((kind, index))
             if snap is None:
-                continue  # execution ended before this ordering point
+                continue  # execution ended before this failure point
             crash_images.append(CrashImage(
-                snap, fence_index=fence, probabilistic=False,
+                snap, image, fence_index=fence_index,
+                probabilistic=kind == "store",
                 cost=cost_model.execution(
                     n_commands=n_commands, n_fences=snap.fences_done,
                     image_bytes=image_bytes),
-                template=image,
-            ))
-        for store in stores:
-            snap = by_point.get(("store", store))
-            if snap is None:
-                continue
-            crash_images.append(CrashImage(
-                snap, fence_index=-1, probabilistic=True,
-                cost=cost_model.execution(
-                    n_commands=n_commands, n_fences=snap.fences_done,
-                    image_bytes=image_bytes),
-                template=image,
             ))
         return crash_images

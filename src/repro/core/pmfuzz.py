@@ -89,7 +89,8 @@ class PMFuzzEngine(FuzzEngine):
         if not pm_novel:
             return
         # (2) Crash images: interrupt the same execution at its ordering
-        # points; every (modeled) re-execution is charged to the virtual
+        # points; every (modeled) re-execution, and any recovery the
+        # supervisor spent on the single pass, is charged to the virtual
         # clock and attributed to the "crashgen" profiling stage.
         # Reserved for PM-novel test cases (the expensive step).
         with self.profiler.stage("crashgen"):
@@ -102,9 +103,11 @@ class PMFuzzEngine(FuzzEngine):
                 return
             self.vclock += fault_cost
             self.profiler.add_vtime("crashgen", fault_cost)
-            for crash in self.crashgen.generate(
-                    parent_image, data,
-                    result.fence_count, result.store_count):
+            crash_images = self.crashgen.generate(
+                parent_image, data, result.fence_count, result.store_count)
+            self.vclock += crash_images.overhead
+            self.profiler.add_vtime("crashgen", crash_images.overhead)
+            for crash in crash_images:
                 self.vclock += crash.cost
                 self.profiler.add_vtime("crashgen", crash.cost)
                 saved = self._save_image(crash.image)

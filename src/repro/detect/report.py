@@ -40,13 +40,12 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import List, Sequence
 
-from repro.errors import CORRUPTION_ERRORS, ReproError
 from repro.instrument.context import ExecutionContext, push_context
 from repro.pmdk.tx import TransactionLog
 from repro.pmem.crash import MAX_WEAK_STATES, SnapshotPlan, eviction_states
 from repro.pmem.image import PMImage
 from repro.detect.pmemcheck import Pmemcheck, Violation
-from repro.detect.xfdetector import CrashFinding, XFDetector
+from repro.detect.xfdetector import CrashFinding, XFDetector, check_oracle
 from repro.workloads.base import Command, RunOutcome, Workload
 
 
@@ -161,7 +160,8 @@ class TestingTool:
             ctx.trace, clean_shutdown=result.outcome is RunOutcome.OK
         )
         if result.outcome is RunOutcome.OK and result.final_image is not None:
-            report.oracle_violations = self._oracle(result.final_image)
+            report.oracle_violations = check_oracle(
+                self.workload_factory(), result.final_image)
         if with_crash_images:
             self.check_crash_states(report, image, commands)
         return report
@@ -186,17 +186,6 @@ class TestingTool:
     def _heap_base(self, image: PMImage) -> int:
         # Pool geometry is static: metadata block + log region.
         return 64 + TransactionLog.region_size()
-
-    def _oracle(self, image: PMImage) -> List[str]:
-        workload = self.workload_factory()
-        try:
-            # Raw open: the oracle judges the state as-is; the driver's
-            # create-if-missing / recover-on-open repairs would mask
-            # corruption (e.g. a wrong-valued commit variable).
-            pool = workload.open_for_inspection(image)
-            return workload.check_consistency(pool)
-        except (ReproError,) + CORRUPTION_ERRORS as exc:
-            return [f"oracle raised: {type(exc).__name__}: {exc}"]
 
     def _cross_failure(self, image: PMImage, commands: Sequence[Command],
                        fence_count: int) -> List[CrashFinding]:

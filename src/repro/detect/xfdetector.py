@@ -40,6 +40,21 @@ DEFAULT_PROBE: Sequence[Command] = (
 )
 
 
+def check_oracle(workload: Workload, image: PMImage) -> List[str]:
+    """Run ``workload``'s consistency oracle on ``image``.
+
+    The image is opened raw: the oracle judges the state as-is, since the
+    driver's create-if-missing / recover-on-open repairs would mask
+    corruption (e.g. a wrong-valued commit variable).  An oracle that
+    raises is itself a violation.
+    """
+    try:
+        pool = workload.open_for_inspection(image)
+        return workload.check_consistency(pool)
+    except (ReproError,) + CORRUPTION_ERRORS as exc:
+        return [f"oracle raised: {type(exc).__name__}: {exc}"]
+
+
 @dataclass
 class CrashFinding:
     """One cross-failure finding for a specific crash image."""
@@ -98,27 +113,5 @@ class XFDetector:
         finding = CrashFinding(fence_index=fence_index, outcome=result.outcome,
                                error=result.error)
         if result.outcome is RunOutcome.OK and result.final_image is not None:
-            finding.violations = self._check_oracle(workload, result.final_image)
+            finding.violations = check_oracle(workload, result.final_image)
         return finding
-
-    def _check_oracle(self, workload: Workload, image: PMImage) -> List[str]:
-        try:
-            pool = workload.open_for_inspection(image)
-            return workload.check_consistency(pool)
-        except (ReproError,) + CORRUPTION_ERRORS as exc:
-            return [f"oracle raised: {type(exc).__name__}: {exc}"]
-
-    def check_images(
-        self,
-        crash_images: Sequence[PMImage],
-        fence_indices: Optional[Sequence[Optional[int]]] = None,
-    ) -> List[CrashFinding]:
-        """Check a batch of crash images; returns only buggy findings."""
-        if fence_indices is None:
-            fence_indices = [None] * len(crash_images)
-        findings = []
-        for image, fence in zip(crash_images, fence_indices):
-            finding = self.check_image(image, fence_index=fence)
-            if finding.is_bug:
-                findings.append(finding)
-        return findings

@@ -88,15 +88,15 @@ class ExecResult:
     pm_sparse: List[Tuple[int, int]] = field(default_factory=list)
     sites_hit: FrozenSet[str] = frozenset()
     final_image: Optional[PMImage] = None
-    crash_image: Optional[PMImage] = None
-    weak_crash_images: List[PMImage] = field(default_factory=list)
     fence_count: int = 0
     store_count: int = 0
     commands_run: int = 0
     trace: list = field(default_factory=list)
     error: str = ""
-    #: CrashSnapshot records harvested by a snapshot plan (single-pass
-    #: crash generation); empty unless ``run`` was given a plan.
+    #: The captures of a snapshot plan (single-pass crash generation):
+    #: lazy ``MediaSnapshot``s in-process, ``CrashSnapshot``s once the
+    #: result was pickled (a fork-server reply).  Empty unless ``run``
+    #: was given a plan.
     snapshots: list = field(default_factory=list)
 
 
@@ -161,9 +161,6 @@ class Executor:
         self,
         image: PMImage,
         data: bytes,
-        crash_at_fence: Optional[int] = None,
-        crash_at_store: Optional[int] = None,
-        weak_states: bool = False,
         commands: Optional[Sequence[Command]] = None,
         snapshot_plan=None,
         image_key: Optional[str] = None,
@@ -200,8 +197,7 @@ class Executor:
         if self.warm_cache is not None:
             if (self.injector is None and not self.collect_trace
                     and not (snapshot_plan is not None and snapshot_plan)):
-                warm = WarmContext(self.warm_cache, image, image_key,
-                                   crash_at_fence, crash_at_store, cov, ctx)
+                warm = WarmContext(self.warm_cache, image, image_key, cov, ctx)
             else:
                 # Injected faults, trace collection and snapshot plans
                 # need the real prefix to execute every time.
@@ -210,10 +206,7 @@ class Executor:
         try:
             with push_context(ctx):
                 result: RunResult = workload.run(
-                    image, cmds, crash_at_fence=crash_at_fence,
-                    crash_at_store=crash_at_store, weak_states=weak_states,
-                    snapshot_plan=snapshot_plan, warm=warm,
-                )
+                    image, cmds, snapshot_plan=snapshot_plan, warm=warm)
         except ReproError:
             raise  # harness-level signal; the supervisor classifies it
         except Exception:
@@ -241,8 +234,6 @@ class Executor:
             sites_hit=frozenset(ctx.sites_hit),
             final_image=(result.final_image if self.keep_final_image
                          else None),
-            crash_image=result.crash_image,
-            weak_crash_images=list(result.weak_crash_images),
             fence_count=result.fence_count,
             store_count=result.store_count,
             commands_run=result.commands_run,

@@ -5,6 +5,12 @@ This is the orchestration that used to live inline in
 recovery/creation (the execution prefix), apply the input commands, and
 classify how the run ended.
 
+Two callers reach it.  The campaign's executor passes a warm-open
+context and, for crash generation, a snapshot plan; it never passes a
+crash point.  Direct ``Workload.run`` callers (tests, examples, the
+ablation benchmark, test-case-tree replay) may crash the run at one
+fence or store, which is armed on the cold open only.
+
 It lives outside ``repro/workloads/`` on purpose.  Branch coverage
 instruments every line under ``repro/workloads`` — that package *is*
 the target program — and the harness is exactly where control flow
@@ -58,14 +64,21 @@ def run_workload(
     store index (single-pass crash generation, see
     ``RunResult.snapshots``).  The snapshots come back unbuilt: each
     :class:`~repro.pmem.persistence.MediaSnapshot` builds its image when
-    its ``image`` is read (and pickles with it built), so a caller that
-    takes the images one at a time never holds them all at once.
+    its ``image`` is read (and pickles as a
+    :class:`~repro.pmem.crash.CrashSnapshot` with it built), so a caller
+    that takes the images one at a time never holds them all at once.
 
     ``warm`` is an optional :class:`~repro.fuzz.warmcache.WarmContext`:
     when its lookup hits, the open/recovery/creation prefix is replaced
     by a restored domain plus replayed coverage deltas — observably
-    identical to running it.
+    identical to running it.  Crash points are armed only on the cold
+    open, before the prefix runs, so that they can land inside it; a
+    warm context together with a crash point is refused.
     """
+    if warm is not None and (crash_at_fence is not None
+                             or crash_at_store is not None):
+        raise ValueError("a crash point needs the cold open; "
+                         "run it without a warm context")
     result = RunResult(outcome=RunOutcome.OK)
     if workload._volatile is None:
         # One processor per workload instance (the executor adopts its
@@ -74,16 +87,10 @@ def run_workload(
     pool: Optional[PmemObjPool] = None
     try:
         if warm is not None:
+            # A hit means the prefix already ran, in the execution that
+            # populated the cache.
             pool = warm.lookup(workload.layout)
-        if pool is not None:
-            # Warm hit: the prefix already ran (in the execution that
-            # populated the cache); arm the failure points now — the
-            # cache guarantees armed indices lie beyond the prefix, so
-            # arming after the restore is equivalent to arming before
-            # a re-executed prefix.
-            pool.domain.crash_at_fence = crash_at_fence
-            pool.domain.crash_at_store = crash_at_store
-        else:
+        if pool is None:
             try:
                 pool = PmemObjPool.open(image, workload.layout)
             except InvalidImageError as exc:
@@ -92,10 +99,8 @@ def run_workload(
                 return result
             # Arm the failure point before any recovery/creation work so
             # that crashes can land inside initialization and recovery.
-            if crash_at_fence is not None:
-                pool.domain.crash_at_fence = crash_at_fence
-            if crash_at_store is not None:
-                pool.domain.crash_at_store = crash_at_store
+            pool.domain.crash_at_fence = crash_at_fence
+            pool.domain.crash_at_store = crash_at_store
             if snapshot_plan is not None and snapshot_plan:
                 pool.domain.plan_snapshots(fences=snapshot_plan.fences,
                                            stores=snapshot_plan.stores,

@@ -35,11 +35,11 @@ Bypass rules (correctness over speed):
   faults / trace events must actually happen — the executor never
   constructs a warm context for those runs;
 * snapshot plans: planned fence/store indices may land inside the
-  prefix — bypassed the same way;
-* ``crash_at_fence`` / ``crash_at_store`` indices *inside* the prefix:
-  the lookup refuses the hit (the crash must fire during prefix
-  re-execution; and the crashed prefix never reaches ``store``, so
-  nothing wrong is ever cached).
+  prefix — bypassed the same way.
+
+Crash points never meet the cache: the executor takes none, and
+:func:`~repro.fuzz.harness.run_workload` refuses a warm context
+together with a crash point.
 
 The cache lives per executor — which under fork isolation means per
 worker process, inherited through the fork exactly like the rest of
@@ -177,17 +177,13 @@ class WarmContext:
     :meth:`store` right after the prefix completes.
     """
 
-    __slots__ = ("cache", "image", "image_key", "crash_at_fence",
-                 "crash_at_store", "branch_cov", "ctx", "_key")
+    __slots__ = ("cache", "image", "image_key", "branch_cov", "ctx", "_key")
 
     def __init__(self, cache: WarmOpenCache, image: PMImage,
-                 image_key: Optional[str], crash_at_fence: Optional[int],
-                 crash_at_store: Optional[int], branch_cov, ctx) -> None:
+                 image_key: Optional[str], branch_cov, ctx) -> None:
         self.cache = cache
         self.image = image
         self.image_key = image_key
-        self.crash_at_fence = crash_at_fence
-        self.crash_at_store = crash_at_store
         self.branch_cov = branch_cov
         self.ctx = ctx
         self._key = None
@@ -207,15 +203,6 @@ class WarmContext:
             # key embeds both), but an engine-supplied key is trusted
             # input — verify rather than assume.
             self.cache.misses += 1
-            self.cache.hits -= 1
-            return None
-        if (self.crash_at_fence is not None
-                and self.crash_at_fence < entry.fence_count) or \
-           (self.crash_at_store is not None
-                and self.crash_at_store < entry.store_count):
-            # The requested crash lands inside the prefix: it must fire
-            # during real prefix execution, so this run opens cold.
-            self.cache.bypasses += 1
             self.cache.hits -= 1
             return None
         return self._restore(entry)

@@ -162,10 +162,10 @@ class ForkServerBackend(ExecutionBackend):
         answered from it; a job that matches the head of the plan pulls
         the next ``batch_execs`` planned jobs into one worker dispatch
         (the extra replies are queued for the following calls).  A job
-        matching neither — crash-image re-executions interleave with the
-        planned children mid-round — simply passes through as a single
-        dispatch; speculation stays parked until the planned order
-        resumes.  Execution is deterministic per job tuple, so a parked
+        matching neither — the crash-generation single pass, run between
+        the planned children mid-round — simply passes through as a
+        single dispatch; speculation stays parked until the planned
+        order resumes.  Execution is deterministic per job tuple, so a parked
         reply is interchangeable with a fresh one, and replies the
         caller never consumes are dropped by :meth:`discard_plan` with
         their sideband state unmerged — exactly as if those jobs had

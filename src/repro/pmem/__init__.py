@@ -8,11 +8,10 @@ models:
   the persistent media (:mod:`repro.pmem.persistence`),
 * PM image files with headers, UUIDs and checksums, saved with LZ77/zlib
   compression (:mod:`repro.pmem.image`), and
-* crash-state extraction — which bytes survive a failure at any given
-  point in the execution (:mod:`repro.pmem.crash`).
+* crash states — which bytes survive a failure at any given point in
+  the execution (:mod:`repro.pmem.crash`).
 """
 
-from repro.pmem.crash import CrashPolicy, crash_states
 from repro.pmem.image import IMAGE_HEADER_SIZE, PMImage
 from repro.pmem.persistence import (
     CACHE_LINE,
@@ -25,11 +24,9 @@ from repro.pmem.persistence import (
 __all__ = [
     "CACHE_LINE",
     "IMAGE_HEADER_SIZE",
-    "CrashPolicy",
     "LineState",
     "PMImage",
     "PersistenceDomain",
     "TraceEvent",
     "TraceEventKind",
-    "crash_states",
 ]

@@ -1,31 +1,31 @@
-"""Crash-state extraction policies.
+"""Crash states: which bytes survive a failure.
 
 When a PM program fails, the persistent state that survives depends on
-which cache lines had reached the media.  The simulator distinguishes:
+which cache lines had reached the media:
 
-* **STRICT** — only data persisted by an explicit flush + fence survives.
-  This is the guaranteed state and is what PMFuzz's crash-image generator
-  uses (failures placed at ordering points, Section 3.2).
-* **EVICTED** — some subset of pending (dirty or flushed-unfenced) lines
-  additionally reached the media via cache eviction.  Real hardware may
-  produce any of these states; the XFDetector-like checker uses them to
-  reason about whether a recovery path could observe unordered data.
+* **strict** — only data persisted by an explicit flush + fence
+  survives.  This is the guaranteed state and is what PMFuzz's
+  crash-image generator uses (failures placed at ordering points,
+  Section 3.2), harvested from one execution under a
+  :class:`SnapshotPlan`.
+* **eviction** — some subset of pending (dirty or flushed-unfenced)
+  lines additionally reached the media via cache eviction.  Real
+  hardware may produce any of these states; the XFDetector-like checker
+  uses them to reason about whether a recovery path could observe
+  unordered data.
 
-``crash_states`` enumerates representative weaker states deterministically
-so detection remains reproducible.  The eviction sample itself is defined
-once, by :func:`eviction_states` over (media, pending-line overlays): a
-live domain, a crashed run (``Workload._weak_images``) and a single-pass
-snapshot taken with ``SnapshotPlan(weak_states=True)`` all build their
-weak states from it.
+The eviction sample is defined once, by :func:`eviction_states` over
+(media, pending-line overlays): a crashed run (``Workload._weak_images``)
+and a single-pass snapshot taken with ``SnapshotPlan(weak_states=True)``
+both build their weak states from it.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Tuple
 
-from repro.pmem.persistence import CACHE_LINE, PersistenceDomain
+from repro.pmem.persistence import CACHE_LINE
 
 #: Cap on the eviction states judged per crash point — the same cap as
 #: the ``max_weak_states`` default of ``Workload.run``.
@@ -82,29 +82,6 @@ class CrashSnapshot:
     pending: Tuple[Tuple[int, bytes], ...] = field(default=(), repr=False)
 
 
-class CrashPolicy(enum.Enum):
-    """How much unordered data may survive a crash."""
-
-    STRICT = "strict"  #: media only (guaranteed state)
-    ALL_PENDING = "all_pending"  #: every pending line evicted (other extreme)
-
-
-def strict_snapshot(domain: PersistenceDomain) -> bytes:
-    """Return the guaranteed-persistent contents at this instant."""
-    return domain.persisted_view()
-
-
-def snapshot_with_lines(domain: PersistenceDomain, lines: Sequence[int]) -> bytes:
-    """Return a crash state where the given pending lines also persisted."""
-    media = domain.persisted_copy()
-    volatile = domain.volatile_view()
-    for line in lines:
-        start = line * CACHE_LINE
-        end = min(start + CACHE_LINE, domain.size)
-        media[start:end] = volatile[start:end]
-    return bytes(media)
-
-
 def _overlay(media: bytes,
              overlays: Sequence[Tuple[int, bytes]]) -> bytearray:
     state = bytearray(media)
@@ -116,7 +93,7 @@ def _overlay(media: bytes,
 
 def eviction_states(media: bytes, overlays: Sequence[Tuple[int, bytes]]
                     ) -> Iterator[bytearray]:
-    """Yield the ALL_PENDING eviction sample for one crash instant.
+    """Yield the eviction sample for one crash instant.
 
     Each state is a new buffer the caller owns.
 
@@ -136,17 +113,3 @@ def eviction_states(media: bytes, overlays: Sequence[Tuple[int, bytes]]
         for overlay in overlays:
             yield _overlay(media, (overlay,))
 
-
-def crash_states(
-    domain: PersistenceDomain, policy: CrashPolicy = CrashPolicy.STRICT
-) -> Iterator[bytes]:
-    """Yield representative crash states under ``policy``.
-
-    STRICT yields one state (the media).  ALL_PENDING additionally yields
-    the :func:`eviction_states` sample of the domain's pending lines.
-    """
-    media = strict_snapshot(domain)
-    yield media
-    if policy is CrashPolicy.STRICT:
-        return
-    yield from eviction_states(media, domain.pending_overlays())

@@ -290,8 +290,8 @@ class PersistenceDomain:
         self._fence_count = 0
         self._store_count = 0
         self._observers: List[Observer] = []
-        #: Optional fence index at which to raise SimulatedCrash; managed
-        #: by the executor, checked in :meth:`drain`.
+        #: Optional fence index at which to raise SimulatedCrash; armed
+        #: by the workload harness, checked in :meth:`drain`.
         self.crash_at_fence: Optional[int] = None
         #: Optional store index at which to raise SimulatedCrash — a
         #: failure *between* ordering points, where pending (dirty or

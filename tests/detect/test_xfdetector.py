@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.detect.xfdetector import XFDetector
+from repro.detect.xfdetector import XFDetector, check_oracle
+from repro.pmem.image import PMImage
 from repro.workloads import get_workload
 from repro.workloads.base import RunOutcome
 from repro.workloads.mapcli import parse_commands
@@ -74,10 +75,14 @@ class TestBug6:
             assert not finding.is_bug, (fence, finding.describe())
 
 
-class TestBatchApi:
-    def test_check_images_filters_clean(self):
-        detector = XFDetector(lambda: get_workload("hashmap_tx"))
-        pairs = crash_images_of("hashmap_tx")[:6]
-        findings = detector.check_images([img for _, img in pairs],
-                                         [f for f, _ in pairs])
-        assert findings == []
+class TestSharedOracle:
+    def test_oracle_that_raises_is_one_violation(self):
+        # Both detection stages render a raising oracle through
+        # check_oracle; findings are compared as strings.
+        wl = get_workload("hashmap_tx")
+        image = wl.create_image()
+        garbage = PMImage(layout=image.layout,
+                          payload=bytearray(b"\xff" * len(image.payload)),
+                          uuid=image.uuid)
+        (violation,) = check_oracle(wl, garbage)
+        assert violation.startswith("oracle raised: ")

@@ -26,13 +26,6 @@ class TestExecution:
         assert result.final_image is not None
         assert result.cost > 0
 
-    def test_crash_at_fence_yields_crash_image(self):
-        ex = make_executor()
-        image = get_workload("hashmap_tx").create_image()
-        result = ex.run(image, b"i 5 1\n", crash_at_fence=3)
-        assert result.outcome is RunOutcome.CRASHED
-        assert result.crash_image is not None
-
     def test_command_cap_enforced(self):
         ex = make_executor(max_commands=3)
         image = get_workload("hashmap_tx").create_image()
@@ -139,11 +132,10 @@ class TestCorruptUndoLogContainment:
 
     def test_wild_alloc_entry_in_recovery_segfaults(self):
         # Recovery faults inside PmemObjPool.open, before any pool
-        # exists to take a crash image from.
+        # exists.
         image = _corrupt_undo_log(TxStage.WORK, 1, alloc_target=10 ** 12)
         result = make_executor().run(image, b"i 5 1\n")
         assert result.outcome is RunOutcome.SEGFAULT
-        assert result.crash_image is None
         assert "SegmentationFault" in result.error
 
     def test_out_of_range_stage_byte_is_an_invalid_image(self):

@@ -2,16 +2,21 @@
 
 The cache's contract is *observational invisibility*: an executor with
 the cache on returns byte-identical :class:`ExecResult`s to one with it
-off, for every input — including crash-point runs, weak-state
-enumeration and fault-site bypasses.  Cache bookkeeping (hits, misses,
-bypasses, evictions) is host-side observability only.
+off, for every input — including snapshot-plan runs and fault-site
+bypasses.  Crash points never reach the cache: the executor takes none,
+and the harness refuses a warm context together with one.  Cache
+bookkeeping (hits, misses, bypasses, evictions) is host-side
+observability only.
 """
 
 import pytest
 
 from repro.fuzz.executor import Executor
-from repro.fuzz.warmcache import WarmEntry, WarmOpenCache
+from repro.fuzz.harness import run_workload
+from repro.fuzz.warmcache import WarmContext, WarmEntry, WarmOpenCache
+from repro.instrument.context import ExecutionContext
 from repro.pmem.crash import SnapshotPlan
+from repro.workloads.mapcli import parse_commands
 from repro.workloads.registry import get_workload
 from repro.workloads.synthetic import BugInjector
 
@@ -34,8 +39,6 @@ def snap(result):
         sorted(result.branch_sparse), sorted(result.pm_sparse),
         sorted(result.sites_hit),
         result.final_image.to_bytes() if result.final_image else None,
-        result.crash_image.to_bytes() if result.crash_image else None,
-        tuple(i.to_bytes() for i in result.weak_crash_images),
         result.fence_count, result.store_count, result.commands_run,
         result.error,
     )
@@ -117,27 +120,6 @@ class TestWarmColdEquivalence:
         assert warm.warm_cache.hits == 1
         assert cold.warm_cache is None
 
-    def test_crash_run_identical(self, image):
-        warm = Executor(factory)
-        cold = Executor(factory, warm_open=False)
-        warm.run(image, DATA)  # populate
-        for kwargs in ({"crash_at_fence": 6}, {"crash_at_store": 40},
-                       {"crash_at_fence": 6, "weak_states": True}):
-            assert snap(warm.run(image, DATA, **kwargs)) == \
-                snap(cold.run(image, DATA, **kwargs))
-
-    def test_crash_inside_prefix_bypasses_hit(self, image):
-        warm = Executor(factory)
-        cold = Executor(factory, warm_open=False)
-        warm.run(image, DATA)  # populate: prefix has >= 1 fence/store
-        before = warm.warm_cache.bypasses
-        crashed = warm.run(image, DATA, crash_at_fence=0)
-        assert warm.warm_cache.bypasses == before + 1
-        assert snap(crashed) == snap(cold.run(image, DATA, crash_at_fence=0))
-        # A crashed prefix never reaches store(): nothing new was cached,
-        # and the standing entry still replays correctly.
-        assert snap(warm.run(image, DATA)) == snap(cold.run(image, DATA))
-
     def test_distinct_images_distinct_entries(self, image):
         warm = Executor(factory)
         cold = Executor(factory, warm_open=False)
@@ -189,6 +171,20 @@ class TestEligibility:
         assert ex.warm_cache.bypasses == 0
         assert ex.warm_cache.misses == 1 and len(ex.warm_cache) == 1
 
+    @pytest.mark.parametrize("crash_point", [{"crash_at_fence": 6},
+                                             {"crash_at_store": 40}])
+    def test_crash_point_refuses_warm_context(self, image, crash_point):
+        # A crash point is armed on the cold open, where it can land
+        # inside the prefix; a warm context could skip that prefix.
+        ex = Executor(factory)
+        ex.run(image, DATA)  # populate the entry the crash would hit
+        warm = WarmContext(ex.warm_cache, image, None, ex._branch_cov,
+                           ExecutionContext())
+        with pytest.raises(ValueError, match="cold open"):
+            run_workload(factory(), image, parse_commands(DATA),
+                         warm=warm, **crash_point)
+        assert ex.warm_cache.hits == 0  # refused before the lookup
+
     def test_snapshot_plan_after_hit_still_correct(self, image):
         # A cached entry must never leak into a later planned run.
         warm = Executor(factory)
@@ -203,7 +199,7 @@ class TestEligibility:
 
 
 # ----------------------------------------------------------------------
-# Property: warm on/off equivalence over random inputs + crash points
+# Property: warm on/off equivalence over random inputs
 # ----------------------------------------------------------------------
 def test_warm_cold_property(image):
     hypothesis = pytest.importorskip("hypothesis")
@@ -213,12 +209,8 @@ def test_warm_cold_property(image):
     cold = Executor(factory, warm_open=False)
 
     @settings(max_examples=30, deadline=None)
-    @given(data=st.binary(min_size=0, max_size=40),
-           crash_fence=st.one_of(st.none(),
-                                 st.integers(min_value=0, max_value=30)))
-    def prop(data, crash_fence):
-        w = warm.run(image, data, crash_at_fence=crash_fence)
-        c = cold.run(image, data, crash_at_fence=crash_fence)
-        assert snap(w) == snap(c)
+    @given(data=st.binary(min_size=0, max_size=40))
+    def prop(data):
+        assert snap(warm.run(image, data)) == snap(cold.run(image, data))
 
     prop()
