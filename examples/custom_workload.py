@@ -12,9 +12,9 @@ Run:  python examples/custom_workload.py
 from typing import List, Optional
 
 from repro.core.config import config_by_name
-from repro.core.pmfuzz import PMFuzzEngine
 from repro.detect import TestingTool
 from repro.errors import CommandError
+from repro.fuzz.engine import FuzzEngine
 from repro.pmdk.layout import OID, PStruct, U64, store_field
 from repro.pmdk.pool import OID_NULL, PmemObjPool
 from repro.workloads.base import Command, Workload
@@ -117,8 +117,9 @@ class PersistentQueue(Workload):
 
 def main() -> None:
     print("== fuzzing a custom PM workload ==")
-    engine = PMFuzzEngine(lambda: PersistentQueue(),
-                          config_by_name("pmfuzz"))
+    # The "pmfuzz" configuration switches on PM-path priority and
+    # normal- and crash-image generation.
+    engine = FuzzEngine(lambda: PersistentQueue(), config_by_name("pmfuzz"))
     stats = engine.run(0.8)
     print(f"{stats.executions} executions, {stats.final_pm_paths} PM "
           f"paths, {stats.crash_images_generated} crash images\n")

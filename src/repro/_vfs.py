@@ -1,10 +1,10 @@
 """The filesystem-operation seam every durable protocol writes through.
 
-Each of this repo's durable stores — campaign checkpoints, the
-scrubber's quarantine, the trace sinks — ultimately commits state with
-a handful of primitive filesystem mutations: write bytes, fsync,
-rename/replace, hardlink, unlink, directory fsync.  This module names
-those primitives once, behind a process-global *VFS* object, so that:
+Each of this repo's durable stores — campaign checkpoints and the trace
+sinks — ultimately commits state with a handful of primitive filesystem
+mutations: write bytes, fsync, replace, hardlink, unlink, directory
+fsync.  This module names those primitives once, behind a
+process-global *VFS* object, so that:
 
 * production code calls one audited implementation (:class:`OsVFS`,
   a thin veneer over ``os``/``open``), and
@@ -62,10 +62,6 @@ class OsVFS:
         """Atomically rename ``src`` over ``dst`` (``os.replace``)."""
         os.replace(src, dst)
 
-    def rename(self, src: str, dst: str) -> None:
-        """Rename without overwrite semantics (``os.rename``)."""
-        os.rename(src, dst)
-
     def link(self, src: str, dst: str) -> None:
         """Hardlink ``src`` at ``dst`` (``os.link``)."""
         os.link(src, dst)
@@ -73,10 +69,6 @@ class OsVFS:
     def unlink(self, path: str) -> None:
         """Remove one directory entry (``os.remove``)."""
         os.remove(path)
-
-    def mkdir(self, path: str) -> None:
-        """``os.makedirs(path, exist_ok=True)``."""
-        os.makedirs(path, exist_ok=True)
 
     def fsync_dir(self, path: str) -> bool:
         """Force ``path``'s *directory entries* to stable storage.

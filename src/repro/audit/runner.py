@@ -223,7 +223,6 @@ class DurabilityAuditor:
             "cut": state.cut,
             "dropped": list(state.dropped),
             "torn": list(state.torn) if state.torn else None,
-            "half": list(state.half) if state.half else None,
             "trace": [op.describe() for op in enum.ops],
             "violations": [v.render() for v in violations],
             "replay": ("state/ holds the materialized pre-recovery crash "

@@ -7,16 +7,10 @@ ALICE-style checkers, specialized to the seam's primitives:
   after a crash) once a later ``fsync`` of the same path appears in the
   surviving prefix.  Until then the crash may drop it entirely, or —
   for the final write of a prefix — persist a *torn* tail.
-* A namespace op (``replace``/``rename``/``link``/``unlink``) is
-  pinned once a later ``fsync_dir`` of its parent directory appears.
-  An unpinned namespace op may be reordered past anything and dropped
-  whole; a same-directory rename is atomic (all-or-nothing).
-* A **cross-directory** rename/replace updates two directories whose
-  blocks reach disk independently: each half is pinned only by an
-  ``fsync_dir`` of *its* directory, so besides the whole-drop there are
-  two half-states — the destination insertion lost (the file vanishes:
-  the lost-entry bug class) and the source removal lost (the file is
-  visible under both names).
+* A namespace op (``replace``/``link``/``unlink``) is pinned once a
+  later ``fsync_dir`` of every parent directory whose entries it
+  changed appears.  An unpinned namespace op may be reordered past
+  anything and dropped whole; a replace is atomic (all-or-nothing).
 
 For a trace of N ops the enumerator yields, deterministically and in a
 stable order:
@@ -26,8 +20,7 @@ stable order:
 * for each cut ending in a write/append, one torn-tail state per
   fraction in :data:`TORN_FRACTIONS` (the torn-write offsets discipline
   the checkpoint fuzz tests established);
-* for each cut, a single-drop state per unpinned op, the two half-drop
-  states for each unpinned cross-directory rename, and one
+* for each cut, a single-drop state per unpinned op and one
   drop-everything-unpinned state.
 
 States are *materialized* by replaying the surviving ops into a fresh
@@ -49,26 +42,19 @@ from repro.audit.trace import FsOp
 #: ``tests/resilience/test_checkpoint_torn.py``.
 TORN_FRACTIONS = (0.0, 0.01, 0.05, 0.5, 0.999)
 
-#: Half-drop labels for cross-directory renames.
-LOSE_DST = "lose-dst"  #: destination insertion lost -> file vanishes
-LOSE_SRC = "lose-src"  #: source removal lost -> file under both names
-
 
 @dataclass(frozen=True)
 class CrashState:
     """One legal post-crash filesystem state, as a recipe.
 
     ``cut`` ops survive; ``dropped`` indices among them do not; ``torn``
-    (op index, fraction) truncates the final write's payload; ``half``
-    (op index, :data:`LOSE_DST` | :data:`LOSE_SRC`) keeps only one side
-    of a cross-directory rename.
+    (op index, fraction) truncates the final write's payload.
     """
 
     state_id: str
     cut: int
     dropped: Tuple[int, ...] = ()
     torn: Optional[Tuple[int, float]] = None
-    half: Optional[Tuple[int, str]] = None
 
     def describe(self, ops: Sequence[FsOp]) -> str:
         bits = [f"crash after op {self.cut - 1}" if self.cut else
@@ -78,9 +64,6 @@ class CrashState:
         if self.torn is not None:
             k, frac = self.torn
             bits.append(f"tear {ops[k].describe().strip()} at {frac:g}")
-        if self.half is not None:
-            k, side = self.half
-            bits.append(f"{side} of {ops[k].describe().strip()}")
         return "; ".join(bits)
 
 
@@ -96,16 +79,15 @@ class CrashStateEnumerator:
     def _pinned(self, k: int, cut: int) -> bool:
         """Is op ``k`` guaranteed durable in the prefix ``ops[:cut]``?"""
         op = self.ops[k]
-        if op.kind in ("fsync", "fsync_dir", "mkdir"):
-            return True  # nothing to lose / not modeled as droppable
+        if op.kind in ("fsync", "fsync_dir"):
+            return True  # nothing to lose
         later = self.ops[k + 1:cut]
         if op.kind in ("write", "append"):
             return any(o.kind == "fsync" and o.path == op.path
                        for o in later)
         # Namespace op: pinned by a later fsync of every parent whose
         # entries it changed.  A link touches only the destination
-        # directory; a rename touches both (for the cross-dir case both
-        # halves must be pinned for the whole op to be safe).
+        # directory; a replace touches both parents when they differ.
         if op.kind == "link":
             dirs = {op.dest_parent}
         else:
@@ -115,31 +97,24 @@ class CrashStateEnumerator:
         return all(any(o.kind == "fsync_dir" and o.path == d for o in later)
                    for d in dirs)
 
-    def _half_unpinned(self, k: int, cut: int, side: str) -> bool:
-        """Is one half of cross-dir rename ``k`` unpinned at ``cut``?"""
-        op = self.ops[k]
-        target_dir = op.dest_parent if side == LOSE_DST else op.parent
-        return not any(o.kind == "fsync_dir" and o.path == target_dir
-                       for o in self.ops[k + 1:cut])
-
     def _invisible(self, k: int, cut: int) -> bool:
         """Would dropping op ``k`` be unobservable at ``cut``?
 
-        A write whose file is later renamed away, replaced over, or
-        unlinked within the prefix leaves no trace either way; skipping
-        such drops removes duplicate states without weakening coverage.
+        A write whose file is later replaced over or unlinked within the
+        prefix leaves no trace either way; skipping such drops removes
+        duplicate states without weakening coverage.
         """
         op = self.ops[k]
         if op.kind not in ("write", "append"):
             return False
         for o in self.ops[k + 1:cut]:
-            if o.kind in ("replace", "rename") and o.path == op.path:
+            if o.kind == "replace" and o.path == op.path:
                 return False  # content travels with the rename: visible
             if o.kind == "unlink" and o.path == op.path:
                 return True
             if o.kind == "write" and o.path == op.path:
                 return True  # overwritten in place before the crash
-            if o.kind in ("replace", "rename") and o.dest == op.path:
+            if o.kind == "replace" and o.dest == op.path:
                 return True  # renamed over before the crash
         return False
 
@@ -165,12 +140,6 @@ class CrashStateEnumerator:
             for k in unpinned:
                 states.append(CrashState(
                     state_id=f"p{cut:03d}-d{k:03d}", cut=cut, dropped=(k,)))
-                if self.ops[k].crosses_directories:
-                    for side, tag in ((LOSE_DST, "ld"), (LOSE_SRC, "ls")):
-                        if self._half_unpinned(k, cut, side):
-                            states.append(CrashState(
-                                state_id=f"p{cut:03d}-{tag}{k:03d}",
-                                cut=cut, half=(k, side)))
             if len(unpinned) > 1:
                 states.append(CrashState(
                     state_id=f"p{cut:03d}-dall", cut=cut,
@@ -227,20 +196,12 @@ class CrashStateEnumerator:
                 mode = "wb" if op.kind == "write" else "ab"
                 with open(path, mode) as fh:
                     fh.write(data or b"")
-            elif op.kind in ("replace", "rename"):
-                if state.half is not None and state.half[0] == op.index:
-                    if state.half[1] == LOSE_DST:
-                        os.remove(path)  # removal persisted, insertion lost
-                    else:
-                        shutil.copyfile(path, dest)  # insertion only
-                else:
-                    os.replace(path, dest)
+            elif op.kind == "replace":
+                os.replace(path, dest)
             elif op.kind == "link":
                 os.link(path, dest)
             elif op.kind == "unlink":
                 os.remove(path)
-            elif op.kind == "mkdir":
-                os.makedirs(path, exist_ok=True)
             # fsync / fsync_dir: ordering constraints, not content.
         except OSError:
             pass

@@ -18,11 +18,11 @@ from typing import List, Optional
 from repro._vfs import OsVFS
 
 #: Operation kinds a trace may contain (the seam's primitive set).
-OP_KINDS = ("write", "append", "fsync", "replace", "rename", "link",
-            "unlink", "mkdir", "fsync_dir")
+OP_KINDS = ("write", "append", "fsync", "replace", "link", "unlink",
+            "fsync_dir")
 
 #: Kinds that mutate a directory's *entries* (vs a file's content).
-NAMESPACE_KINDS = ("replace", "rename", "link", "unlink")
+NAMESPACE_KINDS = ("replace", "link", "unlink")
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,6 @@ class FsOp:
     @property
     def dest_parent(self) -> Optional[str]:
         return os.path.dirname(self.dest) if self.dest is not None else None
-
-    @property
-    def crosses_directories(self) -> bool:
-        """True for a rename/replace whose src and dst parents differ —
-        the op whose two directory updates can reach disk independently
-        (the lost-file bug class)."""
-        return (self.kind in ("replace", "rename")
-                and self.dest is not None
-                and self.parent != self.dest_parent)
 
 
 class TracingVFS(OsVFS):
@@ -115,10 +106,6 @@ class TracingVFS(OsVFS):
         super().replace(src, dst)
         self._record("replace", src, dest=dst)
 
-    def rename(self, src: str, dst: str) -> None:
-        super().rename(src, dst)
-        self._record("rename", src, dest=dst)
-
     def link(self, src: str, dst: str) -> None:
         super().link(src, dst)
         self._record("link", src, dest=dst)
@@ -126,10 +113,6 @@ class TracingVFS(OsVFS):
     def unlink(self, path: str) -> None:
         super().unlink(path)
         self._record("unlink", path)
-
-    def mkdir(self, path: str) -> None:
-        super().mkdir(path)
-        self._record("mkdir", path)
 
     def fsync_dir(self, path: str) -> bool:
         ok = super().fsync_dir(path)

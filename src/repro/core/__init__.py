@@ -10,11 +10,14 @@ AFL++-style substrate in :mod:`repro.fuzz`:
   plus probabilistic extra failure points (Section 3.2);
 * :mod:`repro.core.priority` — the PM-path prioritization of Algorithm 2;
 * :mod:`repro.core.testcase` — the test-case dependency tree (Figure 12);
-* :mod:`repro.core.pmfuzz` — the PMFuzz engine and the campaign factory;
+* :mod:`repro.core.pmfuzz` — the campaign factory (one
+  :class:`~repro.fuzz.engine.FuzzEngine` per Table-2 configuration);
 * :mod:`repro.core.pipeline` — fuzz → detect, Figure 9 end to end.
 
-Submodules are imported lazily so the layering (``repro.fuzz`` may use
-``repro.core.dedup``) stays cycle-free.
+The fuzzing loop itself, :class:`~repro.fuzz.engine.FuzzEngine`, runs
+these pieces when the configuration switches them on.  Submodules are
+imported lazily so the layering (``repro.fuzz`` uses
+``repro.core.dedup``, ``priority`` and ``crashgen``) stays cycle-free.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ _EXPORTS = {
     "CrashImageGenerator": "repro.core.crashgen",
     "pm_path_priority": "repro.core.priority",
     "TestCaseTree": "repro.core.testcase",
-    "PMFuzzEngine": "repro.core.pmfuzz",
     "build_engine": "repro.core.pmfuzz",
     "run_campaign": "repro.core.pmfuzz",
     "FuzzAndDetectPipeline": "repro.core.pipeline",

@@ -47,11 +47,6 @@ class FuzzConfig:
     pm_path_opt: bool
     sys_opt: bool
 
-    @property
-    def is_pmfuzz(self) -> bool:
-        """True for the two PMFuzz variants."""
-        return self.pm_path_opt
-
     def feature_row(self) -> str:
         """Render the Table 2 row for this configuration."""
         img = {"none": "No", "indirect": "Yes (Indirect)",

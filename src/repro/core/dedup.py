@@ -16,10 +16,12 @@ deflating only them costs a fraction of deflating the 256 KiB payload,
 and stores less: on the Section 4.7 benchmark campaign the raw/stored
 ratio is 969, against 496 for the dense ``Z_RLE`` stream it replaces.
 The SHA-256 dedup key still covers layout + dense payload, so image IDs
-are the same whichever form is stored.  :meth:`ImageStore.get` decodes
-through :meth:`~repro.pmem.image.PMImage.from_bytes`, which also reads
-the dense streams (``Z_RLE`` or plain ``zlib.compress``) that older
-checkpoints hold.
+are the same whichever form is stored, and each form has one reader:
+:meth:`~repro.pmem.image.PMImage.from_record` for the inflated record.
+Without SysOpt the store keeps each image's dense
+:meth:`~repro.pmem.image.PMImage.to_bytes` form uncompressed (read by
+:meth:`~repro.pmem.image.PMImage.from_bytes`), the Section 4.7
+ablation.
 """
 
 from __future__ import annotations
@@ -124,6 +126,8 @@ class ImageStore:
                     image_id, f"stored bytes do not decompress: {exc}") \
                     from exc
         try:
+            if self.compress:
+                return PMImage.from_record(read_back)
             return PMImage.from_bytes(read_back)
         except InvalidImageError as exc:
             if torn_read:
@@ -159,8 +163,9 @@ class ImageStore:
         if stored is None:
             return None
         try:
-            return PMImage.from_bytes(zlib.decompress(stored)
-                                      if self.compress else stored)
+            if self.compress:
+                return PMImage.from_record(zlib.decompress(stored))
+            return PMImage.from_bytes(stored)
         except (zlib.error, InvalidImageError):
             return None
 

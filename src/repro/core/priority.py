@@ -14,9 +14,10 @@ Test cases keep the maximum over their slots, exactly as the
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import TYPE_CHECKING, Iterable, Tuple
 
-from repro.fuzz.coverage import GlobalCoverage
+if TYPE_CHECKING:  # repro.fuzz.engine imports this module
+    from repro.fuzz.coverage import GlobalCoverage
 
 
 def pm_path_priority(pm_cov: GlobalCoverage,

@@ -1,24 +1,32 @@
-"""The greybox fuzzing loop (AFL++ analogue) with PMFuzz hook points.
+"""The greybox fuzzing loop: AFL++ plus the PMFuzz features (Figure 11).
 
-:class:`FuzzEngine` is the complete AFL++-style campaign driver: queue
-selection, deterministic + havoc + splice mutation, execution, branch
-coverage feedback, favored culling, virtual-time accounting and coverage
+:class:`FuzzEngine` is the complete campaign driver: queue selection,
+deterministic + havoc + splice mutation, execution, branch coverage
+feedback, favored culling, virtual-time accounting and coverage
 sampling.  It *measures* PM-path coverage (the Figure 13 metric) in
-every configuration but, like AFL++, does not act on it.
+every configuration.
 
-Two hook points let :class:`repro.core.pmfuzz.PMFuzzEngine` layer the
-paper's contribution on top:
+The Table-2 configuration (:class:`~repro.core.config.FuzzConfig`) is
+the only switch between the five comparison points:
 
-* :meth:`priority_for` — the Algorithm-2 Favored value (base: always 0);
-* :meth:`on_new_pm_path` — PM image + crash image generation for test
-  cases that covered a new PM path (base: no-op).
+* ``input_fuzz`` — deterministic mutation of the command bytes;
+* ``img_fuzz`` — ``DIRECT`` fuzzes the raw image bytes (AFL++ w/
+  ImgFuzz); ``INDIRECT`` feeds program-generated images back into the
+  queue: the output image of every saved test case (Section 3.1), crash
+  images at the ordering points of every PM-novel one (Section 3.2),
+  and the output of a quarter of the other runs;
+* ``pm_path_opt`` — the Algorithm-2 Favored value from the PM counter
+  map, so test cases that explore new PM paths drive future mutation;
+* ``sys_opt`` — the cost model and compressed image storage (Section
+  4.7).
 
-The Table-2 configuration object decides input fuzzing vs direct image
-fuzzing and the cost model (SysOpt).
+All generated images are SHA-256-deduplicated and recorded in the
+Figure-12 test-case tree.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import os
@@ -26,6 +34,7 @@ import weakref
 
 from repro.core.config import FuzzConfig, ImgFuzzMode, RunConfig
 from repro.core.dedup import ImageStore
+from repro.core.priority import pm_path_priority
 from repro.core.storage import TestCaseStorage
 from repro.core.testcase import TestCaseTree
 from repro.errors import FuzzerError, HarnessFaultError, StorageFaultError
@@ -99,9 +108,8 @@ class FuzzEngine:
 
         self.cost_model = CostModel(sys_opt=config.sys_opt)
         self.env_faults = env_faults
-        # Only indirect image fuzzing (PMFuzzEngine's on_new_pm_path /
-        # on_result) reads an execution's final image; every other
-        # configuration leaves it out of the result.
+        # Only indirect image fuzzing reads an execution's final image;
+        # every other configuration leaves it out of the result.
         self.executor = Executor(
             workload_factory, self.cost_model, injector=injector,
             env_faults=env_faults,
@@ -514,8 +522,11 @@ class FuzzEngine:
 
         # Branch coverage feedback (the AFL++ logic, always active).
         new_edge, new_bucket = self.branch_cov.update(result.branch_sparse)
-        # PM-path prioritization hook (Algorithm 2 in PMFuzz).
-        priority = self.priority_for(result)
+        # PM-path prioritization (Algorithm 2): unseen slot -> 2,
+        # different counter bucket -> 1, else 0.  Classified before the
+        # update below folds this execution into the global PM map.
+        priority = (pm_path_priority(self.pm_cov, result.pm_sparse)
+                    if self.config.pm_path_opt else 0)
         pm_new_path, pm_new_bucket = self.pm_cov.update(result.pm_sparse)
 
         saved = None
@@ -545,26 +556,130 @@ class FuzzEngine:
             # into the corpus (this is where the paper's 1.5 TB of test
             # cases comes from); the expensive crash-image re-executions
             # are reserved for the PM-novel ones.
-            self.on_new_pm_path(parent, data, result,
-                                pm_novel=pm_new_path or pm_new_bucket)
-        else:
-            self.on_result(parent, data, result)
+            if self.config.img_fuzz is ImgFuzzMode.INDIRECT:
+                self._generate_images(parent, data, result,
+                                      pm_novel=pm_new_path or pm_new_bucket)
+        elif self.config.img_fuzz is ImgFuzzMode.INDIRECT:
+            self._chain_image(parent, data, result)
         self._sample()
 
     # ------------------------------------------------------------------
-    # Hook points (overridden by PMFuzzEngine)
+    # Indirect image fuzzing (Sections 3.1 and 3.2)
     # ------------------------------------------------------------------
-    def priority_for(self, result: ExecResult) -> int:
-        """Algorithm-2 Favored value; the AFL++ baseline ignores PM paths."""
-        return 0
+    @cached_property
+    def crashgen(self):
+        """The campaign's :class:`~repro.core.crashgen.CrashImageGenerator`.
 
-    def on_new_pm_path(self, parent: QueueEntry, data: bytes,
-                       result: ExecResult, pm_novel: bool = True) -> None:
-        """Called for saved / PM-novel test cases (base: no-op)."""
+        Crash generation runs through the supervisor too, so an
+        environment fault during it is retried or absorbed instead of
+        killing the campaign.
+        """
+        # Imported here, not at module level: repro.core.crashgen
+        # imports repro.fuzz.executor, which would close an import
+        # cycle through the repro.fuzz package init.
+        from repro.core.crashgen import CrashImageGenerator
+        return CrashImageGenerator(self.supervisor, self.rng)
 
-    def on_result(self, parent: QueueEntry, data: bytes,
-                  result: ExecResult) -> None:
-        """Called for every non-saved execution (base: no-op)."""
+    def _generate_images(self, parent: QueueEntry, data: bytes,
+                         result: ExecResult, pm_novel: bool) -> None:
+        """Steps ➌-➎ of Figure 11: generate and enqueue PM images."""
+        assert self.tree is not None
+        parent_image_id = parent.image_id or self._seed_image_id
+        # (1) The normal image: the run's output state, valid by
+        # construction because the program logic produced it.  A
+        # permanent storage fault forfeits this one contribution only.
+        if result.outcome.value == "ok" and result.final_image is not None:
+            saved = self._save_image(result.final_image)
+            if saved is not None and saved[1]:
+                image_id = saved[0]
+                self.stats.normal_images_generated += 1
+                self.tree.add(image_id, parent_image_id, data, None)
+                # Pair the new image with the input that produced it:
+                # mutating that input on top of its own output compounds
+                # the state (more distinct keys each generation), which
+                # is how deep thresholds like the hashmap rebuild are
+                # eventually crossed.
+                self.queue.add(
+                    data,
+                    image_id=image_id,
+                    favored=2 if pm_novel else 1,
+                    parent=parent.entry_id,
+                    created_at=self.vclock,
+                )
+            elif saved is not None:
+                self.stats.images_deduplicated += 1
+        if not pm_novel:
+            return
+        # (2) Crash images: interrupt the same execution at its ordering
+        # points; every (modeled) re-execution, and any recovery the
+        # supervisor spent on the single pass, is charged to the virtual
+        # clock and attributed to the "crashgen" profiling stage.
+        # Reserved for PM-novel test cases (the expensive step).
+        with self.profiler.stage("crashgen"):
+            try:
+                parent_image, fault_cost = self.supervisor.load_image(
+                    self.storage, parent_image_id)
+            except HarnessFaultError as exc:
+                self.vclock += exc.vcost  # crash gen skipped this round
+                self.profiler.add_vtime("crashgen", exc.vcost)
+                return
+            self.vclock += fault_cost
+            self.profiler.add_vtime("crashgen", fault_cost)
+            crash_images = self.crashgen.generate(
+                parent_image, data, result.fence_count, result.store_count)
+            self.vclock += crash_images.overhead
+            self.profiler.add_vtime("crashgen", crash_images.overhead)
+            for crash in crash_images:
+                self.vclock += crash.cost
+                self.profiler.add_vtime("crashgen", crash.cost)
+                saved = self._save_image(crash.image)
+                if saved is None:
+                    continue
+                image_id, is_new = saved
+                if not is_new:
+                    self.stats.images_deduplicated += 1
+                    continue
+                self.stats.crash_images_generated += 1
+                self.tree.add(image_id, parent_image_id, data,
+                              crash.fence_index)
+                self.queue.add(
+                    self.seed_inputs[0],
+                    image_id=image_id,
+                    favored=2,
+                    parent=parent.entry_id,
+                    from_crash_image=True,
+                    created_at=self.vclock,
+                )
+
+    def _chain_image(self, parent: QueueEntry, data: bytes,
+                     result: ExecResult) -> None:
+        """Probabilistic image chaining for non-saved executions.
+
+        The real fuzzer reuses output images across iterations regardless
+        of coverage novelty (the mutation of the persistent state *is*
+        the point of indirect image fuzzing); a quarter of the non-saved
+        runs contribute their output image here, which is what lets the
+        accumulated state cross deep thresholds (the hashmap rebuild,
+        slab exhaustion, multi-level tree splits) after path-coverage
+        novelty has dried up.
+        """
+        if result.outcome.value != "ok" or result.final_image is None:
+            return
+        if not self.rng.chance(0.25):
+            return
+        assert self.tree is not None
+        parent_image_id = parent.image_id or self._seed_image_id
+        saved = self._save_image(result.final_image)
+        if saved is None:
+            return
+        image_id, is_new = saved
+        if not is_new:
+            self.stats.images_deduplicated += 1
+            return
+        self.stats.normal_images_generated += 1
+        self.tree.add(image_id, parent_image_id, data, None)
+        self.queue.add(data, image_id=image_id, favored=1,
+                       parent=parent.entry_id, created_at=self.vclock)
 
     # ------------------------------------------------------------------
     # Statistics

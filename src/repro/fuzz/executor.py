@@ -2,9 +2,9 @@
 
 The executor is the reproduction's fork server + target binary: it takes
 one test case (a PM image + raw command bytes), runs the workload under
-branch coverage, PM-path tracking and trace collection, and returns the
-sparse coverage maps plus the output images (the clean run's final
-image only when the campaign reads it; see ``keep_final_image``).
+branch coverage and PM-path tracking, and returns the sparse coverage
+maps plus the output images (the clean run's final image only when the
+campaign reads it; see ``keep_final_image``).
 
 Virtual time
 ------------
@@ -91,7 +91,6 @@ class ExecResult:
     fence_count: int = 0
     store_count: int = 0
     commands_run: int = 0
-    trace: list = field(default_factory=list)
     error: str = ""
     #: The captures of a snapshot plan (single-pass crash generation):
     #: lazy ``MediaSnapshot``s in-process, ``CrashSnapshot``s once the
@@ -108,7 +107,6 @@ class Executor:
         workload_factory,
         cost_model: Optional[CostModel] = None,
         injector=None,
-        collect_trace: bool = False,
         max_commands: int = 6,
         env_faults=None,
         warm_open: bool = True,
@@ -121,7 +119,6 @@ class Executor:
         self.workload_factory = workload_factory
         self.cost_model = cost_model or CostModel()
         self.injector = injector
-        self.collect_trace = collect_trace
         self.max_commands = max_commands
         #: optional EnvFaultInjector consulted at the exec fault sites.
         self.env_faults = env_faults
@@ -188,19 +185,18 @@ class Executor:
         if adopt is not None:  # duck-typed test doubles may omit it
             adopt(self._volatile_proc)
         self._counter_map.reset()
-        ctx = ExecutionContext(injector=self.injector,
-                               collect_trace=self.collect_trace,
+        ctx = ExecutionContext(injector=self.injector, collect_trace=False,
                                counter_map=self._counter_map)
         cov = self._branch_cov
         cov.reset()
         warm = None
         if self.warm_cache is not None:
-            if (self.injector is None and not self.collect_trace
+            if (self.injector is None
                     and not (snapshot_plan is not None and snapshot_plan)):
                 warm = WarmContext(self.warm_cache, image, image_key, cov, ctx)
             else:
-                # Injected faults, trace collection and snapshot plans
-                # need the real prefix to execute every time.
+                # Injected faults and snapshot plans need the real
+                # prefix to execute every time.
                 self.warm_cache.bypasses += 1
         cov.start()
         try:
@@ -237,7 +233,6 @@ class Executor:
             fence_count=result.fence_count,
             store_count=result.store_count,
             commands_run=result.commands_run,
-            trace=ctx.trace,
             error=result.error,
             snapshots=list(result.snapshots),
         )

@@ -31,9 +31,9 @@ isolation).
 
 Bypass rules (correctness over speed):
 
-* armed fault injectors and trace collection: the prefix's injected
-  faults / trace events must actually happen — the executor never
-  constructs a warm context for those runs;
+* armed fault injectors: the prefix's injected faults must actually
+  happen — the executor never constructs a warm context for those
+  runs;
 * snapshot plans: planned fence/store indices may land inside the
   prefix — bypassed the same way.
 
@@ -172,9 +172,9 @@ class WarmContext:
     """Per-execution binding of the cache to one run's state.
 
     Built by the executor only for cache-eligible runs (no injector, no
-    trace collection, no snapshot plan) and handed to the workload
-    harness, which calls :meth:`lookup` before the cold open and
-    :meth:`store` right after the prefix completes.
+    snapshot plan) and handed to the workload harness, which calls
+    :meth:`lookup` before the cold open and :meth:`store` right after
+    the prefix completes.
     """
 
     __slots__ = ("cache", "image", "image_key", "branch_cov", "ctx", "_key")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._util import stable_hash16
 from repro.errors import FuzzerError
@@ -44,6 +44,11 @@ from repro.instrument.covcore import HAVE_MONITORING, TOOL_NAME
 
 #: Coverage map size (matches AFL's 64 KiB).
 COV_MAP_SIZE = 1 << 16
+
+#: Only files whose path contains this fragment are instrumented (the
+#: workloads package), mirroring how only the target binary is
+#: AFL-instrumented.
+INSTRUMENTED_FRAGMENT = "repro/workloads"
 
 #: The hook the running :class:`BranchCoverage` installed (None when no
 #: settrace recorder is running).  :func:`untraced` suspends only this
@@ -92,15 +97,10 @@ def untraced(fn: Callable) -> Callable:
 
 
 class BranchCoverage:
-    """Edge-coverage recorder over a set of instrumented source files.
+    """Edge-coverage recorder over the workload source files
+    (:data:`INSTRUMENTED_FRAGMENT`)."""
 
-    Args:
-        path_fragments: only files whose path contains one of these
-            fragments are instrumented (default: the workloads package),
-            mirroring how only the target binary is AFL-instrumented.
-    """
-
-    def __init__(self, path_fragments: Optional[Iterable[str]] = None) -> None:
+    def __init__(self) -> None:
         self.counters = bytearray(COV_MAP_SIZE)
         #: Slots hit this execution (lets consumers avoid full-map scans).
         #: Every touched slot has a nonzero counter — counters only ever
@@ -108,7 +108,6 @@ class BranchCoverage:
         #: this set instead of scanning all 64 Ki slots.
         self.touched = set()
         self._prev_loc = 0
-        self._fragments: List[str] = list(path_fragments or ["repro/workloads"])
         self._file_ok: Dict[str, bool] = {}
         #: ``(id(code), lineno) -> (stable_hash16(file:line), code)``.
         #: Two aliasing hazards shape this layout: a bare ``id(code)``
@@ -131,7 +130,7 @@ class BranchCoverage:
         ok = self._file_ok.get(filename)
         if ok is None:
             norm = filename.replace("\\", "/")
-            ok = any(frag in norm for frag in self._fragments)
+            ok = INSTRUMENTED_FRAGMENT in norm
             self._file_ok[filename] = ok
         return ok
 
@@ -254,22 +253,14 @@ class MonitoringBranchCoverage(BranchCoverage):
     Produces the exact map :class:`BranchCoverage` produces — same
     ``stable_hash16`` locations, same ``cur ^ (prev >> 1)`` slots — but
     non-instrumented code locations answer ``sys.monitoring.DISABLE``
-    on first sight and never fire again (until ``restart_events``), so
-    steady-state event cost is confined to the instrumented workload
-    lines.
-
-    ``DISABLE`` decisions are interpreter-global per tool id and outlive
-    any single recorder, so they are only valid for one instrumented
-    fragment set at a time: starting a recorder whose fragments differ
-    from the set the standing decisions were made under calls
-    ``sys.monitoring.restart_events()`` first.
+    on first sight and never fire again, so steady-state event cost is
+    confined to the instrumented workload lines.  ``DISABLE`` decisions
+    are interpreter-global per tool id and outlive any single recorder;
+    they stay valid because every recorder instruments the same files.
     """
 
     #: Whether COVERAGE_ID has been claimed for this process.
     _tool_claimed = False
-    #: Fragment tuple the standing interpreter-global DISABLE decisions
-    #: were made under (None = no decisions standing).
-    _disable_fragments: Optional[Tuple[str, ...]] = None
 
     def start(self) -> None:
         if self._active:
@@ -285,12 +276,6 @@ class MonitoringBranchCoverage(BranchCoverage):
                     f"another tool ({mon.get_tool(mon.COVERAGE_ID)!r})"
                 ) from exc
             cls._tool_claimed = True
-        fragments = tuple(self._fragments)
-        if cls._disable_fragments is None:
-            cls._disable_fragments = fragments
-        elif cls._disable_fragments != fragments:
-            mon.restart_events()
-            cls._disable_fragments = fragments
         mon.register_callback(mon.COVERAGE_ID, mon.events.LINE, self._on_line)
         mon.set_events(mon.COVERAGE_ID, mon.events.LINE)
         self._active = True

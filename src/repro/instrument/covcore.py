@@ -35,7 +35,7 @@ interpreters where monitoring would otherwise be chosen.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Optional
+from typing import Optional
 
 #: Whether this interpreter provides PEP 669 monitoring (py3.12+).
 HAVE_MONITORING = hasattr(sys, "monitoring")
@@ -81,10 +81,10 @@ def active_backend() -> str:
     return DEFAULT_BACKEND
 
 
-def make_branch_coverage(path_fragments: Optional[Iterable[str]] = None):
+def make_branch_coverage():
     """Build a branch-coverage recorder under :func:`active_backend`."""
     if active_backend() == "monitoring":
         from repro.instrument.branchcov import MonitoringBranchCoverage
-        return MonitoringBranchCoverage(path_fragments)
+        return MonitoringBranchCoverage()
     from repro.instrument.branchcov import BranchCoverage
-    return BranchCoverage(path_fragments)
+    return BranchCoverage()

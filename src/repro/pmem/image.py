@@ -21,21 +21,25 @@ Two paper requirements shape this module:
   images (Section 4.4).  Here the UUID is derived deterministically from
   the layout name.
 
-Images serialize with ``zlib`` (an LZ77 implementation), reproducing the
-test-case storage optimization of Section 4.7.  :meth:`PMImage.deflated`
-is the one definition of the compressed form; ``to_bytes(compress=True)``
-and the image store (:mod:`repro.core.dedup`) both go through it.  It
-is a *sparse record* — layout, uuid, payload size, the sorted indices
-of the payload's non-zero 64-byte cache lines, those lines' bytes and a
-CRC-32 of the record — deflated as one zlib stream.  A stored image
-holds a few dozen written lines out of 4,096, so the record is about
-1.5 KiB before compression and the compressor never reads the zero
-runs.  Pickling an image (fork-server job frames, checkpoints) ships the
-same record.  :meth:`PMImage.from_bytes` reads the sparse record and
-the dense ``to_bytes()`` form, compressed or not, so blobs written
-before the sparse record still load.  :meth:`PMImage.content_hash`
-still hashes layout + dense payload: image IDs do not depend on the
-stored form.
+An image has two serialized forms:
+
+* the *dense* form, :meth:`PMImage.to_bytes` — header + payload, the
+  bytes AFL++ w/ ImgFuzz mutates, triage bundles hold and the store
+  keeps without SysOpt;
+* the *sparse record* — layout, uuid, payload size, the sorted indices
+  of the payload's non-zero 64-byte cache lines, those lines' bytes and
+  a CRC-32 of the record.  :meth:`PMImage.deflated` compresses it as
+  one ``zlib`` (LZ77) stream, the test-case storage optimization of
+  Section 4.7 (:mod:`repro.core.dedup`).  A stored image holds a few
+  dozen written lines out of 4,096, so the record is about 1.5 KiB
+  before compression and the compressor never reads the zero runs.
+  Pickling an image (fork-server job frames, checkpoints) ships the
+  same record.
+
+:meth:`PMImage.from_bytes` reads the dense form and
+:meth:`PMImage.from_record` the inflated sparse record; nothing writes
+any other form.  :meth:`PMImage.content_hash` hashes layout + dense
+payload: image IDs do not depend on the stored form.
 """
 
 from __future__ import annotations
@@ -106,21 +110,24 @@ def _nonzero_lines(payload: bytearray) -> Tuple[List[int], List[bytes]]:
 
 def _from_record(record: bytes) -> "PMImage":
     """Unpickle an image from its sparse record (see ``__reduce__``)."""
-    return PMImage(*_parse_record(record))
+    return PMImage.from_record(record)
 
 
 def _parse_record(record: bytes) -> Tuple[str, bytearray, bytes]:
     """``(layout, payload, uuid)`` of a sparse record.
 
     Raises:
-        InvalidImageError: on a truncated record or line table, a CRC
-            mismatch, line indices that are out of range, unsorted or
-            repeated, or non-zero bytes past the payload size.
+        InvalidImageError: on bad magic, a truncated record or line
+            table, a CRC mismatch, line indices that are out of range,
+            unsorted or repeated, or non-zero bytes past the payload
+            size.
     """
     if len(record) < _SPARSE_HEAD:
         raise InvalidImageError(f"sparse image truncated: {len(record)} bytes")
-    _, layout_raw, size, uuid, count, checksum = struct.unpack(
+    magic, layout_raw, size, uuid, count, checksum = struct.unpack(
         _SPARSE_FMT, record[:_SPARSE_HEAD])
+    if magic != _SPARSE_MAGIC:
+        raise InvalidImageError(f"bad sparse record magic {magic!r}")
     if zlib.crc32(record[_SPARSE_HEAD:],
                   zlib.crc32(record[:_SPARSE_HEAD - 4])) != checksum:
         raise InvalidImageError("sparse image checksum mismatch")
@@ -234,10 +241,8 @@ class PMImage:
             zlib.crc32(self.payload),
         )
 
-    def to_bytes(self, compress: bool = False) -> bytes:
-        """Serialize header + payload; optionally zlib/LZ77-compress."""
-        if compress:
-            return b"PMFZ" + self.deflated()
+    def to_bytes(self) -> bytes:
+        """Serialize to the dense form: header + payload."""
         return self._header() + self.payload
 
     def deflated(self) -> bytes:
@@ -246,9 +251,8 @@ class PMImage:
         The record is the header fields, the sorted table of non-zero
         line indices, those lines and a CRC-32 of the record; the zero
         lines are implicit, so neither the scan's output nor the
-        compressor ever touches them.  :meth:`from_bytes` reads the
-        stream back after ``b"PMFZ"`` or, through
-        :func:`zlib.decompress`, without it.
+        compressor ever touches them.  :meth:`from_record` reads the
+        record back once :func:`zlib.decompress` has inflated it.
         """
         return zlib.compress(self._record(), 6)
 
@@ -275,28 +279,26 @@ class PMImage:
         return _from_record, (self._record(),)
 
     @classmethod
-    def from_bytes(cls, data: bytes, expected_layout: Optional[str] = None) -> "PMImage":
-        """Deserialize and validate an image.
+    def from_record(cls, record: bytes) -> "PMImage":
+        """Deserialize and validate an inflated sparse record.
 
-        Reads the sparse record and the dense header + payload form,
-        each either bare or ``b"PMFZ"``-prefixed and zlib-compressed.
+        Raises:
+            InvalidImageError: on a malformed record (see
+                :func:`_parse_record`).
+        """
+        return cls(*_parse_record(record))
+
+    @classmethod
+    def from_bytes(cls, data: bytes, expected_layout: Optional[str] = None) -> "PMImage":
+        """Deserialize and validate the dense header + payload form.
 
         Raises:
             InvalidImageError: on bad magic, truncated data, checksum
-                mismatch, a malformed sparse record, or (when
-                ``expected_layout`` is given) a layout name mismatch —
-                the simulated equivalent of the program aborting on an
-                invalid pool file.
+                mismatch, or (when ``expected_layout`` is given) a
+                layout name mismatch — the simulated equivalent of the
+                program aborting on an invalid pool file.
         """
-        if data[:4] == b"PMFZ" and data[4:8] != _MAGIC[4:8]:
-            try:
-                data = zlib.decompress(data[4:])
-            except zlib.error as exc:
-                raise InvalidImageError(f"corrupt compressed image: {exc}") from exc
-        if data[:8] == _SPARSE_MAGIC:
-            layout, payload, uuid = _parse_record(data)
-        else:
-            layout, payload, uuid = _parse_dense(data)
+        layout, payload, uuid = _parse_dense(data)
         if expected_layout is not None and layout != expected_layout:
             raise InvalidImageError(
                 f"layout mismatch: image is {layout!r}, expected {expected_layout!r}"

@@ -623,55 +623,3 @@ class PersistenceDomain:
             start = line * CACHE_LINE
             buf[start:start + len(original)] = original
         return buf
-
-    def inconsistent_ranges(self) -> List[Tuple[int, int]]:
-        """Return ``(addr, size)`` ranges where volatile and media differ.
-
-        These are exactly the bytes at risk if a failure happened *now*:
-        the persistent state would not reflect the program's view of them.
-
-        Volatile and media can differ only at pending lines, so this
-        compares each pending line with its pre-image and byte-scans
-        only the lines that differ; runs of differing bytes merge across
-        line boundaries.
-        """
-        ranges: List[Tuple[int, int]] = []
-        volatile = self._volatile
-        pre = self._pre
-        start = end = -1
-        for line in sorted(pre):
-            original = pre[line]
-            base = line * CACHE_LINE
-            current = volatile[base:base + len(original)]
-            if current == original:
-                continue
-            for offset, (now, then) in enumerate(zip(current, original)):
-                if now == then:
-                    continue
-                addr = base + offset
-                if addr != end:
-                    if start >= 0:
-                        ranges.append((start, end - start))
-                    start = addr
-                end = addr + 1
-        if start >= 0:
-            ranges.append((start, end - start))
-        return ranges
-
-    def _inconsistent_ranges_naive(self) -> List[Tuple[int, int]]:
-        """Reference byte-at-a-time implementation over the full views
-        (kept as the oracle for the property tests)."""
-        ranges: List[Tuple[int, int]] = []
-        volatile = self._volatile
-        media = self.persisted_copy()
-        start = None
-        for i in range(self.size):
-            if volatile[i] != media[i]:
-                if start is None:
-                    start = i
-            elif start is not None:
-                ranges.append((start, i - start))
-                start = None
-        if start is not None:
-            ranges.append((start, self.size - start))
-        return ranges

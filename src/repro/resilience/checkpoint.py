@@ -274,10 +274,9 @@ def write_engine_checkpoint(path: str, engine) -> None:
 def resume_campaign(path: str, injector=None, allow_previous: bool = True):
     """Rebuild the checkpointed campaign, ready to continue running.
 
-    Returns the restored engine (a
-    :class:`~repro.core.pmfuzz.PMFuzzEngine` or plain
-    :class:`~repro.fuzz.engine.FuzzEngine`, per the checkpointed
-    configuration); call ``run(budget)`` on it to continue the campaign.
+    Returns the restored :class:`~repro.fuzz.engine.FuzzEngine`, built
+    for the checkpointed configuration; call ``run(budget)`` on it to
+    continue the campaign.
     ``injector`` re-attaches a workload-level BugInjector, which is
     process state a checkpoint cannot carry.
 

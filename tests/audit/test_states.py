@@ -2,8 +2,8 @@
 
 import os
 
-from repro.audit.states import (CrashState, CrashStateEnumerator, LOSE_DST,
-                                LOSE_SRC, TORN_FRACTIONS)
+from repro.audit.states import (CrashState, CrashStateEnumerator,
+                                TORN_FRACTIONS)
 from repro.audit.trace import FsOp
 
 
@@ -29,8 +29,7 @@ class TestEnumerate:
     def test_one_prefix_state_per_op_plus_completed(self):
         ops = _trace(("write", "a"), ("fsync", "a"), ("fsync_dir", ""))
         states = CrashStateEnumerator(ops).enumerate()
-        prefixes = [s for s in states if not s.dropped and s.torn is None
-                    and s.half is None]
+        prefixes = [s for s in states if not s.dropped and s.torn is None]
         assert _ids(prefixes) == ["p000", "p001", "p002", "p003"]
 
     def test_torn_states_only_for_final_write(self):
@@ -51,12 +50,12 @@ class TestEnumerate:
         assert "p001-d000" in _ids(states)
 
     def test_unsynced_rename_is_droppable(self):
-        ops = _trace(("rename", "a", "b"),)
+        ops = _trace(("replace", "a", "b"),)
         states = CrashStateEnumerator(ops).enumerate()
         assert "p001-d000" in _ids(states)
 
     def test_fsync_dir_pins_same_dir_rename(self):
-        ops = _trace(("rename", "a", "b"), ("fsync_dir", ""))
+        ops = _trace(("replace", "a", "b"), ("fsync_dir", ""))
         states = CrashStateEnumerator(ops).enumerate()
         assert "p002-d000" not in _ids(states)
 
@@ -70,24 +69,15 @@ class TestEnumerate:
         assert "p002-d000" in _ids(
             CrashStateEnumerator(unpinned).enumerate())
 
-    def test_cross_dir_replace_gets_both_half_states(self):
-        ops = _trace(("replace", "a/f", "b/f"),)
-        ids = _ids(CrashStateEnumerator(ops).enumerate())
-        assert "p001-ld000" in ids  # destination insertion lost
-        assert "p001-ls000" in ids  # source removal lost
-
-    def test_same_dir_rename_has_no_half_states(self):
-        ops = _trace(("rename", "d/a", "d/b"),)
-        ids = _ids(CrashStateEnumerator(ops).enumerate())
-        assert not any("-ld" in i or "-ls" in i for i in ids)
-
-    def test_half_pinned_by_its_own_directory(self):
-        # fsync of the destination dir pins the insertion half; the
-        # removal half can still be the one that is lost.
-        ops = _trace(("replace", "a/f", "b/f"), ("fsync_dir", "b"))
-        ids = _ids(CrashStateEnumerator(ops).enumerate())
-        assert "p002-ld000" not in ids
-        assert "p002-ls000" in ids
+    def test_cross_dir_replace_pinned_by_both_directories(self):
+        # A replace across directories changes both parents' entries:
+        # an fsync of either one alone leaves it droppable.
+        one = _trace(("replace", "a/f", "b/f"), ("fsync_dir", "b"))
+        both = _trace(("replace", "a/f", "b/f"), ("fsync_dir", "b"),
+                      ("fsync_dir", "a"))
+        assert "p002-d000" in _ids(CrashStateEnumerator(one).enumerate())
+        assert "p003-d000" not in _ids(
+            CrashStateEnumerator(both).enumerate())
 
     def test_write_then_unlink_drop_is_invisible(self):
         ops = _trace(("write", "a"), ("unlink", "a"))
@@ -96,7 +86,7 @@ class TestEnumerate:
         assert "p002-d000" not in ids
 
     def test_write_then_rename_away_stays_visible(self):
-        ops = _trace(("write", "a"), ("rename", "a", "b"))
+        ops = _trace(("write", "a"), ("replace", "a", "b"))
         ids = _ids(CrashStateEnumerator(ops).enumerate())
         # Content travels with the rename: dropping the write matters.
         assert "p002-d000" in ids
@@ -133,13 +123,9 @@ class TestSample:
 
 
 class TestMaterialize:
-    def _materialize(self, ops, state, tmp_path, seed=()):
+    def _materialize(self, ops, state, tmp_path):
         snap = tmp_path / "snap"
         snap.mkdir(exist_ok=True)
-        for rel, data in seed:
-            p = snap / rel
-            p.parent.mkdir(parents=True, exist_ok=True)
-            p.write_bytes(data)
         target = str(tmp_path / "work")
         CrashStateEnumerator(ops).materialize(state, str(snap), target)
         return target
@@ -160,24 +146,8 @@ class TestMaterialize:
     def test_dropped_write_cascades_through_rename(self, tmp_path):
         # Dropping the write leaves nothing for the rename to move: the
         # rename skips instead of erroring, as on a real disk.
-        ops = _trace(("write", "a", b"v"), ("rename", "a", "b"))
+        ops = _trace(("write", "a", b"v"), ("replace", "a", "b"))
         work = self._materialize(
             ops, CrashState("p002-d000", cut=2, dropped=(0,)), tmp_path)
         assert not os.path.exists(os.path.join(work, "a"))
         assert not os.path.exists(os.path.join(work, "b"))
-
-    def test_lose_dst_half_vanishes_the_file(self, tmp_path):
-        ops = _trace(("replace", "a/f", "b/f"),)
-        work = self._materialize(
-            ops, CrashState("p001-ld000", cut=1, half=(0, LOSE_DST)),
-            tmp_path, seed=[("a/f", b"v"), ("b/.keep", b"")])
-        assert not os.path.exists(os.path.join(work, "a", "f"))
-        assert not os.path.exists(os.path.join(work, "b", "f"))
-
-    def test_lose_src_half_keeps_both_names(self, tmp_path):
-        ops = _trace(("replace", "a/f", "b/f"),)
-        work = self._materialize(
-            ops, CrashState("p001-ls000", cut=1, half=(0, LOSE_SRC)),
-            tmp_path, seed=[("a/f", b"v"), ("b/.keep", b"")])
-        assert os.path.exists(os.path.join(work, "a", "f"))
-        assert os.path.exists(os.path.join(work, "b", "f"))

@@ -29,11 +29,6 @@ def test_table2_feature_matrix():
         (False, ImgFuzzMode.DIRECT)
 
 
-def test_is_pmfuzz():
-    assert PMFUZZ.is_pmfuzz and PMFUZZ_NO_SYSOPT.is_pmfuzz
-    assert not AFLPP.is_pmfuzz and not AFLPP_IMGFUZZ.is_pmfuzz
-
-
 def test_lookup_by_short_and_display_name():
     assert config_by_name("pmfuzz") is PMFUZZ
     assert config_by_name("PMFuzz (All Feat.)") is PMFUZZ

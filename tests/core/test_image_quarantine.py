@@ -110,7 +110,7 @@ class TestSparseRecordDamage:
     ``IndexError`` from the decoder."""
 
     def test_well_formed_record_reads_back(self):
-        image = PMImage.from_bytes(_record([1, 5], _LINE * 2))
+        image = PMImage.from_record(_record([1, 5], _LINE * 2))
         assert image.payload[64:128] == _LINE
         assert image.payload[320:384] == _LINE
         assert image.payload.count(0) == 4096 - 128
@@ -127,13 +127,14 @@ class TestSparseRecordDamage:
         (_record([1, 2], _LINE), "line data size mismatch"),
         (_record([1], _LINE * 2), "line data size mismatch"),
         (_record([0], _LINE, size=10), "payload size mismatch"),
+        (b"PMFZIMG1" + _record([1], _LINE)[8:], "magic"),
     ], ids=["bad-crc", "cut-short", "truncated-head", "truncated-table",
             "index-past-end", "index-far-past-end", "unsorted",
             "duplicated", "missing-line-bytes", "extra-line-bytes",
-            "bytes-past-size"])
+            "bytes-past-size", "bad-magic"])
     def test_damage_is_typed_and_quarantined(self, record, message):
         with pytest.raises(InvalidImageError, match=message):
-            PMImage.from_bytes(record)
+            PMImage.from_record(record)
         store = ImageStore(compress=True)
         image_id = "ab" * 32
         store._by_hash[image_id] = zlib.compress(record)

@@ -1,4 +1,4 @@
-"""The stored image format: dedup keys, sparse streams and old blobs.
+"""The stored image format: dedup keys and sparse streams.
 
 ``ImageStore.put`` stores each image as its sparse record — the
 non-zero 64-byte lines, their indices, the header fields and a CRC-32 —
@@ -7,9 +7,11 @@ from short campaigns, that this changes nothing the campaign can see:
 the same SHA-256 ID as hashing the dense payload, ``get`` and ``peek``
 returning the image that was put, the same raw byte count, and a
 compression ratio no worse than plain level-6 zlib over the dense
-serialized bytes.  Blobs written the older ways (``Z_RLE`` or level-6
-dense streams, as older checkpoints hold them, and ``b"PMFZ"``-prefixed
-``to_bytes(compress=True)`` files) must still read back.
+serialized bytes.  Each form has one reader: ``PMImage.from_record``
+for the inflated record, ``PMImage.from_bytes`` for the dense form
+(AFL++ w/ ImgFuzz inputs, the no-SysOpt store).  The forms nothing
+writes any more — a deflated dense stream, the ``b"PMFZ"``-prefixed
+file — read as damage or as an invalid image.
 """
 
 import hashlib
@@ -23,8 +25,12 @@ from hypothesis import strategies as st
 from repro.core.config import PMFUZZ
 from repro.core.dedup import ImageStore
 from repro.core.pmfuzz import build_engine
+from repro.errors import CorpusCorruptionError, InvalidImageError
+from repro.fuzz.executor import Executor
 from repro.fuzz.rng import DeterministicRandom
 from repro.pmem.image import PMImage
+from repro.workloads import get_workload
+from repro.workloads.base import RunOutcome
 
 
 def _campaign_images(workload, budget=0.4):
@@ -50,12 +56,6 @@ def _reference_hash(image):
                           + bytes(image.payload)).hexdigest()
 
 
-def _z_rle_dense(image):
-    """The stored stream written before the sparse record."""
-    compressor = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
-    return compressor.compress(image.to_bytes()) + compressor.flush()
-
-
 class TestStoredFormat:
     def test_content_hash_matches_reference(self, images):
         for image in images:
@@ -68,17 +68,10 @@ class TestStoredFormat:
             assert is_new
             assert image_id == _reference_hash(image)
             record = zlib.decompress(store._by_hash[image_id])
-            assert PMImage.from_bytes(record) == image
+            assert PMImage.from_record(record) == image
             restored = store.get(image_id)
             assert restored == image
             assert store.peek(image_id) == restored
-
-    def test_compressed_to_bytes_uses_the_stored_stream(self, images):
-        image = images[-1]
-        store = ImageStore(compress=True)
-        image_id, _ = store.put(image)
-        assert image.to_bytes(compress=True) == \
-            b"PMFZ" + store._by_hash[image_id]
 
     def test_raw_bytes_counts_header_and_payload(self, images):
         store = ImageStore(compress=True)
@@ -104,31 +97,17 @@ class TestStoredFormat:
             assert store.peek(image_id) == image
         assert store.compression_ratio == 1.0
 
-    def test_old_level_six_blobs_still_read_back(self, images):
-        """A blob planted in ``_by_hash`` the way ``restore_state`` does
-        for a checkpoint written with ``zlib.compress(..., 6)``."""
-        fresh = ImageStore(compress=True)
-        legacy = ImageStore(compress=True)
-        for image in images:
-            image_id, _ = fresh.put(image)
-            legacy._by_hash[image_id] = zlib.compress(image.to_bytes(), 6)
-            assert legacy.get(image_id) == fresh.get(image_id)
-            assert legacy.peek(image_id) == fresh.peek(image_id)
-
-    def test_old_z_rle_blobs_still_read_back(self, images):
-        legacy = ImageStore(compress=True)
-        for image in images:
-            image_id = image.content_hash()
-            legacy._by_hash[image_id] = _z_rle_dense(image)
-            assert legacy.get(image_id) == image
-            assert legacy.peek(image_id) == image
-
-    def test_pmfz_prefixed_files_read_back(self, images):
+    def test_dense_streams_are_not_stored_records(self, images):
+        """A compressing store reads only the sparse record: a deflated
+        dense stream, a form nothing writes, is quarantined as damage."""
+        store = ImageStore(compress=True)
         for image in images[:5]:
-            assert PMImage.from_bytes(b"PMFZ" + _z_rle_dense(image)) == image
-            assert PMImage.from_bytes(
-                b"PMFZ" + zlib.compress(image.to_bytes(), 6)) == image
-            assert PMImage.from_bytes(image.to_bytes(compress=True)) == image
+            image_id = image.content_hash()
+            store._by_hash[image_id] = zlib.compress(image.to_bytes(), 6)
+            assert store.peek(image_id) is None
+            with pytest.raises(CorpusCorruptionError, match="magic"):
+                store.get(image_id)
+        assert store.corrupt_quarantined == 5
 
     def test_pickle_ships_the_sparse_lines(self, images):
         for image in images:
@@ -184,5 +163,24 @@ def test_sparse_stream_round_trips(payload, layout):
     assert store.get(image_id) == image
     assert store.peek(image_id) == image
     assert store.raw_bytes == len(image.to_bytes())
-    assert PMImage.from_bytes(image.to_bytes(compress=True)) == image
+    assert PMImage.from_record(zlib.decompress(image.deflated())) == image
     assert pickle.loads(pickle.dumps(image)) == image
+
+
+def test_pmfz_prefixed_bytes_are_an_invalid_image():
+    """Dense bytes whose magic a mutation turned into ``b"PMFZ"`` plus
+    anything else, and the retired ``b"PMFZ"`` + deflated form, are
+    rejected like any other bad header: an AFL++ w/ ImgFuzz input
+    shaped so runs as ``INVALID_IMAGE``."""
+    image = get_workload("hashmap_tx").create_image()
+    dense = image.to_bytes()
+    assert dense[:4] == b"PMFZ"
+    mutated = [dense[:4] + b"\x78\x9c" + dense[6:],
+               dense[:4] + zlib.compress(dense, 6),
+               b"PMFZ" + image.deflated()]
+    executor = Executor(lambda: get_workload("hashmap_tx"))
+    for data in mutated:
+        with pytest.raises(InvalidImageError):
+            PMImage.from_bytes(data)
+        result = executor.run_raw_image(data, b"i 1 1\n")
+        assert result.outcome is RunOutcome.INVALID_IMAGE

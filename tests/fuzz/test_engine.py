@@ -1,4 +1,4 @@
-"""Tests for the fuzzing engines (AFL++ baseline and PMFuzz)."""
+"""Tests for the fuzzing engine under the Table-2 configurations."""
 
 import gc
 import os
@@ -7,11 +7,14 @@ import weakref
 import pytest
 
 from repro.core.config import (
-    AFLPP, AFLPP_IMGFUZZ, AFLPP_SYSOPT, PMFUZZ, PMFUZZ_NO_SYSOPT,
+    AFLPP, AFLPP_IMGFUZZ, AFLPP_SYSOPT, CONFIGS, PMFUZZ, PMFUZZ_NO_SYSOPT,
+    ImgFuzzMode,
 )
-from repro.core.pmfuzz import PMFuzzEngine, build_engine, run_campaign
+from repro.core.pmfuzz import build_engine, run_campaign
 from repro.fuzz.engine import FuzzEngine
+from repro.fuzz.executor import CostModel
 from repro.fuzz.rng import DeterministicRandom
+from repro.workloads import get_workload
 
 
 def small_engine(config, workload="hashmap_tx", seed=1):
@@ -38,12 +41,28 @@ class TestEngineBasics:
         times = [s.vtime for s in stats.samples]
         assert times == sorted(times)
 
-    def test_factory_builds_right_class(self):
-        assert isinstance(small_engine(PMFUZZ), PMFuzzEngine)
-        assert isinstance(small_engine(PMFUZZ_NO_SYSOPT), PMFuzzEngine)
-        baseline = small_engine(AFLPP)
-        assert isinstance(baseline, FuzzEngine)
-        assert not isinstance(baseline, PMFuzzEngine)
+    def test_factory_switches_features_by_configuration(self):
+        # PM-path priority and image generation follow the Table-2 row:
+        # the PMFuzz configurations favor PM-novel test cases and
+        # generate crash and normal images; AFL++ does neither.
+        for config in (PMFUZZ, PMFUZZ_NO_SYSOPT, AFLPP):
+            engine = small_engine(config)
+            stats = engine.run(0.4)
+            indirect = config.img_fuzz is ImgFuzzMode.INDIRECT
+            assert (stats.crash_images_generated > 0) == indirect
+            assert (stats.normal_images_generated > 0) == indirect
+            assert any(e.favored for e in engine.queue.entries) \
+                == config.pm_path_opt
+
+    def test_hand_built_engine_equals_factory_engine(self):
+        """The configuration, not the factory, switches the PMFuzz
+        features on: a hand-built engine runs the same campaign."""
+        built = build_engine("hashmap_tx", PMFUZZ,
+                             rng=DeterministicRandom(1)).run(0.5)
+        hand = FuzzEngine(lambda: get_workload("hashmap_tx"), PMFUZZ,
+                          rng=DeterministicRandom(1)).run(0.5)
+        assert hand.crash_images_generated > 0
+        assert hand.comparable() == built.comparable()
 
     def test_campaign_is_reproducible(self):
         a = run_campaign("hashmap_tx", "pmfuzz", 0.8, seed=99)
@@ -95,6 +114,22 @@ class TestPMFuzzBehaviour:
         fast = run_campaign("hashmap_tx", "aflpp_sysopt", 1.0, seed=5)
         slow = run_campaign("hashmap_tx", "aflpp", 1.0, seed=5)
         assert fast.executions > slow.executions
+
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+def test_engine_setup_follows_the_table2_row(config):
+    """Final images, store compression and the cost model all derive
+    from the configuration's Table-2 row, whoever builds the engine."""
+    factory = small_engine(config)
+    hand = FuzzEngine(lambda: get_workload("hashmap_tx"), config)
+    for engine in (factory, hand):
+        assert engine.executor.keep_final_image == (
+            config.img_fuzz is ImgFuzzMode.INDIRECT)
+        assert engine.storage.store.compress == config.sys_opt
+        assert engine.cost_model == CostModel(sys_opt=config.sys_opt)
+        assert engine.executor.cost_model is engine.cost_model
+        engine.close()
 
 
 class TestEngineLifetime:

@@ -152,12 +152,6 @@ class TestEligibility:
         assert ex.warm_cache.bypasses == 2
         assert ex.warm_cache.hits == 0 and len(ex.warm_cache) == 0
 
-    def test_collect_trace_disables_cache(self, image):
-        ex = Executor(factory, collect_trace=True)
-        result = ex.run(image, DATA)
-        assert result.trace  # the trace really was collected
-        assert ex.warm_cache.bypasses == 1 and len(ex.warm_cache) == 0
-
     def test_snapshot_plan_disables_cache(self, image):
         ex = Executor(factory)
         plan = SnapshotPlan(fences=(1, 2))

@@ -80,7 +80,7 @@ class TestLocCacheChurn:
     def test_churned_code_objects_never_alias(self):
         # Two "files" with identical line numbers must keep distinct
         # locations across heavy code-object churn (id reuse).
-        cov = BranchCoverage(path_fragments=["repro/workloads"])
+        cov = BranchCoverage()
         slots_a = _trace_once(cov, _make_fn("repro/workloads/gen_a.py"))
         slots_b = _trace_once(cov, _make_fn("repro/workloads/gen_b.py"))
         assert slots_a != slots_b
@@ -93,7 +93,7 @@ class TestLocCacheChurn:
             del fn_b
 
     def test_cache_entries_pin_code_objects(self):
-        cov = BranchCoverage(path_fragments=["repro/workloads"])
+        cov = BranchCoverage()
         _trace_once(cov, _make_fn("repro/workloads/gen_a.py"))
         assert cov._loc_cache
         for (code_id, lineno), (_, code) in cov._loc_cache.items():
@@ -105,7 +105,7 @@ class TestLocCacheChurn:
 
     def test_same_source_different_files_distinct(self):
         # Code objects hash equal across filenames; the cache must not.
-        cov = BranchCoverage(path_fragments=["repro/workloads"])
+        cov = BranchCoverage()
         fn_a = _make_fn("repro/workloads/gen_a.py")
         fn_b = _make_fn("repro/workloads/gen_b.py")
         assert fn_a.__code__ == fn_b.__code__  # the hazard under test

@@ -1,5 +1,7 @@
 """Tests for PM image serialization, validation and identity."""
 
+import zlib
+
 import pytest
 
 from repro.errors import InvalidImageError
@@ -50,9 +52,9 @@ class TestSerialization:
     def test_compressed_round_trip(self):
         img = PMImage.create("layout", 4096)
         img.payload[100] = 42
-        data = img.to_bytes(compress=True)
+        data = img.deflated()
         assert len(data) < 4096  # zeros compress well
-        restored = PMImage.from_bytes(data)
+        restored = PMImage.from_record(zlib.decompress(data))
         assert restored.payload[100] == 42
 
     def test_header_size(self):

@@ -138,14 +138,6 @@ class TestPersistenceSemantics:
         pending = d.pending_lines()
         assert pending == {0: LineState.DIRTY, 3: LineState.DIRTY}
 
-    def test_inconsistent_ranges_cover_unpersisted_bytes(self):
-        d = make_domain(size=256)
-        d.store(10, b"abc")
-        ranges = d.inconsistent_ranges()
-        assert ranges == [(10, 3)]
-        d.persist(10, 3)
-        assert d.inconsistent_ranges() == []
-
 
 class TestCrashAtFence:
     def test_crash_raised_at_configured_fence(self):

@@ -6,16 +6,10 @@ Covers the PR-5 performance layer at its lowest level:
   crash-at-that-point execution would have produced;
 * the dedicated FLUSHED set keeps fences O(flushed) without changing
   any observable line-state semantics;
-* the no-observer fast path allocates no TraceEvent at all;
-* ``inconsistent_ranges``, which scans only pending lines, is
-  equivalent to the naive byte-at-a-time oracle over the full views
-  (hypothesis property).
+* the no-observer fast path allocates no TraceEvent at all.
 """
 
 from __future__ import annotations
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.pmem.persistence as persistence
 from repro.errors import SimulatedCrash
@@ -188,55 +182,3 @@ class TestNoObserverFastPath:
         scripted_run(observed)
         assert bare.seq == observed.seq
         assert bare.persisted_view() == observed.persisted_view()
-
-
-# ----------------------------------------------------------------------
-# Pending-line inconsistent_ranges ≡ naive oracle
-# ----------------------------------------------------------------------
-_ORACLE_SIZE = 3 * 4096 + 17
-
-
-@given(
-    size=st.integers(1, _ORACLE_SIZE),
-    diffs=st.lists(st.tuples(st.integers(0, _ORACLE_SIZE - 1),
-                             st.integers(1, 200),
-                             st.sampled_from([0x00, 0x5A])),
-                   max_size=12),
-)
-@settings(max_examples=80, deadline=None)
-def test_inconsistent_ranges_matches_naive(size, diffs):
-    domain = PersistenceDomain(size)
-    # Raw stores, never flushed: every touched line stays pending, and
-    # runs of 0x5A over zero media reach the diff shapes that matter
-    # (runs spanning lines and pages, the whole buffer).  Stores of
-    # 0x00 write the media value back, leaving equal bytes inside
-    # pending lines.
-    for start, length, value in diffs:
-        if start >= size:
-            continue
-        end = min(start + length, size)
-        domain.store(start, bytes([value]) * (end - start))
-    assert domain.inconsistent_ranges() == domain._inconsistent_ranges_naive()
-
-
-@given(
-    ops=st.lists(
-        st.one_of(
-            st.tuples(st.just("store"), st.integers(0, 9000),
-                      st.binary(min_size=1, max_size=150)),
-            st.tuples(st.just("persist"), st.integers(0, 9000),
-                      st.integers(1, 128)),
-        ),
-        max_size=25,
-    ),
-)
-@settings(max_examples=40, deadline=None)
-def test_inconsistent_ranges_matches_naive_via_ops(ops):
-    domain = PersistenceDomain(9216)  # spans multiple 4 KiB chunks
-    for op, addr, arg in ops:
-        if op == "store":
-            if addr + len(arg) <= domain.size:
-                domain.store(addr, arg)
-        elif addr + arg <= domain.size:
-            domain.persist(addr, arg)
-    assert domain.inconsistent_ranges() == domain._inconsistent_ranges_naive()

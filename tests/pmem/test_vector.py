@@ -6,15 +6,15 @@ sequences now run on the domain and on :class:`RefModel` — a
 deliberately naive restatement of the rules (a store dirties every line
 it spans, a flush moves dirty lines to flushed, a fence copies flushed
 lines to the media) — and every observable must agree: views, pending
-lines, inconsistent ranges, counters and trace events.
+lines, counters and trace events.
 
 The model keeps two full buffers, volatile and media, and takes every
 snapshot as a full copy of the media; the domain keeps one buffer plus
 the pre-images of its pending lines and builds snapshots when read.
 :class:`TestOneBufferEquivalence` runs random sequences with planned
 snapshots, armed crash points and a warm-state capture and restore on
-both, and compares every view, every snapshot image, the pending
-overlays and the inconsistent ranges.
+both, and compares every view, every snapshot image and the pending
+overlays.
 """
 
 from __future__ import annotations
@@ -121,19 +121,6 @@ class RefModel:
         twin.events = list(self.events)
         return twin
 
-    def inconsistent_ranges(self):
-        ranges, start = [], None
-        for i, (v, m) in enumerate(zip(self.volatile, self.media)):
-            if v != m:
-                if start is None:
-                    start = i
-            elif start is not None:
-                ranges.append((start, i - start))
-                start = None
-        if start is not None:
-            ranges.append((start, len(self.media) - start))
-        return ranges
-
 
 def observed(domain):
     events = []
@@ -149,7 +136,6 @@ def assert_same_state(domain, model, events):
     assert domain.volatile_view() == bytes(model.volatile)
     assert domain.persisted_view() == bytes(model.media)
     assert domain.pending_lines() == model.lines
-    assert domain.inconsistent_ranges() == model.inconsistent_ranges()
     assert domain.store_count == model.stores
     assert domain.fence_count == model.fences
     assert event_tuples(events) == model.events
@@ -224,7 +210,7 @@ class TestMirroredSequences:
     def test_persist_helper_matches(self):
         domain, _ = mirror([("store", 100, b"q" * 300),
                             ("persist", 100, 300)])
-        assert domain.inconsistent_ranges() == []
+        assert domain.persisted_view() == domain.volatile_view()
 
     def test_random_sequences_agree(self):
         rng = random.Random(0xC0FFEE)
@@ -264,23 +250,6 @@ class TestLineStates:
         assert list(pending) == [5]
         assert all(type(k) is int for k in pending)
 
-    def test_inconsistent_ranges_values_are_python_ints(self):
-        domain = PersistenceDomain(SIZE)
-        domain.store(10, b"abc")
-        ranges = domain.inconsistent_ranges()
-        assert ranges == [(10, 3)]
-        assert all(type(v) is int for pair_ in ranges for v in pair_)
-
-    def test_inconsistent_ranges_merge_adjacent_diffs(self):
-        # Adjacent differing bytes merge into one range; an unchanged
-        # byte between them splits it.
-        domain, model = mirror([
-            ("store", 0, b"ab"), ("store", 2, b"cd"), ("store", 5, b"ef"),
-            ("store", 300, b"zz")])
-        assert domain.inconsistent_ranges() == [(0, 4), (5, 2), (300, 2)]
-        assert domain.inconsistent_ranges() == \
-            domain._inconsistent_ranges_naive()
-
 
 class TestBoundsChecking:
     def test_out_of_bounds_store_rejected(self):
@@ -302,7 +271,7 @@ class TestBoundsChecking:
         domain, model = PersistenceDomain(256, init), RefModel(256, init)
         assert domain.load(0, 256) == init
         assert domain.persisted_view() == bytes(model.media) == init
-        assert domain.inconsistent_ranges() == []
+        assert domain.pending_lines() == {}
 
 
 class TestCrashPlacement:
@@ -428,7 +397,6 @@ def assert_same_media(domain, model):
     assert domain.persisted_copy() == model.media
     assert domain.pending_lines() == model.lines
     assert domain.pending_overlays() == model.pending_overlays()
-    assert domain.inconsistent_ranges() == model.inconsistent_ranges()
     assert domain.store_count == model.stores
     assert domain.fence_count == model.fences
     assert domain.seq == len(model.events)

@@ -255,12 +255,19 @@ class TestResumeDeterminism:
         err = capsys.readouterr().err
         assert repr(path) in err and ".prev" not in err
 
-    def test_resume_rebuilds_pmfuzz_engine_class(self, tmp_path):
-        from repro.core.pmfuzz import PMFuzzEngine
+    def test_resume_rebuilds_pmfuzz_configuration(self, tmp_path):
         path = str(tmp_path / "cls.ckpt")
         run_campaign("hashmap_tx", "pmfuzz", 0.6, seed=3,
                      checkpoint_every=0.1, checkpoint_path=path)
-        assert isinstance(resume_campaign(path), PMFuzzEngine)
+        resumed = resume_campaign(path)
+        assert resumed.config is PMFUZZ
+        # Indirect image fuzzing resumes with its final images and its
+        # generated images, and keeps generating them.
+        assert resumed.executor.keep_final_image
+        before = resumed.stats.crash_images_generated
+        assert before > 0
+        stats = resumed.run(1.2)
+        assert stats.crash_images_generated > before
 
     def test_quarantine_state_survives_resume(self, tmp_path):
         """Strikes and quarantined inputs are part of the checkpoint: a

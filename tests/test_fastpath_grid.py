@@ -170,7 +170,6 @@ class TestBackendSelection:
             mon.free_tool_id(mon.COVERAGE_ID)
             # The next monitoring recorder claims the slot afresh.
             mon.restart_events()
-            MonitoringBranchCoverage._disable_fragments = None
         assert active_backend() == "monitoring"
         assert_cell_equal(reference, fallback)
 
